@@ -15,7 +15,6 @@ from .core import (
     ProblemMeta,
     StochasticOracle,
     hypergradient_estimate,
-    noisy_grads,
     penalized_hyperobjective_value,
     penalty_value_grad_y,
 )
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilevelProblem", "PenaltyObjective", "PenaltyValue", "ProblemConstants",
-    "ProblemMeta", "StochasticOracle", "hypergradient_estimate", "noisy_grads",
+    "ProblemMeta", "StochasticOracle", "hypergradient_estimate",
     "penalized_hyperobjective_value", "penalty_value_grad_y",
     "GaletResiduals", "SolutionSetApprox", "check_gradients",
     "check_smoothness_constants", "exact_hypergradient_pinv",

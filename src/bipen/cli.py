@@ -29,15 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .drivers import build_schedule, fit_complexity_slope, run_f2ba, run_f2bsa
+from .drivers import (_PLAN_CONSTANT_KEYS, _PLAN_OVERRIDE_KEYS, build_schedule,
+                      fit_complexity_slope, run_f2ba, run_f2bsa)
 from .errors import CapabilityError, ConfigError, ToolkitError
 from .problems import get_problem, list_problems
 from .zerochain import CoordinateProbeAdapter, F2BAAdapter, run_zero_respecting
 
-_SCHEDULE_KEYS = ("eta", "sigma", "tau", "K", "T", "B", "delta0")
-_CONSTANT_KEYS = ("c_eta", "c_sigma", "c_K", "c_B", "c_delta")
 _BUDGET_KEYS = ("Delta", "R")
-_SETTING_KEYS = _SCHEDULE_KEYS + _CONSTANT_KEYS + _BUDGET_KEYS
+_SETTING_KEYS = _PLAN_OVERRIDE_KEYS + _PLAN_CONSTANT_KEYS + _BUDGET_KEYS
 _INT_KEYS = ("K", "T", "B")
 
 _CSV_COLUMNS = ("t", "hypergrad_norm_est", "hypergrad_norm_analytic",
@@ -233,6 +232,8 @@ def _cmd_sweep_slope(args) -> int:
     if len(epsilons) < 3:
         raise ConfigError(f"slope estimation needs at least 3 epsilons, "
                           f"got {len(epsilons)}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     suite = get_problem(args.problem)
     settings = resolve_settings(args)
     out_dir = Path(args.out_dir) if args.out_dir else None

@@ -276,28 +276,32 @@ def penalty_value_grad_y(p: PenaltyObjective, x, y) -> tuple[float, Array]:
     return p.sigma * fv + gv, p.sigma * gfy + ggy
 
 
-def hypergradient_estimate(p: PenaltyObjective, x, yK, zK) -> Array:
+def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
+                           oracle: Optional["StochasticOracle"] = None,
+                           batch: int = 0) -> Array:
     """First-order hypergradient estimate from the two inner outputs.
 
     ``yK`` approximately minimizes h_sigma(x, .), ``zK`` approximately
-    minimizes g(x, .).  Costs three x-gradient oracle calls.
+    minimizes g(x, .).  Costs three x-gradient oracle calls, made in the
+    order grad_x f at yK, grad_x g at yK, grad_x g at zK: exact ones when
+    ``batch`` = 0, batch-``batch`` averages drawn from ``oracle`` otherwise.
     """
     prob = p.problem
     if not (np.isfinite(p.sigma) and p.sigma > 0):
         raise ConfigError("hypergradient estimate needs sigma > 0")
-    x, yK = prob.check_point(x, yK)
-    zK = as_vector(zK, prob.dim_y, "zK")
-    gfx = _require_finite(prob.grad_f_x(x, yK), x, yK, "grad_x f")
-    ggx_y = _require_finite(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK")
-    ggx_z = _require_finite(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK")
+    if batch == 0:
+        x, yK = prob.check_point(x, yK)
+        zK = as_vector(zK, prob.dim_y, "zK")
+        gfx = _require_finite(prob.grad_f_x(x, yK), x, yK, "grad_x f")
+        ggx_y = _require_finite(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK")
+        ggx_z = _require_finite(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK")
+    elif oracle is None:
+        raise ConfigError("a batched hypergradient estimate needs a stochastic oracle")
+    else:
+        gfx = oracle.draw("f_x", x, yK, batch)
+        ggx_y = oracle.draw("g_x", x, yK, batch)
+        ggx_z = oracle.draw("g_x", x, zK, batch)
     return gfx + (ggx_y - ggx_z) / p.sigma
-
-
-def noisy_grads(oracle: "StochasticOracle", which: str, x, y, batch: int) -> Array:
-    """Mini-batch average of unbiased noisy gradients from the oracle."""
-    if not isinstance(batch, (int, np.integer)) or batch < 1:
-        raise InputError(f"batch must be a positive integer, got {batch!r}")
-    return oracle.draw(which, x, y, int(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +352,9 @@ class StochasticOracle:
         return table[which]
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
-        if batch < 1:
-            raise InputError(f"batch must be >= 1, got {batch}")
+        if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) \
+                or batch < 1:
+            raise InputError(f"batch must be a positive integer, got {batch!r}")
         fn, std, dim = self._lookup(which)
         x, y = self.base.check_point(x, y)
         mean = _require_finite(fn(x, y), x, y, f"grad {which}")
@@ -414,7 +419,7 @@ def penalized_hyperobjective_value(
     bounds the value error from the achieved residuals via PL quadratic
     growth (or from the final grid spacing on the box path).
     """
-    from .inner import descend_single  # late import: inner depends on core types
+    from .inner import presolve  # late import: inner depends on core types
 
     prob = p.problem
     x = prob.check_point(x)
@@ -442,19 +447,12 @@ def penalized_hyperobjective_value(
         _, y0 = prob.default_start()
     y0 = as_vector(y0, prob.dim_y, "y0")
 
-    tau_h = 1.0 / (p.sigma * c.L_f + c.L_g)
-    yh, res_h, _ = descend_single(
-        lambda y: p.sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y),
-        y0, tau_h, tol=p.gstar_tolerance, max_iter=max_iter,
-        label="penalty descent",
-    )
+    yh, res_h, _ = presolve(prob, x, p.sigma, y0, p.gstar_tolerance, max_iter,
+                            "penalty descent")
     # warm-start the lower-level solve at the penalty minimizer: the two
     # solution sets are O(sigma)-close under the PL assumption
-    yg, res_g, _ = descend_single(
-        lambda y: prob.grad_g_y(x, y),
-        yh, 1.0 / c.L_g, tol=p.gstar_tolerance, max_iter=max_iter,
-        label="lower-level descent",
-    )
+    yg, res_g, _ = presolve(prob, x, 0.0, yh, p.gstar_tolerance, max_iter,
+                            "lower-level descent")
     h_min = p.sigma * prob.f(x, yh) + prob.g(x, yh)
     g_min = prob.g(x, yg)
     value = (h_min - g_min) / p.sigma

@@ -30,7 +30,7 @@ from .core import (
     penalized_hyperobjective_value,
 )
 from .errors import CapabilityError, ConfigError, InputError, NumericError
-from .inner import descend_single
+from .inner import descend_single, presolve
 from .rng import substream
 
 
@@ -72,21 +72,12 @@ class SolutionSetApprox:
         """Descend h_sigma(x, .) (g when sigma = 0) from every start point."""
         prob = as_bilevel(problem)
         x = as_vector(x, prob.dim_x, "x")
-        c = prob.constants
         if sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {sigma}")
-        tau = 1.0 / (sigma * c.L_f + c.L_g)
-
-        def grad(y):
-            if sigma == 0.0:
-                return prob.grad_g_y(x, y)
-            return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
-
         pts, res = [], []
         for y0 in starts:
-            y, r, _ = descend_single(grad, as_vector(y0, prob.dim_y, "start"),
-                                     tau, tol=tol, max_iter=max_iter,
-                                     label="solution pre-solve")
+            y, r, _ = presolve(prob, x, sigma, as_vector(y0, prob.dim_y, "start"),
+                               tol, max_iter, "solution pre-solve")
             pts.append(y)
             res.append(r)
         return cls(np.array(pts), np.array(res))
@@ -200,10 +191,8 @@ def hypergradient_routes(suite, x, sigma: float = 1e-5) -> dict:
             _, y0 = prob.default_start()
             y_star = project(x, y0, 0.0)
         else:
-            y_star, _, _ = descend_single(
-                lambda y: prob.grad_g_y(x, y), prob.default_start()[1],
-                1.0 / prob.constants.L_g, tol=1e-10,
-                label="pinv pre-solve")
+            y_star, _, _ = presolve(prob, x, 0.0, prob.default_start()[1], 1e-10,
+                                    label="pinv pre-solve")
         routes["pinv"] = exact_hypergradient_pinv(prob, x, y_star)
     if prob.analytic_grad_phi is not None:
         routes["analytic"] = np.asarray(prob.analytic_grad_phi(x), dtype=float)
@@ -238,7 +227,6 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
     <= 1e-12 are skipped (0/0 convention).
     """
     prob = as_bilevel(problem)
-    c = prob.constants
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if probes < 1:
@@ -252,7 +240,6 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         raise ConfigError("no probe region: problem has no meta and none was given")
 
     rng = substream(seed, "pl-ratio", round(sigma * 1e9))
-    tau = 1.0 / (sigma * c.L_f + c.L_g)
 
     def h_and_grad(x, y):
         if sigma == 0.0:
@@ -271,9 +258,8 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         _, y0 = prob.default_start()
         h_star = math.inf
         for start in [y0] + ys:
-            y_min, _, _ = descend_single(
-                lambda v: h_and_grad(x, v)[1], start, tau, tol=1e-12,
-                label="PL pre-solve")
+            y_min, _, _ = presolve(prob, x, sigma, start, 1e-12,
+                                   label="PL pre-solve")
             h_star = min(h_star, h_and_grad(x, y_min)[0])
         for y in ys:
             hv, gv = h_and_grad(x, y)
@@ -376,9 +362,7 @@ def galet_residuals(problem, x, y, gstar_tol: float = 1e-12) -> GaletResiduals:
         _, g_star, _ = _grid_min(lambda v: prob.g(x, v), prob.meta.y_box,
                                  201 if prob.dim_y == 2 else 4001)
     else:
-        y_min, _, _ = descend_single(lambda v: prob.grad_g_y(x, v), y,
-                                     1.0 / c.L_g, tol=gstar_tol,
-                                     label="g* pre-solve")
+        y_min, _, _ = presolve(prob, x, 0.0, y, gstar_tol, label="g* pre-solve")
         g_star = float(prob.g(x, y_min))
     gap = g_val - g_star
     if gap < -1e-9 * (1.0 + abs(g_star)):

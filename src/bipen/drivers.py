@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ from .core import (
     as_bilevel,
     as_vector,
     hypergradient_estimate,
-    noisy_grads,
 )
 from .errors import ConfigError, InputError
 from .inner import InnerConfig, inner_descend
@@ -93,22 +92,15 @@ class SchedulePlan:
                 raise ConfigError(f"plan field {name} must be finite and >= 0, got {v}")
 
     def header_items(self) -> list[tuple[str, object]]:
-        """Flat (key, value) pairs recorded in every trace header."""
-        items = [
-            ("epsilon", self.epsilon), ("eta", self.eta), ("sigma", self.sigma),
-            ("tau", self.tau), ("K", self.K), ("T", self.T), ("B", self.B),
-            ("delta0", self.delta0), ("Delta", self.Delta), ("R", self.R),
-            ("c_eta", self.c_eta), ("c_sigma", self.c_sigma), ("c_K", self.c_K),
-            ("c_B", self.c_B), ("c_delta", self.c_delta),
-        ]
-        c = self.constants
-        items += [
-            ("constants.C_f", c.C_f), ("constants.L_f", c.L_f),
-            ("constants.L_g", c.L_g), ("constants.rho_f", c.rho_f),
-            ("constants.rho_g", c.rho_g), ("constants.mu", c.mu),
-            ("constants.sigma_bar", c.sigma_bar),
-            ("constants.M_f", c.M_f), ("constants.M_g", c.M_g),
-        ]
+        """Flat (key, value) pairs recorded in every trace header.
+
+        Plan fields in declaration order, then the declared constants, then
+        the provenance notes sorted by key.
+        """
+        items = [(f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.name not in ("constants", "provenance")]
+        items += [(f"constants.{f.name}", getattr(self.constants, f.name))
+                  for f in fields(self.constants)]
         items += [(f"provenance.{k}", v) for k, v in sorted(self.provenance.items())]
         return items
 
@@ -297,38 +289,10 @@ def run_f2ba(problem, plan: SchedulePlan, x0=None, y0=None,
 
     Warm-starts carry across outer iterations (z0 = y0 at t = 0).  The trace
     has exactly T rows; cumulative oracle calls follow the fused convention
-    2*K_t + 3 per outer iteration.
+    2*K_t + 3 per outer iteration.  The plan's B is ignored: every gradient
+    is exact and ``delta_t`` is recorded as nan.
     """
-    prob = as_bilevel(problem)
-    pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
-    x, y = _resolve_starts(prob, x0, y0)
-    z = y.copy()
-    cfg = InnerConfig(tau=plan.tau, K=plan.K, batch=0)
-    name = getattr(problem, "name", type(prob).__name__)
-
-    rows = []
-    calls = 0
-    t_start = time.perf_counter()
-    for t in range(plan.T):
-        t0 = time.perf_counter() if timing else None
-        res = inner_descend(prob, x, y, z, plan.sigma, cfg)
-        y, z = res.y, res.z
-        est = hypergradient_estimate(pen, x, y, z)
-        calls += res.oracle_calls + 3
-        gt, pt = _analytic_columns(prob, x)
-        wall = (time.perf_counter() - t0) * 1e3 if timing else None
-        rows.append(TraceRow(
-            t=t, grad_est_norm=float(np.linalg.norm(est)), grad_true_norm=gt,
-            phi_true=pt, K_t=res.steps, delta_t=math.nan,
-            resid_y=res.grad_norm_y, resid_z=res.grad_norm_z,
-            oracle_calls=calls, x=tuple(x), wall_ms=wall,
-        ))
-        x = x - plan.eta * est
-    wall_s = time.perf_counter() - t_start
-    state = IterateState(t=plan.T, x=x, y=y, z=z, delta=math.nan,
-                         oracle_calls=calls, rng_counter=0)
-    return RunTrace(problem_name=name, algorithm="f2ba", plan=plan, seed=None,
-                    rows=rows, final_state=state, wall_seconds=wall_s)
+    return _run_penalty(problem, plan, x0, y0, None, timing)
 
 
 def stochastic_inner_count(plan: SchedulePlan, delta: float) -> int:
@@ -355,38 +319,38 @@ def run_f2bsa(problem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
     with B = 0 (full gradients) the planned K is used and the run reproduces
     the deterministic method exactly, bit for bit.
     """
+    return _run_penalty(problem, plan, x0, y0, seed, timing)
+
+
+def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
+                 timing: bool) -> RunTrace:
+    """The outer loop of both methods; ``seed`` None is the deterministic one."""
     prob = as_bilevel(problem)
-    pen = PenaltyObjective(prob, plan.sigma)
+    pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
     c = prob.constants
     x, y = _resolve_starts(prob, x0, y0)
     z = y.copy()
     name = getattr(problem, "name", type(prob).__name__)
-    oracle = StochasticOracle(prob, c.M_f, c.M_g, rng_seed=seed)
-    B = plan.B
+    oracle = None if seed is None else StochasticOracle(prob, c.M_f, c.M_g, rng_seed=seed)
+    B = 0 if oracle is None else plan.B
     if B > 0 and not c.stochastic:
         raise ConfigError("plan requests mini-batches but the problem declares "
                           "M_f = M_g = 0; use B = 0 for full gradients")
+    cfg = InnerConfig(tau=plan.tau, K=plan.K, batch=0)  # rebuilt per step when B > 0
 
     rows = []
     calls = 0
-    delta = plan.delta0
+    delta = math.nan if oracle is None else plan.delta0
     t_start = time.perf_counter()
     for t in range(plan.T):
         t0 = time.perf_counter() if timing else None
-        K_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
-        cfg = InnerConfig(tau=plan.tau, K=K_t, batch=B)
-        res = inner_descend(prob, x, y, z, plan.sigma, cfg,
-                            oracle=oracle if B > 0 else None)
+        if B > 0:
+            cfg = InnerConfig(tau=plan.tau, K=stochastic_inner_count(plan, delta),
+                              batch=B)
+        res = inner_descend(prob, x, y, z, plan.sigma, cfg, oracle)
         y, z = res.y, res.z
-        if B == 0:
-            est = hypergradient_estimate(pen, x, y, z)
-            calls += res.oracle_calls + 3
-        else:
-            gfx = noisy_grads(oracle, "f_x", x, y, B)
-            ggx_y = noisy_grads(oracle, "g_x", x, y, B)
-            ggx_z = noisy_grads(oracle, "g_x", x, z, B)
-            est = gfx + (ggx_y - ggx_z) / plan.sigma
-            calls += res.oracle_calls + 3 * B
+        est = hypergradient_estimate(pen, x, y, z, oracle, B)
+        calls += res.oracle_calls + 3 * max(B, 1)
         gt, pt = _analytic_columns(prob, x)
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
         rows.append(TraceRow(
@@ -396,15 +360,18 @@ def run_f2bsa(problem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
             oracle_calls=calls, x=tuple(x), wall_ms=wall,
         ))
         x_new = x - plan.eta * est
-        step_sq = float(np.sum((x_new - x) ** 2))
-        delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq
-                 + plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2)
+        if oracle is not None:
+            step_sq = float(np.sum((x_new - x) ** 2))
+            delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq
+                     + plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2)
         x = x_new
     wall_s = time.perf_counter() - t_start
-    state = IterateState(t=plan.T, x=x, y=y, z=z, delta=delta,
-                         oracle_calls=calls, rng_counter=oracle.counter)
-    return RunTrace(problem_name=name, algorithm="f2bsa", plan=plan, seed=seed,
-                    rows=rows, final_state=state, wall_seconds=wall_s)
+    state = IterateState(t=plan.T, x=x, y=y, z=z, delta=delta, oracle_calls=calls,
+                         rng_counter=0 if oracle is None else oracle.counter)
+    return RunTrace(problem_name=name,
+                    algorithm="f2ba" if oracle is None else "f2bsa",
+                    plan=plan, seed=seed, rows=rows, final_state=state,
+                    wall_seconds=wall_s)
 
 
 def fit_complexity_slope(points) -> float:

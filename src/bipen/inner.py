@@ -7,9 +7,9 @@ One outer iteration of the penalty methods runs, from warm starts,
 
 for K steps.  Under the PL assumption both sequences contract linearly to
 the solution sets of g(x, .) and h_sigma(x, .).  The module also provides a
-single-sequence descent used for value-function evaluation and certified
-pre-solves, and a bounded-budget probe that detects penalties whose descent
-runs away (unbounded-below h_sigma).
+single-sequence descent, the certified pre-solve built on it (used for
+value-function evaluation and by the diagnostics), and a bounded-budget probe
+that detects penalties whose descent runs away (unbounded-below h_sigma).
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ class InnerConfig:
             raise ConfigError(f"batch must be >= 0 (0 = full gradients), got {self.batch}")
         if self.stop_grad_norm is not None and self.stop_grad_norm <= 0:
             raise ConfigError("stop_grad_norm must be positive when set")
-
-    @classmethod
-    def from_plan(cls, plan) -> "InnerConfig":
-        """Inner configuration induced by a SchedulePlan (tau = 1/(sigma L_f + L_g))."""
-        return cls(tau=plan.tau, K=plan.K, batch=plan.B)
 
 
 class InnerResult(NamedTuple):
@@ -198,6 +193,21 @@ def descend_single(
         f"(residual {_norm(grad_fn(y)):.3g})",
         residual=_norm(grad_fn(y)),
     )
+
+
+def presolve(prob: BilevelProblem, x, sigma: float, y0, tol: float,
+             max_iter: int = 500_000, label: str = "pre-solve"):
+    """``descend_single`` on h_sigma(x, .), or on g(x, .) when sigma = 0, at
+    the step 1 / (sigma L_f + L_g); returns its (y, final_grad_norm, steps)."""
+    c = prob.constants
+
+    def grad(y):
+        if sigma == 0.0:
+            return prob.grad_g_y(x, y)
+        return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
+
+    return descend_single(grad, y0, 1.0 / (sigma * c.L_f + c.L_g), tol,
+                          max_iter=max_iter, label=label)
 
 
 class DivergenceProbe(NamedTuple):

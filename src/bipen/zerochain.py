@@ -92,13 +92,7 @@ def tracked_instance(instance: SuiteProblem, tracker: SupportTracker) -> SuitePr
     """Clone of the instance whose oracles report to ``tracker``."""
     prob = instance.problem
 
-    def wrap_value(kind, fn):
-        def wrapped(x, y):
-            tracker.note(kind, y)
-            return fn(x, y)
-        return wrapped
-
-    def wrap_x_grad(kind, fn):
+    def wrap_query(kind, fn):  # values and x-gradients reveal no y coordinate
         def wrapped(x, y):
             tracker.note(kind, y)
             return fn(x, y)
@@ -113,10 +107,10 @@ def tracked_instance(instance: SuiteProblem, tracker: SupportTracker) -> SuitePr
 
     tracked = dataclasses.replace(
         prob,
-        f=wrap_value("f", prob.f),
-        g=wrap_value("g", prob.g),
-        grad_f_x=wrap_x_grad("f_x", prob.grad_f_x),
-        grad_g_x=wrap_x_grad("g_x", prob.grad_g_x),
+        f=wrap_query("f", prob.f),
+        g=wrap_query("g", prob.g),
+        grad_f_x=wrap_query("f_x", prob.grad_f_x),
+        grad_g_x=wrap_query("g_x", prob.grad_g_x),
         grad_f_y=wrap_y_grad("f_y", prob.grad_f_y),
         grad_g_y=wrap_y_grad("g_y", prob.grad_g_y),
     )

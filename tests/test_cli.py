@@ -140,6 +140,13 @@ def test_sweep_slope_needs_three_epsilons():
     assert r.returncode == 2
 
 
+def test_sweep_slope_rejects_zero_seeds():
+    r = run_cli("sweep-slope", "--problem", "kernel_pl",
+                "--epsilons", "0.5,0.4,0.3", "--seeds", "0")
+    assert r.returncode == 2 and "--seeds" in r.stderr
+    assert "Warning" not in r.stderr
+
+
 def test_sweep_slope_expectation_gate():
     r = run_cli("sweep-slope", "--problem", "kernel_pl",
                 "--epsilons", "0.5,0.4,0.3", "--set", "T=20",

@@ -16,7 +16,6 @@ from bipen import (
     StochasticOracle,
     get_problem,
     hypergradient_estimate,
-    noisy_grads,
     penalized_hyperobjective_value,
     penalty_value_grad_y,
 )
@@ -180,7 +179,24 @@ def test_oracle_rejects_bad_requests(kernel):
     with pytest.raises(InputError):
         oracle.draw("f_q", [0.0], [0.0, 0.0])
     with pytest.raises(InputError):
-        noisy_grads(oracle, "f_y", [0.0], [0.0, 0.0], batch=0)
+        oracle.draw("f_y", [0.0], [0.0, 0.0], batch=0)
+    # non-integer batches are refused even where the noise level is 0 and
+    # the draw would return the exact gradient
+    for which in ("f_y", "g_y"):
+        for batch in (1.5, True, np.float64(2.0)):
+            with pytest.raises(InputError, match="positive integer"):
+                oracle.draw(which, [0.0], [0.0, 0.0], batch=batch)
+    assert oracle.draw("g_y", [0.0], [0.0, 0.0], batch=np.int64(2)).shape == (2,)
+
+
+def test_batched_estimate_draws_from_the_oracle(kernel):
+    pen = PenaltyObjective(kernel.problem, 0.5)
+    x, y, z = [0.3], [0.6, 0.2], [0.4, -0.1]
+    exact = hypergradient_estimate(pen, x, y, z)
+    noiseless = StochasticOracle(kernel.problem, 0.0, 0.0, rng_seed=0)
+    assert np.array_equal(hypergradient_estimate(pen, x, y, z, noiseless, 3), exact)
+    with pytest.raises(ConfigError, match="oracle"):
+        hypergradient_estimate(pen, x, y, z, batch=2)
 
 
 def test_penalized_value_kernel_closed_form(kernel):

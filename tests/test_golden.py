@@ -9,7 +9,6 @@ only in a change that says why in CHANGES.md; regenerate them with
 The property test below pins the fused oracle-call accounting for any plan.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,15 +29,9 @@ def _settings(problem):
     return ("T=2", "K=2") if problem == "hard_instance" else ("T=6",)
 
 
-def _cases():
-    """(file name, problem, algorithm, seed) of every golden trace."""
-    cases = [(f"{p}_f2ba.csv", p, "f2ba", 0) for p in NOISELESS + NOISY]
-    cases += [(f"{p}_f2bsa_seed{s}.csv", p, "f2bsa", s)
-              for p in NOISY for s in (0, 1)]
-    return cases
-
-
-CASES = _cases()
+# (file name, problem, algorithm, seed) of every golden trace
+CASES = [(f"{p}_f2ba.csv", p, "f2ba", 0) for p in NOISELESS + NOISY]
+CASES += [(f"{p}_f2bsa_seed{s}.csv", p, "f2bsa", s) for p in NOISY for s in (0, 1)]
 
 
 def render(problem, algorithm, seed, out):
@@ -87,4 +80,3 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for fname, problem, algorithm, seed in CASES:
         render(problem, algorithm, seed, GOLDEN_DIR / fname)
-    sys.exit(0)
