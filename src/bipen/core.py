@@ -49,8 +49,17 @@ _GRAD = Callable[[Array, Array], Array]
 # validation helpers
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def as_vector(v, dim: int, name: str) -> Array:
-    """Coerce ``v`` to a float64 vector of length ``dim`` or raise InputError."""
+    """Coerce ``v`` to a float64 vector of length ``dim`` or raise InputError.
+
+    A float64 ndarray of shape (dim,) is returned as it is, as the coercion
+    below would return it; only other inputs take the coercion.
+    """
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == (dim,):
+        return v
     arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise InputError(
@@ -61,7 +70,7 @@ def as_vector(v, dim: int, name: str) -> Array:
 
 def _require_finite(value, x: Array, y, what: str):
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
         raise NumericError(f"non-finite {what} encountered", point=pt)
     return arr
@@ -319,7 +328,8 @@ class StochasticOracle:
     total variance M^2 (M = ``noise_std_f`` for f-gradients, ``noise_std_g``
     for g-gradients), so a batch-B average has variance M^2 / B.  Draws come
     from a counter-based stream: resetting the counter replays the exact
-    noise sequence.
+    noise sequence.  The base gradients and noise levels are looked up once,
+    at construction.
     """
 
     base: BilevelProblem
@@ -332,36 +342,36 @@ class StochasticOracle:
         if self.noise_std_f < 0 or self.noise_std_g < 0:
             raise ConfigError("noise standard deviations must be >= 0")
         self._gen = substream(self.rng_seed, "oracle")
+        base = self.base
+        self._table = {
+            "f_x": (base.grad_f_x, self.noise_std_f, base.dim_x),
+            "f_y": (base.grad_f_y, self.noise_std_f, base.dim_y),
+            "g_x": (base.grad_g_x, self.noise_std_g, base.dim_x),
+            "g_y": (base.grad_g_y, self.noise_std_g, base.dim_y),
+        }
 
     def reset(self):
         """Rewind the noise stream to its initial state."""
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
 
-    def _lookup(self, which: str):
-        base = self.base
-        table = {
-            "f_x": (base.grad_f_x, self.noise_std_f, base.dim_x),
-            "f_y": (base.grad_f_y, self.noise_std_f, base.dim_y),
-            "g_x": (base.grad_g_x, self.noise_std_g, base.dim_x),
-            "g_y": (base.grad_g_y, self.noise_std_g, base.dim_y),
-        }
-        if which not in table:
-            raise InputError(f"unknown gradient selector {which!r}; "
-                             f"expected one of {_ORACLE_PARTS}")
-        return table[which]
-
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
         if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) \
                 or batch < 1:
             raise InputError(f"batch must be a positive integer, got {batch!r}")
-        fn, std, dim = self._lookup(which)
+        part = self._table.get(which)
+        if part is None:
+            raise InputError(f"unknown gradient selector {which!r}; "
+                             f"expected one of {_ORACLE_PARTS}")
+        fn, std, dim = part
         x, y = self.base.check_point(x, y)
         mean = _require_finite(fn(x, y), x, y, f"grad {which}")
         if std == 0.0:
             return mean
-        # per-draw covariance (M^2/dim) I so that E||noise||^2 = M^2 per call
-        noise = self._gen.standard_normal((batch, dim)).mean(axis=0)
+        # per-draw covariance (M^2/dim) I so that E||noise||^2 = M^2 per call;
+        # the batch mean is the sum and the division ndarray.mean performs
+        noise = self._gen.standard_normal((batch, dim))
+        noise = np.add.reduce(noise, axis=0) / batch
         self.counter += batch
         return mean + (std / math.sqrt(dim)) * noise
 

@@ -241,11 +241,15 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
 
     rng = substream(seed, "pl-ratio", round(sigma * 1e9))
 
-    def h_and_grad(x, y):
+    def h(x, y):
         if sigma == 0.0:
-            return prob.g(x, y), prob.grad_g_y(x, y)
-        return (sigma * prob.f(x, y) + prob.g(x, y),
-                sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y))
+            return prob.g(x, y)
+        return sigma * prob.f(x, y) + prob.g(x, y)
+
+    def grad_h(x, y):
+        if sigma == 0.0:
+            return prob.grad_g_y(x, y)
+        return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
 
     n_x = max(1, probes // 20)
     n_y = max(1, probes // n_x)
@@ -260,14 +264,13 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         for start in [y0] + ys:
             y_min, _, _ = presolve(prob, x, sigma, start, 1e-12,
                                    label="PL pre-solve")
-            h_star = min(h_star, h_and_grad(x, y_min)[0])
+            h_star = min(h_star, h(x, y_min))
         for y in ys:
-            hv, gv = h_and_grad(x, y)
-            gap = hv - h_star
+            gap = h(x, y) - h_star
             if gap <= 1e-12:
                 skipped += 1
                 continue
-            ratio = float(np.linalg.norm(gv) ** 2 / (2.0 * gap))
+            ratio = float(np.linalg.norm(grad_h(x, y)) ** 2 / (2.0 * gap))
             used += 1
             if ratio < min_ratio:
                 min_ratio = ratio

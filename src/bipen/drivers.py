@@ -42,8 +42,8 @@ from .core import (
     as_vector,
     hypergradient_estimate,
 )
-from .errors import ConfigError, InputError
-from .inner import InnerConfig, inner_descend
+from .errors import ConfigError, DivergenceError, InputError, NumericError
+from .inner import InnerConfig, _guard, _norm, inner_descend
 
 _PLAN_OVERRIDE_KEYS = ("eta", "sigma", "tau", "K", "T", "B", "delta0")
 _PLAN_CONSTANT_KEYS = ("c_eta", "c_sigma", "c_K", "c_B", "c_delta")
@@ -270,7 +270,7 @@ def _analytic_columns(prob, x):
     gt = math.nan
     pt = math.nan
     if prob.analytic_grad_phi is not None:
-        gt = float(np.linalg.norm(prob.analytic_grad_phi(x)))
+        gt = _norm(np.asarray(prob.analytic_grad_phi(x), dtype=float))
     if prob.analytic_phi is not None:
         pt = float(prob.analytic_phi(x))
     return gt, pt
@@ -324,19 +324,26 @@ def run_f2bsa(problem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
 
 def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
                  timing: bool) -> RunTrace:
-    """The outer loop of both methods; ``seed`` None is the deterministic one."""
+    """The outer loop of both methods; ``seed`` None is the deterministic one.
+
+    One divergence radius, 1e6 (1 + the largest start norm), bounds x and both
+    inner sequences for the whole run; a non-finite or runaway iterate raises
+    NumericError or DivergenceError with the outer step in its message.
+    """
     prob = as_bilevel(problem)
     pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
     c = prob.constants
     x, y = _resolve_starts(prob, x0, y0)
     z = y.copy()
+    radius = 1e6 * (1.0 + max(_norm(x), _norm(y)))
     name = getattr(problem, "name", type(prob).__name__)
     oracle = None if seed is None else StochasticOracle(prob, c.M_f, c.M_g, rng_seed=seed)
     B = 0 if oracle is None else plan.B
     if B > 0 and not c.stochastic:
         raise ConfigError("plan requests mini-batches but the problem declares "
                           "M_f = M_g = 0; use B = 0 for full gradients")
-    cfg = InnerConfig(tau=plan.tau, K=plan.K, batch=0)  # rebuilt per step when B > 0
+    # rebuilt per step when B > 0
+    cfg = InnerConfig(tau=plan.tau, K=plan.K, batch=0, divergence_radius=radius)
 
     rows = []
     calls = 0
@@ -346,15 +353,19 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
         t0 = time.perf_counter() if timing else None
         if B > 0:
             cfg = InnerConfig(tau=plan.tau, K=stochastic_inner_count(plan, delta),
-                              batch=B)
-        res = inner_descend(prob, x, y, z, plan.sigma, cfg, oracle)
+                              batch=B, divergence_radius=radius)
+        try:
+            res = inner_descend(prob, x, y, z, plan.sigma, cfg, oracle)
+            est = hypergradient_estimate(pen, x, res.y, res.z, oracle, B)
+        except (DivergenceError, NumericError) as exc:
+            exc.args = (f"outer step {t}: {exc}",)
+            raise
         y, z = res.y, res.z
-        est = hypergradient_estimate(pen, x, y, z, oracle, B)
         calls += res.oracle_calls + 3 * max(B, 1)
         gt, pt = _analytic_columns(prob, x)
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
         rows.append(TraceRow(
-            t=t, grad_est_norm=float(np.linalg.norm(est)), grad_true_norm=gt,
+            t=t, grad_est_norm=_norm(est), grad_true_norm=gt,
             phi_true=pt, K_t=res.steps, delta_t=delta,
             resid_y=res.grad_norm_y, resid_z=res.grad_norm_z,
             oracle_calls=calls, x=tuple(x), wall_ms=wall,
@@ -365,6 +376,7 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
             delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq
                      + plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2)
         x = x_new
+        _guard(x, "x", t, radius, "outer")
     wall_s = time.perf_counter() - t_start
     state = IterateState(t=plan.T, x=x, y=y, z=z, delta=delta, oracle_calls=calls,
                          rng_counter=0 if oracle is None else oracle.counter)

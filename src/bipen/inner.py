@@ -14,6 +14,7 @@ that detects penalties whose descent runs away (unbounded-below h_sigma).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -62,19 +63,28 @@ class InnerResult(NamedTuple):
 
 
 def _norm(v) -> float:
-    return float(np.linalg.norm(v))
+    """Euclidean norm of a 1-D float64 ndarray.
+
+    The same dot product and square root as ``np.linalg.norm``, so the same
+    bits, without its dispatch; callers holding anything else convert first.
+    """
+    return math.sqrt(v.dot(v))
 
 
-def _guard(vec, which: str, step: int, radius: float):
-    if not np.all(np.isfinite(vec)):
+def _guard(vec, which: str, step: int, radius: float, loop: str = "inner"):
+    n = math.sqrt(vec.dot(vec))
+    # A finite norm within the radius means a finite, in-radius iterate.  NaN,
+    # inf and overflow all fail this test and are classified below.
+    if n <= radius and n < math.inf:
+        return
+    if not np.isfinite(vec).all():
         raise NumericError(
-            f"non-finite {which}-iterate at inner step {step}", point=np.array(vec)
+            f"non-finite {which}-iterate at {loop} step {step}", point=np.array(vec)
         )
-    n = _norm(vec)
     if n > radius:
         raise DivergenceError(
             f"{which}-sequence left the divergence radius {radius:g} "
-            f"at inner step {step} (norm {n:.3g})",
+            f"at {loop} step {step} (norm {n:.3g})",
             step=step, norm=n, sequence=which,
         )
 
@@ -134,16 +144,18 @@ def inner_descend(
     steps = 0
     calls = 0  # fused units: one h_sigma-gradient + one g-gradient per step
     ny = nz = float("nan")
+    tau, stop, last = cfg.tau, cfg.stop_grad_norm, cfg.K - 1
     for k in range(cfg.K):
         gz = grad_g(z)
         gy = grad_h(y)
         calls += 2 * batch_eff
-        ny, nz = _norm(gy), _norm(gz)
-        if cfg.stop_grad_norm is not None \
-                and ny <= cfg.stop_grad_norm and nz <= cfg.stop_grad_norm:
-            break
-        z = z - cfg.tau * gz
-        y = y - cfg.tau * gy
+        # the norms are read only by the stopping test and from the last step
+        if stop is not None or k == last:
+            ny, nz = _norm(gy), _norm(gz)
+            if stop is not None and ny <= stop and nz <= stop:
+                break
+        z = z - tau * gz
+        y = y - tau * gy
         _guard(z, "z", k, radius)
         _guard(y, "y", k, radius)
         steps += 1
@@ -169,29 +181,31 @@ def descend_single(
     Stops when ||grad|| <= tol (or after exactly ``exact_steps`` steps when
     given).  Raises ConvergenceError if the tolerance is not met within
     ``max_iter`` and DivergenceError/NumericError on runaway or non-finite
-    iterates.  Returns (y, final_grad_norm, steps).
+    iterates.  Returns (y, final_grad_norm, steps).  Gradients are taken as
+    float64 arrays.
     """
     y = np.array(y0, dtype=float).copy()
     if radius is None:
         radius = 1e6 * (1.0 + _norm(y))
     if exact_steps is not None:
         for k in range(exact_steps):
-            y = y - tau * np.asarray(grad_fn(y))
+            y = y - tau * np.asarray(grad_fn(y), dtype=float)
             _guard(y, label, k, radius)
-        return y, _norm(grad_fn(y)), exact_steps
+        return y, _norm(np.asarray(grad_fn(y), dtype=float)), exact_steps
     for k in range(max_iter):
-        gv = np.asarray(grad_fn(y))
+        gv = np.asarray(grad_fn(y), dtype=float)
         n = _norm(gv)
-        if not np.isfinite(n):
+        if not math.isfinite(n):
             raise NumericError(f"non-finite gradient in {label}", point=y.copy())
         if n <= tol:
             return y, n, k
         y = y - tau * gv
         _guard(y, label, k, radius)
+    residual = _norm(np.asarray(grad_fn(y), dtype=float))
     raise ConvergenceError(
         f"{label} failed to reach tolerance {tol:g} within {max_iter} steps "
-        f"(residual {_norm(grad_fn(y)):.3g})",
-        residual=_norm(grad_fn(y)),
+        f"(residual {residual:.3g})",
+        residual=residual,
     )
 
 

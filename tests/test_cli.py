@@ -68,6 +68,16 @@ def test_run_summary_line_on_stdout():
     assert "quadratic_sc" in r.stdout and "f2ba" in r.stdout
 
 
+def test_divergent_run_exits_three_with_a_witness():
+    # tau = 5 makes both inner sequences grow geometrically; the run's fixed
+    # divergence radius stops it instead of letting it finish at 8.7e9
+    r = run_cli("run", "--problem", "kernel_pl", "--epsilon", "0.1",
+                "--set", "tau=5", "--set", "T=5")
+    assert r.returncode == 3, r.stderr
+    assert "error (convergence): outer step 3: z-sequence" in r.stderr
+    assert "(norm 2.28e+06)" in r.stderr
+
+
 def test_unknown_problem_is_a_config_error():
     r = run_cli("run", "--problem", "nope", "--epsilon", "0.1")
     assert r.returncode == 2 and "error (config)" in r.stderr

@@ -22,10 +22,23 @@ from bipen import (
 from bipen.core import as_vector, _grid_min
 
 
+class _Tagged(np.ndarray):
+    pass
+
+
 def test_as_vector_coerces_scalars_and_lists():
     assert np.array_equal(as_vector(1.5, 1, "x"), np.array([1.5]))
     assert np.array_equal(as_vector([1, 2], 2, "y"), np.array([1.0, 2.0]))
     assert as_vector([1, 2], 2, "y").dtype == np.float64
+    ints = np.array([1, 2])
+    f32 = np.array([0.1, 2.5], dtype=np.float32)
+    sub = np.array([1.0, 2.0]).view(_Tagged)
+    for v in (ints, f32, sub):
+        out = as_vector(v, 2, "y")
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out is not v and np.array_equal(out, v.astype(float))
+    v = np.array([0.3, -0.7])
+    assert as_vector(v, 2, "y") is v  # a float64 vector comes back as it is
 
 
 def test_as_vector_rejects_wrong_shapes():
@@ -33,6 +46,10 @@ def test_as_vector_rejects_wrong_shapes():
         as_vector([1.0, 2.0], 3, "y")
     with pytest.raises(InputError):
         as_vector(np.zeros((2, 2)), 4, "y")
+    with pytest.raises(InputError):
+        as_vector(np.zeros((1, 1)), 1, "x")
+    with pytest.raises(InputError):
+        as_vector(np.zeros(3), 2, "y")
 
 
 def test_constants_validation():

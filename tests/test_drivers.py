@@ -3,6 +3,7 @@ import pytest
 
 from bipen import (
     ConfigError,
+    DivergenceError,
     InputError,
     PenaltyObjective,
     ProblemConstants,
@@ -115,6 +116,15 @@ class TestDeterministicDriver:
             assert row.grad_est_norm == pytest.approx(
                 row.grad_true_norm / (1 + plan.sigma), abs=1e-8)
 
+    def test_runaway_x_stops_at_the_run_radius(self, kernel):
+        # eta = 100 multiplies x - 1/2 by -199 per outer step; the radius
+        # 1e6 (1 + largest start norm) = 1.5e6 is crossed by x at t = 3
+        with pytest.raises(DivergenceError) as err:
+            run_f2ba(kernel.problem, kernel_plan(eta=100.0, T=20))
+        assert err.value.sequence == "x" and err.value.step == 3
+        assert err.value.norm > 1.5e6
+        assert "at outer step 3" in str(err.value)
+
     def test_trace_summary_and_argmin(self, kernel):
         tr = run_f2ba(kernel, kernel_plan(T=20))
         assert tr.argmin_grad_est is not None
@@ -164,6 +174,18 @@ class TestStochasticDriver:
         plan = kernel_plan(B=4, T=5)
         with pytest.raises(ConfigError, match="M_f"):
             run_f2bsa(kernel.problem, plan, seed=0)
+
+    def test_batched_steps_share_the_run_radius(self):
+        # each outer step's inner config carries the radius fixed at the
+        # start, 1.5e6, so a warm start far from it cannot widen it
+        s = get_problem("kernel_pl_noisy")
+        plan = build_schedule(s.problem.constants, 0.1, Delta=0.5, R=0.25,
+                              overrides={"tau": 2.5, "T": 20, "B": 2})
+        with pytest.raises(DivergenceError) as err:
+            run_f2bsa(s.problem, plan, seed=0)
+        assert err.value.sequence == "y" and err.value.step == 16
+        assert str(err.value).startswith(
+            "outer step 1: y-sequence left the divergence radius 1.5e+06 ")
 
     def test_seed_reproducibility(self):
         s = get_problem("kernel_pl_noisy")

@@ -1,3 +1,7 @@
+import math
+import struct
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from bipen import (
     ConvergenceError,
     DivergenceError,
     InnerConfig,
+    InnerResult,
     NumericError,
     StochasticOracle,
     descend_single,
@@ -15,6 +20,8 @@ from bipen import (
     inner_descend,
     probe_penalty_divergence,
 )
+from bipen.core import as_bilevel, as_vector
+from bipen.inner import _norm
 
 
 def test_config_validation():
@@ -159,3 +166,153 @@ def test_lower_level_gap_never_expands(x, z0, sigma, K):
     res = inner_descend(prob, [x], [z0, 0.0], [z0, 0.0], sigma,
                         InnerConfig(tau=tau, K=K))
     assert abs(res.z[0] - x) <= abs(z0 - x) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference loop: the inner loop as it stood before its norms became lazy and
+# its guard a single dot product, kept verbatim; the package's loop must
+# match it bit for bit, failures included.
+
+
+def _ref_norm(v) -> float:
+    return float(np.linalg.norm(v))
+
+
+def _ref_guard(vec, which: str, step: int, radius: float):
+    if not np.all(np.isfinite(vec)):
+        raise NumericError(
+            f"non-finite {which}-iterate at inner step {step}", point=np.array(vec)
+        )
+    n = _ref_norm(vec)
+    if n > radius:
+        raise DivergenceError(
+            f"{which}-sequence left the divergence radius {radius:g} "
+            f"at inner step {step} (norm {n:.3g})",
+            step=step, norm=n, sequence=which,
+        )
+
+
+def _ref_inner_descend(
+    problem,
+    x,
+    y0,
+    z0,
+    sigma: float,
+    cfg: InnerConfig,
+    oracle: Optional[StochasticOracle] = None,
+    record_path: bool = False,
+) -> InnerResult:
+    prob = as_bilevel(problem)
+    x = as_vector(x, prob.dim_x, "x")
+    y = as_vector(y0, prob.dim_y, "y0").copy()
+    z = as_vector(z0, prob.dim_y, "z0").copy()
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"inner descent needs sigma > 0, got {sigma}")
+    if cfg.batch > 0 and oracle is None:
+        raise ConfigError("cfg.batch > 0 requires a stochastic oracle")
+
+    radius = cfg.divergence_radius
+    if radius is None:
+        radius = 1e6 * (1.0 + max(_ref_norm(y), _ref_norm(z)))
+
+    if cfg.batch == 0:
+        def grad_g(v):
+            return prob.grad_g_y(x, v)
+
+        def grad_h(v):
+            return sigma * prob.grad_f_y(x, v) + prob.grad_g_y(x, v)
+    else:
+        def grad_g(v):
+            return oracle.draw("g_y", x, v, cfg.batch)
+
+        def grad_h(v):
+            return (sigma * oracle.draw("f_y", x, v, cfg.batch)
+                    + oracle.draw("g_y", x, v, cfg.batch))
+
+    y_path = [y.copy()] if record_path else None
+    z_path = [z.copy()] if record_path else None
+
+    batch_eff = max(cfg.batch, 1)
+    steps = 0
+    calls = 0  # fused units: one h_sigma-gradient + one g-gradient per step
+    ny = nz = float("nan")
+    for k in range(cfg.K):
+        gz = grad_g(z)
+        gy = grad_h(y)
+        calls += 2 * batch_eff
+        ny, nz = _ref_norm(gy), _ref_norm(gz)
+        if cfg.stop_grad_norm is not None \
+                and ny <= cfg.stop_grad_norm and nz <= cfg.stop_grad_norm:
+            break
+        z = z - cfg.tau * gz
+        y = y - cfg.tau * gy
+        _ref_guard(z, "z", k, radius)
+        _ref_guard(y, "y", k, radius)
+        steps += 1
+        if record_path:
+            y_path.append(y.copy())
+            z_path.append(z.copy())
+
+    return InnerResult(y, z, ny, nz, calls, steps, y_path, z_path)
+
+
+def _bits(v):
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    return np.asarray(v).dtype.str, np.asarray(v).tobytes()
+
+
+def _outcome(fn, name, seed, args, cfg, record_path):
+    # the oracle exists even when batch = 0 and goes unused, as in a run
+    prob = get_problem(name).problem
+    oracle = StochasticOracle(prob, 0.1, 0.1, rng_seed=seed)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = fn(prob, *args, cfg, oracle, record_path)
+    except (NumericError, DivergenceError) as exc:
+        point = None if getattr(exc, "point", None) is None else _bits(exc.point)
+        return ("raised", type(exc), str(exc), getattr(exc, "step", None),
+                _bits(float(exc.norm)) if getattr(exc, "norm", None) is not None
+                else None, getattr(exc, "sequence", None), point, oracle.counter)
+    paths = [] if res.y_path is None else res.y_path + res.z_path
+    return ("returned", _bits(res.y), _bits(res.z), _bits(res.grad_norm_y),
+            _bits(res.grad_norm_z), res.oracle_calls, res.steps,
+            [_bits(p) for p in paths], oracle.counter)
+
+
+_INNER_PROBLEMS = {"kernel_pl": (1, 2), "quadratic_sc": (1, 2), "sin_sq_pl": (1, 1)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_INNER_PROBLEMS)),
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+    sigma=st.floats(0.01, 1.0),
+    tau=st.one_of(st.floats(1e-3, 25.0), st.sampled_from([1e3, 1e160, 1e300])),
+    K=st.integers(0, 12),
+    batch=st.sampled_from([0, 0, 1, 3]),
+    stop=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    radius=st.one_of(st.none(), st.floats(0.1, 50.0), st.just(math.inf)),
+    record_path=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_inner_descend_matches_the_reference_loop_bitwise(
+        name, coords, sigma, tau, K, batch, stop, radius, record_path, seed):
+    dim_x, dim_y = _INNER_PROBLEMS[name]
+    x = np.array(coords[:dim_x])
+    y0 = np.array(coords[1:1 + dim_y])
+    z0 = np.array(coords[3:3 + dim_y])
+    cfg = InnerConfig(tau=tau, K=K, batch=batch, stop_grad_norm=stop,
+                      divergence_radius=radius)
+    args = (x, y0, z0, sigma)
+    want = _outcome(_ref_inner_descend, name, seed, args, cfg, record_path)
+    got = _outcome(inner_descend, name, seed, args, cfg, record_path)
+    assert got == want
+
+
+@pytest.mark.parametrize("size", [1, 2, 800, 3200])
+def test_norm_is_numpys_norm_bitwise(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-200, 1e-3, 1.0, 1e3, 1e150):
+        v = scale * rng.standard_normal(size)
+        assert _bits(_norm(v)) == _bits(float(np.linalg.norm(v)))
