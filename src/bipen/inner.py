@@ -49,6 +49,14 @@ class InnerConfig:
             raise ConfigError(f"batch must be >= 0 (0 = full gradients), got {self.batch}")
         if self.stop_grad_norm is not None and self.stop_grad_norm <= 0:
             raise ConfigError("stop_grad_norm must be positive when set")
+        _check_radius(self.divergence_radius)
+
+
+def _check_radius(radius):
+    """A divergence radius is None (derived from the start) or > 0; inf turns
+    the runaway test off on purpose, while NaN would turn it off silently."""
+    if radius is not None and not radius > 0:
+        raise ConfigError(f"divergence radius must be > 0 or inf, got {radius}")
 
 
 class InnerResult(NamedTuple):
@@ -184,6 +192,7 @@ def descend_single(
     iterates.  Returns (y, final_grad_norm, steps).  Gradients are taken as
     float64 arrays.
     """
+    _check_radius(radius)
     y = np.array(y0, dtype=float).copy()
     if radius is None:
         radius = 1e6 * (1.0 + _norm(y))
@@ -256,6 +265,7 @@ def probe_penalty_divergence(
     if radius is None:
         meta = prob.meta
         radius = getattr(meta, "divergence_radius", None) if meta else None
+    _check_radius(radius)
     if radius is None:
         radius = 10.0 * (1.0 + _norm(y))
     tau = 1.0 / (sigma * c.L_f + c.L_g)

@@ -572,14 +572,14 @@ def _hermite_p_d3(u, b):
 
 def psi(t, beta: float):
     """Even bump: t^2/2 on |t| <= beta, a quintic blend on beta < |t| <= 2 beta,
-    constant beta^2 beyond.  psi(0) = psi'(0) = 0 exactly in floating point."""
+    constant beta^2 beyond.  psi(0) = psi'(0) = 0 exactly in floating point.
+    The blend is evaluated only on the entries where it applies."""
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    safe = np.where((a > beta) & (a <= 2.0 * beta), a, 1.5 * beta)
-    out = np.where(
-        a <= beta, 0.5 * t * t,
-        np.where(a <= 2.0 * beta, _hermite_p(safe, beta), beta * beta),
-    )
+    out = np.where(a <= beta, 0.5 * t * t, beta * beta)  # NaN -> beta^2
+    bend = (a > beta) & (a <= 2.0 * beta)
+    if bend.any():
+        out[bend] = _hermite_p(a[bend], beta)
     return out if out.ndim else float(out)
 
 
@@ -587,11 +587,10 @@ def psi_prime(t, beta: float):
     """Derivative of :func:`psi` (odd; exactly zero at 0 and beyond 2 beta)."""
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    safe = np.where((a > beta) & (a <= 2.0 * beta), a, 1.5 * beta)
-    out = np.where(
-        a <= beta, t,
-        np.where(a <= 2.0 * beta, np.sign(t) * _hermite_p_d1(safe, beta), 0.0),
-    )
+    out = np.where(a <= beta, t, 0.0)  # NaN -> 0
+    bend = (a > beta) & (a <= 2.0 * beta)
+    if bend.any():
+        out[bend] = np.sign(t[bend]) * _hermite_p_d1(a[bend], beta)
     return out if out.ndim else float(out)
 
 
@@ -692,7 +691,7 @@ def make_hard_instance(spec: HardInstanceSpec) -> SuiteProblem:
         f=f, grad_f_x=grad_f_x, grad_f_y=grad_f_y,
         g=g, grad_g_x=grad_g_x, grad_g_y=grad_g_y,
         constants=constants,
-        hess_g_yy=lambda x, y, _A=zero_chain_hessian(q): _A,
+        hess_g_yy=lambda x, y: zero_chain_hessian(q),  # dense q x q, on demand
         hess_g_xy=lambda x, y: np.zeros((1, q)),
         analytic_phi=lambda x: 0.5 * (x[0] + 1.0) ** 2,
         analytic_grad_phi=lambda x: np.array([x[0] + 1.0]),

@@ -49,7 +49,7 @@ def _support(v) -> tuple:
 @dataclass(frozen=True)
 class CallRecord:
     kind: str            # which oracle: f_x, f_y, g_x, g_y, f, g
-    query_support: tuple
+    query_support: tuple  # sorted indices; range(n) for a prefix support
     new_indices: tuple   # y coordinates first revealed by this call's output
     query_ok: bool       # query support contained in the explored set
     growth_ok: bool      # at most one new coordinate
@@ -57,20 +57,39 @@ class CallRecord:
 
 @dataclass
 class SupportTracker:
-    """Records, per oracle call, query supports and explored-set growth."""
+    """Records, per oracle call, query supports and explored-set growth.
+
+    A boolean mask mirrors ``explored``, so a call costs a few vector passes,
+    and a prefix support -- what a zero-respecting run queries on the chain --
+    is stored as a ``range``: the records grow linearly in the call count.
+    """
 
     dim_y: int
     explored: set = field(default_factory=set)
     calls: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._mask = np.zeros(self.dim_y, dtype=bool)
+        self._mask[list(self.explored)] = True
+
     def note(self, kind: str, y, out_y=None):
-        q_supp = _support(y)
-        query_ok = set(q_supp) <= self.explored
+        y = np.asarray(y)
+        mask = self._mask
+        n = np.count_nonzero(y)
+        if not y[n:].any():  # the n nonzeros fill y[:n]
+            q_supp = range(n)
+            query_ok = bool(mask[:n].all())
+        else:
+            idx = np.flatnonzero(y)
+            q_supp = tuple(idx.tolist())
+            query_ok = bool(mask[idx].all())
         new = ()
         growth_ok = True
         if out_y is not None:
-            new = tuple(sorted(set(_support(out_y)) - self.explored))
+            fresh = np.flatnonzero((np.asarray(out_y) != 0) & ~mask)
+            new = tuple(fresh.tolist())
             growth_ok = len(new) <= 1
+            mask[fresh] = True
             self.explored.update(new)
         self.calls.append(CallRecord(kind, q_supp, new, query_ok, growth_ok))
 
@@ -275,7 +294,7 @@ def run_zero_respecting(adapter, T: int, K: int,
     if touched:
         violations.append(
             f"check (ii): {len(touched)} call(s) queried protected coordinates, "
-            f"first: {touched[0].kind} support={touched[0].query_support[-5:]}"
+            f"first: {touched[0].kind} support={tuple(touched[0].query_support[-5:])}"
         )
     elif not protected:
         violations.append("check (ii): final inner iterates carry nonzeros in "

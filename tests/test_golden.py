@@ -6,7 +6,8 @@ only in a change that says why in CHANGES.md; regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-The property test below pins the fused oracle-call accounting for any plan.
+The property tests below pin the fused oracle-call accounting for any plan
+and the replay contract: a trace's header alone reproduces it byte for byte.
 """
 
 from pathlib import Path
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipen import build_schedule, get_problem, run_f2ba, run_f2bsa
-from bipen.cli import main
+from bipen.cli import main, read_trace_header
+from bipen.drivers import _PLAN_CONSTANT_KEYS, _PLAN_OVERRIDE_KEYS
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 EPSILON = "0.1"
@@ -74,6 +76,49 @@ def test_fused_calls_match_the_plan(T, K, B, seed):
         assert tr.total_oracle_calls == want
         if tr.algorithm == "f2ba" or B == 0:
             assert want == T * (2 * K + 3)
+
+
+def replay_args(header: dict, out) -> list:
+    """``bipen run`` arguments that re-run a trace from its header alone.
+
+    Every resolved plan field and ratio constant is passed with ``--set``.
+    Delta and R are passed only when the header says they were overridden:
+    otherwise the run derives them again, and its provenance lines match.
+    """
+    args = ["run", "--problem", header["problem"], "--algorithm",
+            header["algorithm"], "--epsilon", header["epsilon"], "--out", str(out)]
+    if header["seed"] != "-":
+        args += ["--seed", header["seed"]]
+    keys = list(_PLAN_OVERRIDE_KEYS + _PLAN_CONSTANT_KEYS)
+    keys += [k for k in ("Delta", "R") if header[f"provenance.{k}"] == "override"]
+    for key in keys:
+        args += ["--set", f"{key}={header[key]}"]
+    return args
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.one_of(st.tuples(st.sampled_from(NOISELESS + NOISY), st.just("f2ba")),
+                   st.tuples(st.sampled_from(NOISY), st.just("f2bsa"))),
+    epsilon=st.sampled_from(["0.1", "0.05", "0.2"]),
+    T=st.integers(0, 4),
+    K=st.integers(1, 4),
+    B=st.integers(0, 3),
+    seed=st.integers(0, 3),
+    extra=st.sampled_from([(), ("Delta=0.7",), ("R=0.3", "c_K=0.5"), ("c_eta=2",)]),
+)
+def test_any_trace_replays_from_its_own_header(tmp_path_factory, case, epsilon,
+                                               T, K, B, seed, extra):
+    problem, algorithm = case
+    tmp = tmp_path_factory.mktemp("replay")
+    first, again = tmp / "first.csv", tmp / "again.csv"
+    args = ["run", "--problem", problem, "--algorithm", algorithm,
+            "--epsilon", epsilon, "--seed", str(seed), "--out", str(first)]
+    for item in (f"T={T}", f"K={K}", f"B={B}") + extra:
+        args += ["--set", item]
+    assert main(args) == 0
+    assert main(replay_args(read_trace_header(first), again)) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 if __name__ == "__main__":

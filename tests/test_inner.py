@@ -36,6 +36,33 @@ def test_config_validation():
     InnerConfig(tau=0.1, K=0)  # zero steps allowed: a no-op descent
 
 
+@pytest.mark.parametrize("radius", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+def test_divergence_radius_must_be_positive(radius):
+    with pytest.raises(ConfigError, match="divergence radius"):
+        InnerConfig(tau=0.1, K=3, divergence_radius=radius)
+    with pytest.raises(ConfigError, match="divergence radius"):
+        descend_single(lambda v: v, np.array([1.0]), 0.5, tol=1e-12, radius=radius)
+    # a NaN radius made the probe call a runaway penalty benign
+    with pytest.raises(ConfigError, match="divergence radius"):
+        probe_penalty_divergence(get_problem("degenerate_penalty").problem, [1.0],
+                                 0.05, radius=radius)
+
+
+def test_runaway_inner_loop_needs_an_explicit_inf_to_go_unguarded(kernel):
+    # tau = 5 multiplies z - x by -4 per step: |z| reaches ~5e23 in 40 steps.
+    # A NaN radius used to let that through without a word; now only inf does.
+    x, y0 = [0.1], [0.5, 0.0]
+    with pytest.raises(DivergenceError):
+        inner_descend(kernel.problem, x, y0, y0, 0.5, InnerConfig(tau=5.0, K=40))
+    with np.errstate(over="ignore"):
+        res = inner_descend(kernel.problem, x, y0, y0, 0.5,
+                            InnerConfig(tau=5.0, K=40, divergence_radius=math.inf))
+    assert res.steps == 40 and abs(res.z[0]) > 1e23
+    y, _, steps = descend_single(lambda v: v - 2.0, np.array([10.0]), 1.0,
+                                 tol=1e-14, radius=math.inf)
+    assert y[0] == 2.0 and steps == 1
+
+
 def test_zero_steps_returns_inputs_unchanged(kernel):
     y0, z0 = np.array([0.7, -0.3]), np.array([0.2, 0.9])
     res = inner_descend(kernel.problem, [0.1], y0, z0, 0.5, InnerConfig(tau=0.5, K=0))

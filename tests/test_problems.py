@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipen import ConfigError, get_problem, list_problems
 from bipen.problems import (
     HardInstanceSpec,
+    _hermite_p,
+    _hermite_p_d1,
     certify_sin_sq_mu,
     chain_min_eigenvalue,
     make_hard_instance,
@@ -262,3 +267,93 @@ def test_hard_instance_gradient_bound_matches_declaration():
         worst = max(worst, float(np.linalg.norm(prob.grad_f_y(x, y))))
     assert worst <= c.C_f * (1 + 1e-12)
     assert c.mu == pytest.approx(chain_min_eigenvalue(prob.dim_y), abs=1e-15)
+
+
+def test_hard_instance_hessian_is_the_chain_hessian():
+    spec = HardInstanceSpec(T=2, K=3)
+    q = spec.q
+    H = make_hard_instance(spec).problem.hess_g_yy([0.0], np.zeros(q))
+    assert H.shape == (q, q) and np.array_equal(H, zero_chain_hessian(q))
+
+
+def test_hard_instance_build_memory_is_linear_in_q():
+    # q = 3200: a dense Hessian alone would take q^2 * 8 B = 82 MB
+    tracemalloc.start()
+    try:
+        make_hard_instance(HardInstanceSpec(T=40, K=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# reference bump: psi and psi' as they stood when the blend was evaluated on
+# every entry, kept verbatim; the package's must match them bit for bit.
+
+
+def _ref_psi(t, beta: float):
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    safe = np.where((a > beta) & (a <= 2.0 * beta), a, 1.5 * beta)
+    out = np.where(
+        a <= beta, 0.5 * t * t,
+        np.where(a <= 2.0 * beta, _hermite_p(safe, beta), beta * beta),
+    )
+    return out if out.ndim else float(out)
+
+
+def _ref_psi_prime(t, beta: float):
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    safe = np.where((a > beta) & (a <= 2.0 * beta), a, 1.5 * beta)
+    out = np.where(
+        a <= beta, t,
+        np.where(a <= 2.0 * beta, np.sign(t) * _hermite_p_d1(safe, beta), 0.0),
+    )
+    return out if out.ndim else float(out)
+
+
+def _bump_bits(v):
+    if isinstance(v, float):
+        return "float", np.float64(v).tobytes()
+    return type(v).__name__, v.dtype.str, v.shape, v.tobytes()
+
+
+def _special_points(b):
+    knots = [b, 2.0 * b]
+    near = [np.nextafter(k, d) for k in knots for d in (0.0, math.inf)]
+    pts = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.5 * b, 3.0 * b,
+           0.5 * b] + knots + near
+    return pts + [-p for p in pts]
+
+
+@pytest.mark.parametrize("b", [0.125, 1.0 / math.sqrt(3200), 0.37, 2.0])
+def test_bump_matches_the_reference_on_special_values(b):
+    pts = _special_points(b)
+    scalars = pts + [np.float64(b), 1, np.array(1.5 * b), np.array(math.nan)]
+    arrays = (np.array(pts), np.array(pts).reshape(2, -1), np.zeros(0),
+              np.zeros(3200), np.array(pts)[::3])
+    for fn, ref in ((psi, _ref_psi), (psi_prime, _ref_psi_prime)):
+        for t in scalars + list(arrays):
+            assert _bump_bits(fn(t, b)) == _bump_bits(ref(t, b)), (fn.__name__, t)
+    assert isinstance(psi(1.5 * b, b), float) and isinstance(psi_prime(0, b), float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.floats(1e-3, 10.0),
+    scaled=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=True),
+                              st.sampled_from([1.0, 2.0, -1.0, -2.0, 0.0, -0.0])),
+                    min_size=0, max_size=40),
+)
+def test_bump_matches_the_reference_on_random_arrays(b, scaled):
+    # entries in [-3 beta, 3 beta] hit every branch; raw floats add NaN, inf
+    # and huge values (whose squares overflow); the sampled multiples land on
+    # the knots
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.array(scaled, dtype=float) * b
+        for fn, ref in ((psi, _ref_psi), (psi_prime, _ref_psi_prime)):
+            assert _bump_bits(fn(t, b)) == _bump_bits(ref(t, b))
+            for v in t[:3]:
+                assert _bump_bits(fn(float(v), b)) == _bump_bits(ref(float(v), b))

@@ -1,5 +1,12 @@
+import dataclasses
+import math
+import tracemalloc
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipen import (
     CoordinateProbeAdapter,
@@ -12,6 +19,7 @@ from bipen import (
     run_zero_respecting,
     verify_support_lemma,
 )
+from bipen.zerochain import CallRecord
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 40])
@@ -103,3 +111,111 @@ def test_supplied_instance_must_match_budget():
 def test_nonpositive_budget_rejected():
     with pytest.raises(InputError):
         run_zero_respecting(F2BAAdapter(), 0, 2)
+
+
+def test_certification_memory_grows_linearly_in_q():
+    # q = 2 T^2 quadruples from T = 20 to T = 40; records that hold every
+    # query's full support would grow ~16x.  The instance is built outside
+    # the measurement: at q <= 2048 its build runs a dense eigensolve for
+    # lambda_min, and the build has its own test in test_problems.py.
+    def peak(T):
+        inst = make_hard_instance(HardInstanceSpec(T=T, K=T))
+        tracemalloc.start()
+        try:
+            assert run_zero_respecting(F2BAAdapter(), T, T, instance=inst).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20), peak(40)
+    assert large < 8 * small, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# reference tracker: SupportTracker as it stood when every support was a
+# tuple compared as a set, kept verbatim; the package's tracker must agree
+# with it call for call.
+
+
+def _ref_support(v) -> tuple:
+    return tuple(np.nonzero(np.asarray(v))[0].tolist())
+
+
+@dataclass
+class _RefTracker:
+    dim_y: int
+    explored: set = field(default_factory=set)
+    calls: list = field(default_factory=list)
+
+    def note(self, kind: str, y, out_y=None):
+        q_supp = _ref_support(y)
+        query_ok = set(q_supp) <= self.explored
+        new = ()
+        growth_ok = True
+        if out_y is not None:
+            new = tuple(sorted(set(_ref_support(out_y)) - self.explored))
+            growth_ok = len(new) <= 1
+            self.explored.update(new)
+        self.calls.append(CallRecord(kind, q_supp, new, query_ok, growth_ok))
+
+    def counts(self) -> dict:
+        out: dict = {}
+        for rec in self.calls:
+            out[rec.kind] = out.get(rec.kind, 0) + 1
+        return out
+
+    def max_query_index(self) -> int:
+        m = -1
+        for rec in self.calls:
+            if rec.query_support:
+                m = max(m, rec.query_support[-1])
+        return m
+
+
+_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -2.5, 5e-324, math.nan, math.inf])
+
+
+@st.composite
+def _vectors(draw, dim):
+    """Prefix-supported vectors (what a zero-respecting run queries) or
+    arbitrary ones, with NaN, inf, -0.0 and subnormal entries."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, dim))
+        head = draw(st.lists(st.sampled_from([1.0, -2.5, 5e-324, math.nan]),
+                             min_size=n, max_size=n))
+        return np.array(head + [draw(st.sampled_from([0.0, -0.0]))] * (dim - n))
+    return np.array(draw(st.lists(_ENTRIES, min_size=dim, max_size=dim)))
+
+
+@st.composite
+def _call_sequences(draw):
+    dim = draw(st.integers(1, 10))
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["f", "g", "f_x", "g_x", "f_y", "g_y"]))
+        out = draw(_vectors(dim)) if kind in ("f_y", "g_y") else None
+        calls.append((kind, draw(_vectors(dim)), out))
+    return dim, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_call_sequences())
+def test_tracker_matches_the_set_based_reference(seq):
+    dim, calls = seq
+    got, want = SupportTracker(dim_y=dim), _RefTracker(dim_y=dim)
+    for kind, y, out in calls:
+        got.note(kind, y, out_y=out)
+        want.note(kind, y, out_y=out)
+        rec = got.calls[-1]
+        assert dataclasses.replace(rec, query_support=tuple(rec.query_support)) \
+            == want.calls[-1]
+        assert type(rec.query_ok) is bool and type(rec.growth_ok) is bool
+        assert got.explored == want.explored
+        assert all(type(i) is int for i in got.explored)
+    assert got.counts() == want.counts()
+    assert got.max_query_index() == want.max_query_index()
+    for rec in got.calls:  # what the harness and its tracing read
+        assert len(rec.query_support) == len(tuple(rec.query_support))
+        if rec.query_support:
+            assert rec.query_support[-1] == tuple(rec.query_support)[-1]
+        assert tuple(rec.query_support[-5:]) == tuple(rec.query_support)[-5:]
