@@ -69,6 +69,16 @@ def as_vector(v, dim: int, name: str) -> Array:
 
 
 def _require_finite(value, x: Array, y, what: str):
+    """Return ``value`` as a float64 array or raise NumericError at (x, y).
+
+    A 1-D float64 ndarray with a finite squared norm is returned as it is,
+    as ``np.asarray`` would return it.  NaN, inf, a norm that overflows and
+    every other input take the entrywise test; on overflow (entries beyond
+    ~1.3e154) numpy warns of it in the dot, as in ``inner._guard``.
+    """
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == 1 \
+            and math.isfinite(value.dot(value)):
+        return value
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
@@ -203,11 +213,14 @@ def as_bilevel(problem) -> BilevelProblem:
 
 
 class PenaltyValue(NamedTuple):
-    """phi_sigma(x) together with an a-posteriori accuracy certificate.
+    """phi_sigma(x) together with an a-posteriori accuracy estimate.
 
-    ``error_bound`` converts the final inner gradient norms into a bound on
-    the value error via PL quadratic growth: a residual r on an mu-PL
-    function overestimates its minimum by at most r^2 / (2 mu).
+    ``error_bound`` converts the final inner gradient norms into an estimate
+    of the value error via PL quadratic growth: a residual r on an mu-PL
+    function overestimates its minimum by at most r^2 / (2 mu).  It bounds
+    the error only if h_sigma is mu-PL, which is assumed (h_sigma inherits
+    g's constant up to O(sigma)), not proven; it is not a certificate.  On
+    the box path it comes from the final grid spacing instead.
     """
 
     value: float
@@ -318,6 +331,7 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
 
 
 _ORACLE_PARTS = ("f_x", "f_y", "g_x", "g_y")
+_NOISE_BLOCK = 4096  # standard normals drawn per refill of an oracle's noise block
 
 
 @dataclass
@@ -328,8 +342,11 @@ class StochasticOracle:
     total variance M^2 (M = ``noise_std_f`` for f-gradients, ``noise_std_g``
     for g-gradients), so a batch-B average has variance M^2 / B.  Draws come
     from a counter-based stream: resetting the counter replays the exact
-    noise sequence.  The base gradients and noise levels are looked up once,
-    at construction.
+    noise sequence.  Noise is served from a block of standard normals drawn
+    ahead from that stream; the stream does not depend on how it is chunked,
+    so every draw has the bits a fresh ``standard_normal((batch, dim))``
+    call would give.  The base gradients, noise levels and scales are looked
+    up once, at construction.
     """
 
     base: BilevelProblem
@@ -339,41 +356,58 @@ class StochasticOracle:
     counter: int = 0
 
     def __post_init__(self):
-        if self.noise_std_f < 0 or self.noise_std_g < 0:
-            raise ConfigError("noise standard deviations must be >= 0")
+        for std in (self.noise_std_f, self.noise_std_g):
+            if not (math.isfinite(std) and std >= 0):
+                raise ConfigError("noise standard deviations must be finite and >= 0, "
+                                  f"got {self.noise_std_f} and {self.noise_std_g}")
         self._gen = substream(self.rng_seed, "oracle")
+        self._buf, self._pos = np.empty(0), 0  # the noise block and its read position
         base = self.base
         self._table = {
-            "f_x": (base.grad_f_x, self.noise_std_f, base.dim_x),
-            "f_y": (base.grad_f_y, self.noise_std_f, base.dim_y),
-            "g_x": (base.grad_g_x, self.noise_std_g, base.dim_x),
-            "g_y": (base.grad_g_y, self.noise_std_g, base.dim_y),
+            which: (fn, std, dim, std / math.sqrt(dim), f"grad {which}")
+            for which, fn, std, dim in (
+                ("f_x", base.grad_f_x, self.noise_std_f, base.dim_x),
+                ("f_y", base.grad_f_y, self.noise_std_f, base.dim_y),
+                ("g_x", base.grad_g_x, self.noise_std_g, base.dim_x),
+                ("g_y", base.grad_g_y, self.noise_std_g, base.dim_y),
+            )
         }
 
     def reset(self):
         """Rewind the noise stream to its initial state."""
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
+        self._buf, self._pos = np.empty(0), 0
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
-        if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) \
-                or batch < 1:
+        # an exact int skips the isinstance tests, which refuse bool and float
+        if (type(batch) is not int
+                and (isinstance(batch, bool) or not isinstance(batch, (int, np.integer)))
+                or batch < 1):
             raise InputError(f"batch must be a positive integer, got {batch!r}")
         part = self._table.get(which)
         if part is None:
             raise InputError(f"unknown gradient selector {which!r}; "
                              f"expected one of {_ORACLE_PARTS}")
-        fn, std, dim = part
+        fn, std, dim, scale, what = part
         x, y = self.base.check_point(x, y)
-        mean = _require_finite(fn(x, y), x, y, f"grad {which}")
+        mean = _require_finite(fn(x, y), x, y, what)
         if std == 0.0:
             return mean
         # per-draw covariance (M^2/dim) I so that E||noise||^2 = M^2 per call;
         # the batch mean is the sum and the division ndarray.mean performs
-        noise = self._gen.standard_normal((batch, dim))
-        noise = np.add.reduce(noise, axis=0) / batch
+        n = batch * dim
+        buf, pos = self._buf, self._pos
+        if pos + n > buf.shape[0]:
+            buf = self._buf = np.concatenate(
+                (buf[pos:], self._gen.standard_normal(max(n, _NOISE_BLOCK))))
+            pos = 0
+        self._pos = pos + n
+        noise = np.add.reduce(buf[pos:pos + n].reshape(batch, dim), axis=0)
         self.counter += batch
-        return mean + (std / math.sqrt(dim)) * noise
+        noise /= batch
+        noise *= scale
+        return mean + noise
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +459,11 @@ def penalized_hyperobjective_value(
 
     Unconstrained problems are solved by gradient descent on h_sigma and on g
     to gradient norm ``p.gstar_tolerance``; box-constrained problems use the
-    zooming grid minimizer over the declared box.  The returned certificate
-    bounds the value error from the achieved residuals via PL quadratic
-    growth (or from the final grid spacing on the box path).
+    zooming grid minimizer over the declared box.  The returned
+    ``error_bound`` estimates the value error from the achieved residuals via
+    PL quadratic growth (or from the final grid spacing on the box path).
+    The PL estimate uses g's constant mu for h_sigma as well, which holds
+    only up to O(sigma) and is not proven, so the value is not certified.
     """
     from .inner import presolve  # late import: inner depends on core types
 

@@ -511,10 +511,10 @@ def grid_hyper_objective(problem, x, n: int = 5001, tie_tol: float = 1e-9) -> fl
     if meta is None:
         raise ConfigError("grid hyper-objective needs declared windows")
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
-    ys = np.linspace(lo, hi, n)
-    gv = np.array([prob.g(x, np.array([t])) for t in ys])
+    ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
+    gv = np.array([prob.g(x, y) for y in ys])
     ties = gv <= gv.min() + tie_tol * (1.0 + abs(float(gv.min())))
-    fv = np.array([prob.f(x, np.array([t])) for t in ys[ties]])
+    fv = np.array([prob.f(x, y) for y in ys[ties]])
     return float(fv.min())
 
 

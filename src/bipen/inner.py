@@ -138,12 +138,13 @@ def inner_descend(
         def grad_h(v):
             return sigma * prob.grad_f_y(x, v) + prob.grad_g_y(x, v)
     else:
+        draw, batch = oracle.draw, cfg.batch
+
         def grad_g(v):
-            return oracle.draw("g_y", x, v, cfg.batch)
+            return draw("g_y", x, v, batch)
 
         def grad_h(v):
-            return (sigma * oracle.draw("f_y", x, v, cfg.batch)
-                    + oracle.draw("g_y", x, v, cfg.batch))
+            return sigma * draw("f_y", x, v, batch) + draw("g_y", x, v, batch)
 
     y_path = [y.copy()] if record_path else None
     z_path = [z.copy()] if record_path else None

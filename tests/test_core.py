@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipen import (
     BilevelProblem,
@@ -19,7 +21,9 @@ from bipen import (
     penalized_hyperobjective_value,
     penalty_value_grad_y,
 )
-from bipen.core import as_vector, _grid_min
+from bipen.core import _grid_min, _require_finite, as_vector
+from bipen.errors import ToolkitError
+from bipen.rng import substream
 
 
 class _Tagged(np.ndarray):
@@ -206,6 +210,14 @@ def test_oracle_rejects_bad_requests(kernel):
     assert oracle.draw("g_y", [0.0], [0.0, 0.0], batch=np.int64(2)).shape == (2,)
 
 
+@pytest.mark.parametrize("std", [math.nan, math.inf, -math.inf, -0.1])
+def test_oracle_rejects_non_finite_or_negative_noise_levels(kernel, std):
+    # a NaN or inf level used to construct and draw [nan nan] / [inf -inf]
+    for stds in ((std, 0.0), (0.0, std)):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            StochasticOracle(kernel.problem, *stds, rng_seed=1)
+
+
 def test_batched_estimate_draws_from_the_oracle(kernel):
     pen = PenaltyObjective(kernel.problem, 0.5)
     x, y, z = [0.3], [0.6, 0.2], [0.4, -0.1]
@@ -273,3 +285,198 @@ def test_problem_rejects_nonpositive_dims(kernel):
             grad_g_y=lambda x, y: np.zeros(1),
             constants=kernel.problem.constants,
         )
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the finiteness check and the oracle as they stood before
+# noise came from a pre-drawn block, kept verbatim; the package's versions
+# must match them bit for bit, failures included.
+
+
+def _ref_require_finite(value, x, y, what: str):
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
+        raise NumericError(f"non-finite {what} encountered", point=pt)
+    return arr
+
+
+_ORACLE_PARTS = ("f_x", "f_y", "g_x", "g_y")
+
+
+@dataclasses.dataclass
+class _RefOracle:
+    base: BilevelProblem
+    noise_std_f: float
+    noise_std_g: float
+    rng_seed: int
+    counter: int = 0
+
+    def __post_init__(self):
+        if self.noise_std_f < 0 or self.noise_std_g < 0:
+            raise ConfigError("noise standard deviations must be >= 0")
+        self._gen = substream(self.rng_seed, "oracle")
+        base = self.base
+        self._table = {
+            "f_x": (base.grad_f_x, self.noise_std_f, base.dim_x),
+            "f_y": (base.grad_f_y, self.noise_std_f, base.dim_y),
+            "g_x": (base.grad_g_x, self.noise_std_g, base.dim_x),
+            "g_y": (base.grad_g_y, self.noise_std_g, base.dim_y),
+        }
+
+    def reset(self):
+        """Rewind the noise stream to its initial state."""
+        self.counter = 0
+        self._gen = substream(self.rng_seed, "oracle")
+
+    def draw(self, which: str, x, y, batch: int = 1):
+        if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) \
+                or batch < 1:
+            raise InputError(f"batch must be a positive integer, got {batch!r}")
+        part = self._table.get(which)
+        if part is None:
+            raise InputError(f"unknown gradient selector {which!r}; "
+                             f"expected one of {_ORACLE_PARTS}")
+        fn, std, dim = part
+        x, y = self.base.check_point(x, y)
+        mean = _ref_require_finite(fn(x, y), x, y, f"grad {which}")
+        if std == 0.0:
+            return mean
+        # per-draw covariance (M^2/dim) I so that E||noise||^2 = M^2 per call;
+        # the batch mean is the sum and the division ndarray.mean performs
+        noise = self._gen.standard_normal((batch, dim))
+        noise = np.add.reduce(noise, axis=0) / batch
+        self.counter += batch
+        return mean + (std / math.sqrt(dim)) * noise
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _outcome(call):
+    """What a call leaves behind: its value bitwise, or its exception."""
+    try:
+        out = call()
+    except ToolkitError as err:
+        point = getattr(err, "point", None)
+        point = None if point is None else [None if v is None else _bits(v)
+                                            for v in point]
+        return "raised", type(err), str(err), point
+    return "returned", type(out), _bits(out)
+
+
+def _oracle_problem():
+    """dim_x = 3, dim_y = 2; f_y is NaN for y_1 > 4, g_x is inf for x_1 > 4,
+    and g_y comes back as a list."""
+    return BilevelProblem(
+        dim_x=3, dim_y=2,
+        f=lambda x, y: 0.0,
+        grad_f_x=lambda x, y: np.sin(x) * y.sum(),
+        grad_f_y=lambda x, y: y * (math.nan if y[0] > 4.0 else 1.5),
+        g=lambda x, y: 0.0,
+        grad_g_x=lambda x, y: np.cos(x) - (math.inf if x[0] > 4.0 else 0.0),
+        grad_g_y=lambda x, y: list(y - x[:2]),
+        constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0,
+                                   mu=1.0, sigma_bar=1.0),
+    )
+
+
+_BAD_BATCHES = (0, -3, 1.5, True, np.float64(2.0))
+_point = st.floats(-5.0, 5.0)
+_batch = st.tuples(st.integers(1, 2500), st.booleans()).map(
+    lambda b: np.int64(b[0]) if b[1] else b[0])
+_draw_op = st.tuples(
+    st.sampled_from(_ORACLE_PARTS), _batch,
+    st.lists(_point, min_size=3, max_size=3), st.lists(_point, min_size=2, max_size=2))
+_bad_op = st.tuples(
+    st.sampled_from(_ORACLE_PARTS + ("f_q",)), st.sampled_from(_BAD_BATCHES),
+    st.just([0.1, 0.2, 0.3]), st.just([0.4, 0.5]))
+
+
+def _replay(oracle, ops):
+    seen = []
+    for op in ops:
+        if op == "reset":
+            oracle.reset()
+            seen.append(("reset", oracle.counter))
+            continue
+        which, batch, x, y = op
+        seen.append(_outcome(lambda: oracle.draw(which, np.array(x), np.array(y), batch)))
+        seen.append(oracle.counter)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stds=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)]),
+    seed=st.integers(0, 2**40),
+    ops=st.lists(st.one_of(_draw_op, _draw_op, _draw_op, _bad_op, st.just("reset")),
+                 min_size=1, max_size=14),
+)
+def test_oracle_draws_match_the_per_call_reference(stds, seed, ops):
+    # batches up to 2500 on dim_x = 3 ask for more than a block (4096), so
+    # refills happen mid-sequence, with and without an unused tail
+    prob = _oracle_problem()
+    got = _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops)
+    assert got == _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
+
+
+def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
+    # 1500 x 2 normals, then 1200 x 2 (a refill with 1096 left unused), then
+    # a reset and the same again: the bits of per-call draws every time
+    prob = get_problem("kernel_pl_noisy").problem
+    ops = [("f_y", 1500, [0.3], [0.8, 0.1]), ("g_y", 1200, [0.3], [0.8, 0.1]),
+           ("f_x", 7, [0.3], [0.8, 0.1]), "reset",
+           ("g_y", 1500, [0.3], [0.8, 0.1]), ("f_y", 1200, [0.3], [0.8, 0.1]),
+           ("g_x", 7, [0.3], [0.8, 0.1])]
+    got = _replay(StochasticOracle(prob, 0.1, 0.1, rng_seed=9), ops)
+    assert got == _replay(_RefOracle(prob, 0.1, 0.1, rng_seed=9), ops)
+    assert got[-1] == 1500 + 1200 + 7
+
+
+_FINITE_CASES = [
+    np.array([0.5, -2.0]),
+    np.arange(6.0)[::2],                 # strided 1-D view
+    np.array([1e200, -1e200]),           # finite, but the squared norm overflows
+    np.empty(0),
+    np.array(2.5),                       # 0-d
+    np.float64(3.0),
+    1.25,
+    [1.0, 2.0],
+    np.array([1.0, 2.0], dtype=np.float32),
+    np.array([1, 2]),
+    np.array([1.0], dtype=">f8"),
+    np.array([[1.0, 2.0], [3.0, 4.0]]),
+    np.array([0.5, 1.5]).view(_Tagged),
+]
+_NON_FINITE_CASES = [
+    np.array([math.nan, 1.0]),
+    np.array([math.inf, 0.0]),
+    np.array([-math.inf]),
+    np.array([math.inf, -math.inf]),
+    np.array(math.nan),
+    math.inf,
+    [1.0, math.nan],
+    np.array([1.0, math.inf], dtype=np.float32),
+    np.array([[1.0], [math.nan]]),
+    np.array([0.5, math.nan]).view(_Tagged),
+]
+
+
+@pytest.mark.parametrize("value", _FINITE_CASES + _NON_FINITE_CASES)
+def test_require_finite_matches_the_entrywise_reference(value):
+    x, y = np.array([0.1]), np.array([0.2, 0.3])
+    # numpy warns on the squared norm of 1e200 entries (as in inner._guard);
+    # the vector then takes the entrywise test, which passes it
+    with np.errstate(over="ignore"):
+        got = _outcome(lambda: _require_finite(value, x, y, "grad f_y"))
+        ref = _outcome(lambda: _ref_require_finite(value, x, y, "grad f_y"))
+        assert got == ref
+        if got[0] == "returned":
+            same = _require_finite(value, x, y, "v") is value
+            assert same == (_ref_require_finite(value, x, y, "v") is value)
+    assert (got[0] == "returned") == any(value is v for v in _FINITE_CASES)
+    if got[0] == "raised":
+        assert got[1] is NumericError and got[2] == "non-finite grad f_y encountered"

@@ -23,6 +23,7 @@ from bipen import (
     set_lipschitz_check,
     smoothness_probe,
 )
+from bipen.core import as_bilevel, as_vector
 
 
 class TestHausdorff:
@@ -250,6 +251,35 @@ class TestGridHyperObjective:
     def test_requires_scalar_lower_level(self, quadratic):
         with pytest.raises(CapabilityError):
             grid_hyper_objective(quadratic.problem, [0.3])
+
+    @pytest.mark.parametrize("name", ["sin_sq_pl", "discontinuous",
+                                      "discontinuous_smoothed"])
+    def test_matches_the_per_point_reference(self, name):
+        prob = get_problem(name).problem
+        lo, hi = prob.meta.x_window
+        xs = [0.0, -1e-3, 1e-3] + list(np.random.default_rng(17).uniform(lo, hi, 5))
+        for x in xs:
+            got = grid_hyper_objective(prob, [x])
+            ref = _ref_grid_hyper_objective(prob, [x])
+            assert type(got) is float and got.hex() == ref.hex(), (name, x)
+
+
+# the grid oracle as it stood when it built a fresh y vector per grid point,
+# kept verbatim: the package's version must match it bit for bit
+def _ref_grid_hyper_objective(problem, x, n: int = 5001, tie_tol: float = 1e-9) -> float:
+    prob = as_bilevel(problem)
+    x = as_vector(x, prob.dim_x, "x")
+    if prob.dim_y != 1:
+        raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
+    meta = prob.meta
+    if meta is None:
+        raise ConfigError("grid hyper-objective needs declared windows")
+    lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
+    ys = np.linspace(lo, hi, n)
+    gv = np.array([prob.g(x, np.array([t])) for t in ys])
+    ties = gv <= gv.min() + tie_tol * (1.0 + abs(float(gv.min())))
+    fv = np.array([prob.f(x, np.array([t])) for t in ys[ties]])
+    return float(fv.min())
 
 
 class TestSetStability:
