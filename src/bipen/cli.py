@@ -154,20 +154,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# one row: %d for the int columns and %r for the float ones, the text _fmt
+# gives them; wall_ms is '' or its repr
+_ROW_FORMAT = "%d,%r,%r,%r,%d,%r,%d,%s"
+
+
 def render_trace_csv(trace) -> str:
     """Trace as CSV text with a replayable ``# key = value`` header block."""
-    lines = []
     meta = [("problem", trace.problem_name), ("algorithm", trace.algorithm),
             ("seed", "-" if trace.seed is None else trace.seed)]
-    for key, value in meta + trace.plan.header_items():
-        lines.append(f"# {key} = {_fmt(value)}")
+    lines = [f"# {key} = {_fmt(value)}" for key, value in meta + trace.plan.header_items()]
     lines.append(",".join(_CSV_COLUMNS))
-    for r in trace.rows:
-        lines.append(",".join([
-            _fmt(r.t), _fmt(r.grad_est_norm), _fmt(r.grad_true_norm),
-            _fmt(r.phi_true), _fmt(r.K_t), _fmt(r.delta_t),
-            _fmt(r.oracle_calls), _fmt(r.wall_ms),
-        ]))
+    lines += [_ROW_FORMAT % (r.t, r.grad_est_norm, r.grad_true_norm, r.phi_true, r.K_t,
+                             r.delta_t, r.oracle_calls,
+                             "" if r.wall_ms is None else repr(r.wall_ms))
+              for r in trace.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -74,11 +74,14 @@ def _require_finite(value, x: Array, y, what: str):
     A 1-D float64 ndarray with a finite squared norm is returned as it is,
     as ``np.asarray`` would return it.  NaN, inf, a norm that overflows and
     every other input take the entrywise test; on overflow (entries beyond
-    ~1.3e154) numpy warns of it in the dot, as in ``inner._guard``.
+    ~1.3e154) numpy warns of it in the dot (or raises, which is caught).
     """
-    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == 1 \
-            and math.isfinite(value.dot(value)):
-        return value
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == 1:
+        try:
+            if math.isfinite(value.dot(value)):
+                return value
+        except FloatingPointError:
+            pass
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
@@ -204,6 +207,8 @@ class BilevelProblem:
 
 def as_bilevel(problem) -> BilevelProblem:
     """Accept either a BilevelProblem or a wrapper exposing ``.problem``."""
+    if type(problem) is BilevelProblem:
+        return problem
     inner = getattr(problem, "problem", None)
     return inner if isinstance(inner, BilevelProblem) else problem
 
@@ -248,6 +253,8 @@ class PenaltyObjective:
             object.__setattr__(self, "problem", prob)
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"penalty weight sigma must be > 0, got {self.sigma}")
+        # the estimator's divisor, 0-d: cheaper per ufunc than a float
+        object.__setattr__(self, "_sigma_0d", np.array(self.sigma, dtype=float))
         if self.sigma > prob.constants.sigma_bar:
             raise ConfigError(
                 f"sigma={self.sigma} exceeds the certified range "
@@ -309,7 +316,7 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
     ``batch`` = 0, batch-``batch`` averages drawn from ``oracle`` otherwise.
     """
     prob = p.problem
-    if not (np.isfinite(p.sigma) and p.sigma > 0):
+    if not (math.isfinite(p.sigma) and p.sigma > 0):
         raise ConfigError("hypergradient estimate needs sigma > 0")
     if batch == 0:
         x, yK = prob.check_point(x, yK)
@@ -323,7 +330,7 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
         gfx = oracle.draw("f_x", x, yK, batch)
         ggx_y = oracle.draw("g_x", x, yK, batch)
         ggx_z = oracle.draw("g_x", x, zK, batch)
-    return gfx + (ggx_y - ggx_z) / p.sigma
+    return gfx + (ggx_y - ggx_z) / p._sigma_0d
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +353,7 @@ class StochasticOracle:
     ahead from that stream; the stream does not depend on how it is chunked,
     so every draw has the bits a fresh ``standard_normal((batch, dim))``
     call would give.  The base gradients, noise levels and scales are looked
-    up once, at construction.
+    up once, at construction; each scale is a 0-d float64 array.
     """
 
     base: BilevelProblem
@@ -364,7 +371,7 @@ class StochasticOracle:
         self._buf, self._pos = np.empty(0), 0  # the noise block and its read position
         base = self.base
         self._table = {
-            which: (fn, std, dim, std / math.sqrt(dim), f"grad {which}")
+            which: (fn, std, dim, np.array(std / math.sqrt(dim)), f"grad {which}")
             for which, fn, std, dim in (
                 ("f_x", base.grad_f_x, self.noise_std_f, base.dim_x),
                 ("f_y", base.grad_f_y, self.noise_std_f, base.dim_y),
@@ -405,7 +412,7 @@ class StochasticOracle:
         self._pos = pos + n
         noise = np.add.reduce(buf[pos:pos + n].reshape(batch, dim), axis=0)
         self.counter += batch
-        noise /= batch
+        noise /= np.array(float(batch))  # 0-d: cheaper than dividing by an int
         noise *= scale
         return mean + noise
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -190,8 +190,7 @@ def build_schedule(
 # traces
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     t: int
     grad_est_norm: float
     grad_true_norm: float  # nan when the problem has no analytic gradient
@@ -267,8 +266,7 @@ class RunTrace:
 
 
 def _analytic_columns(prob, x):
-    gt = math.nan
-    pt = math.nan
+    gt = pt = math.nan
     if prob.analytic_grad_phi is not None:
         gt = _norm(np.asarray(prob.analytic_grad_phi(x), dtype=float))
     if prob.analytic_phi is not None:
@@ -342,18 +340,19 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     if B > 0 and not c.stochastic:
         raise ConfigError("plan requests mini-batches but the problem declares "
                           "M_f = M_g = 0; use B = 0 for full gradients")
-    # rebuilt per step when B > 0
-    cfg = InnerConfig(tau=plan.tau, K=plan.K, batch=0, divergence_radius=radius)
+    cfgs = {}  # one inner config per distinct K_t
+    eta = np.array(plan.eta, dtype=float)  # 0-d: cheaper than a float per step
 
-    rows = []
-    calls = 0
+    rows, calls = [], 0
     delta = math.nan if oracle is None else plan.delta0
     t_start = time.perf_counter()
     for t in range(plan.T):
         t0 = time.perf_counter() if timing else None
-        if B > 0:
-            cfg = InnerConfig(tau=plan.tau, K=stochastic_inner_count(plan, delta),
-                              batch=B, divergence_radius=radius)
+        k_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
+        cfg = cfgs.get(k_t)
+        if cfg is None:
+            cfg = cfgs[k_t] = InnerConfig(tau=plan.tau, K=k_t, batch=B,
+                                          divergence_radius=radius)
         try:
             res = inner_descend(prob, x, y, z, plan.sigma, cfg, oracle)
             est = hypergradient_estimate(pen, x, res.y, res.z, oracle, B)
@@ -364,13 +363,9 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
         calls += res.oracle_calls + 3 * max(B, 1)
         gt, pt = _analytic_columns(prob, x)
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
-        rows.append(TraceRow(
-            t=t, grad_est_norm=_norm(est), grad_true_norm=gt,
-            phi_true=pt, K_t=res.steps, delta_t=delta,
-            resid_y=res.grad_norm_y, resid_z=res.grad_norm_z,
-            oracle_calls=calls, x=tuple(x), wall_ms=wall,
-        ))
-        x_new = x - plan.eta * est
+        rows.append(TraceRow(t, _norm(est), gt, pt, res.steps, delta, res.grad_norm_y,
+                             res.grad_norm_z, calls, tuple(x), wall))
+        x_new = x - eta * est
         if oracle is not None:
             step_sq = float(np.sum((x_new - x) ** 2))
             delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq

@@ -541,14 +541,13 @@ def zero_chain_hessian(q: int) -> np.ndarray:
 
 
 def chain_min_eigenvalue(q: int) -> float:
-    """Smallest eigenvalue of the chain Hessian.
+    """Smallest eigenvalue of the chain Hessian, sin^2(pi / (2(2q+1))).
 
-    Dense eigensolve for moderate q; for long chains the fixed-free
-    eigenvalue formula sin^2(pi / (2(2q+1))) is used (they agree to rounding,
-    cf. the tests).
+    Exact: the Hessian is 1/4 of the fixed-free path Laplacian, whose
+    eigenvalues are 4 sin^2((2j-1) pi / (2(2q+1))), j = 1..q.
     """
-    if q <= 2048:
-        return float(np.linalg.eigvalsh(zero_chain_hessian(q))[0])
+    if q < 1:
+        raise InputError(f"chain length q must be >= 1, got {q}")
     return float(np.sin(np.pi / (2.0 * (2.0 * q + 1.0))) ** 2)
 
 

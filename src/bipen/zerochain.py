@@ -25,8 +25,9 @@ rather than producing a hollow PASS.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,8 +47,7 @@ def _support(v) -> tuple:
     return tuple(np.nonzero(np.asarray(v))[0].tolist())
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     kind: str            # which oracle: f_x, f_y, g_x, g_y, f, g
     query_support: tuple  # sorted indices; range(n) for a prefix support
     new_indices: tuple   # y coordinates first revealed by this call's output
@@ -94,17 +94,11 @@ class SupportTracker:
         self.calls.append(CallRecord(kind, q_supp, new, query_ok, growth_ok))
 
     def counts(self) -> dict:
-        out: dict = {}
-        for rec in self.calls:
-            out[rec.kind] = out.get(rec.kind, 0) + 1
-        return out
+        return dict(Counter(rec.kind for rec in self.calls))
 
     def max_query_index(self) -> int:
-        m = -1
-        for rec in self.calls:
-            if rec.query_support:
-                m = max(m, rec.query_support[-1])
-        return m
+        return max((rec.query_support[-1] for rec in self.calls if rec.query_support),
+                   default=-1)
 
 
 def tracked_instance(instance: SuiteProblem, tracker: SupportTracker) -> SuiteProblem:

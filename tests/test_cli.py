@@ -1,8 +1,12 @@
+import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipen import read_trace_header
 
@@ -178,3 +182,55 @@ def test_diagnose_unknown_check_rejected():
 def test_missing_subcommand_uses_argparse_exit():
     r = run_cli()
     assert r.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# trace rows are rendered with one %-format; the text must be what _fmt gives
+
+
+def _render_by_fmt(trace):
+    from bipen.cli import _CSV_COLUMNS, _fmt
+
+    meta = [("problem", trace.problem_name), ("algorithm", trace.algorithm),
+            ("seed", "-" if trace.seed is None else trace.seed)]
+    lines = [f"# {k} = {_fmt(v)}" for k, v in meta + trace.plan.header_items()]
+    lines.append(",".join(_CSV_COLUMNS))
+    for r in trace.rows:
+        lines.append(",".join(map(_fmt, (r.t, r.grad_est_norm, r.grad_true_norm,
+                                         r.phi_true, r.K_t, r.delta_t,
+                                         r.oracle_calls, r.wall_ms))))
+    return "\n".join(lines) + "\n"
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     1e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7]))
+_CSV_INTS = st.one_of(st.integers(0, 10**6), st.integers(0, 2**200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_CSV_INTS, _CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS, _CSV_INTS,
+                          _CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS, _CSV_INTS,
+                          st.one_of(st.none(), _CSV_FLOATS)), max_size=6))
+def test_csv_rows_match_the_per_field_formatter(rows):
+    from bipen.cli import render_trace_csv
+    from bipen.drivers import TraceRow
+
+    plan = SimpleNamespace(header_items=lambda: [("eta", 0.1), ("K", 3), ("c", None)])
+    trace = SimpleNamespace(
+        problem_name="p", algorithm="f2ba", seed=None, plan=plan,
+        rows=[TraceRow(*r[:9], (0.5, -0.0), r[9]) for r in rows])
+    assert render_trace_csv(trace) == _render_by_fmt(trace)
+
+
+def test_csv_rows_of_real_runs_match_the_per_field_formatter():
+    from bipen import build_schedule, get_problem, run_f2ba, run_f2bsa
+    from bipen.cli import render_trace_csv
+
+    for name, run, kw in (("kernel_pl", run_f2ba, {"timing": True}),
+                          ("kernel_pl_fnoise", run_f2bsa, {"seed": 3})):
+        prob = get_problem(name).problem
+        plan = build_schedule(prob.constants, 0.1, 0.5, 0.25, overrides={"T": 4})
+        trace = run(prob, plan, **kw)
+        assert render_trace_csv(trace) == _render_by_fmt(trace)

@@ -480,3 +480,21 @@ def test_require_finite_matches_the_entrywise_reference(value):
     assert (got[0] == "returned") == any(value is v for v in _FINITE_CASES)
     if got[0] == "raised":
         assert got[1] is NumericError and got[2] == "non-finite grad f_y encountered"
+
+
+@pytest.mark.parametrize("value", _FINITE_CASES + _NON_FINITE_CASES)
+def test_require_finite_classifies_overflow_when_numpy_raises_it(value):
+    # under over="raise" the squared norm of 1e200 entries raises in the dot;
+    # the entrywise test still decides, as under the default state
+    x, y = np.array([0.1]), np.array([0.2, 0.3])
+    with np.errstate(over="ignore"):
+        want = _outcome(lambda: _require_finite(value, x, y, "grad f_y"))
+    with np.errstate(over="raise"):
+        assert _outcome(lambda: _require_finite(value, x, y, "grad f_y")) == want
+
+
+def test_require_finite_returns_a_finite_vector_whose_norm_overflows():
+    big = np.array([1e200])
+    for state in ("ignore", "raise"):
+        with np.errstate(over=state):
+            assert _require_finite(big, np.array([0.1]), None, "grad f_x") is big

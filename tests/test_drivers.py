@@ -235,3 +235,16 @@ class TestSlopeFit:
             fit_complexity_slope([(0.1, 10.0), (0.05, 20.0)])
         with pytest.raises(InputError):
             fit_complexity_slope([(0.1, 10.0), (0.05, 20.0), (-0.01, 5.0)])
+
+
+def test_trace_row_fields_order_and_defaults_are_fixed():
+    from bipen import TraceRow
+
+    assert TraceRow._fields == (
+        "t", "grad_est_norm", "grad_true_norm", "phi_true", "K_t", "delta_t",
+        "resid_y", "resid_z", "oracle_calls", "x", "wall_ms")
+    assert TraceRow._field_defaults == {"wall_ms": None}
+    row = TraceRow(0, 1.0, 2.0, 3.0, 4, 5.0, 6.0, 7.0, 8, (9.0,))
+    assert row.wall_ms is None and row.x == (9.0,) and row.oracle_calls == 8
+    with pytest.raises(AttributeError):
+        row.t = 1

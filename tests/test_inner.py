@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from typing import Optional
@@ -343,3 +344,79 @@ def test_norm_is_numpys_norm_bitwise(size):
     for scale in (1e-200, 1e-3, 1.0, 1e3, 1e150):
         v = scale * rng.standard_normal(size)
         assert _bits(_norm(v)) == _bits(float(np.linalg.norm(v)))
+
+
+# ---------------------------------------------------------------------------
+# Norm overflow is classified the same under np.errstate(over="raise") as
+# under numpy's default state: as an infinite norm, never as numpy's own
+# FloatingPointError.
+
+
+def _failure(fn, state):
+    with np.errstate(over=state):
+        try:
+            fn()
+        except (NumericError, DivergenceError) as exc:
+            return (type(exc), str(exc), exc.step, exc.norm, exc.sequence)
+    raise AssertionError("no failure raised")
+
+
+@pytest.mark.parametrize("state", ["ignore", "raise"])
+def test_descend_single_classifies_a_norm_overflow(state):
+    # the gradient -1e160 is finite and its norm overflows: the step then
+    # leaves the radius with norm inf
+    def run():
+        descend_single(lambda v: -v * 1e160, [1.0], 1.0, tol=1e-12, radius=1e300)
+
+    got = _failure(run, state)
+    assert got[0] is DivergenceError and got[3] == math.inf and got[4] == "descent"
+    assert got == _failure(run, "ignore")
+
+
+@pytest.mark.parametrize("sequence", ["z", "y"])
+@pytest.mark.parametrize("state", ["ignore", "raise"])
+def test_inner_guard_classifies_a_norm_overflow(kernel, sequence, state):
+    # one sequence steps to ~1e160 per entry, whose squared norm overflows
+    big, zero = (lambda x, v: np.ones(2)), (lambda x, v: np.zeros(2))
+    grads = {"grad_g_y": big, "grad_f_y": zero} if sequence == "z" \
+        else {"grad_g_y": zero, "grad_f_y": big}
+    prob = dataclasses.replace(kernel.problem, **grads)
+
+    def run():
+        inner_descend(prob, [0.0], [0.0, 0.0], [0.0, 0.0], 1.0,
+                      InnerConfig(tau=1e160, K=3, divergence_radius=50.0))
+
+    got = _failure(run, state)
+    assert got[:1] + got[2:] == (DivergenceError, 0, math.inf, sequence)
+    assert got == _failure(run, "ignore")
+
+
+# ---------------------------------------------------------------------------
+# The hot path holds its scale factors as 0-d float64 arrays; numpy computes
+# the same bits as with Python floats (and ints, for the batch divisor).
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_F64 = st.one_of(st.floats(), _SPECIAL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([1, 2, 50]), s=_F64, batch=st.integers(1, 10**6),
+       data=st.data())
+def test_zero_d_scale_factors_match_python_scalars_bitwise(dim, s, batch, data):
+    v = np.array(data.draw(st.lists(_F64, min_size=dim, max_size=dim)))
+    w = np.array(data.draw(st.lists(_F64, min_size=dim, max_size=dim)))
+    s0 = np.array(s, dtype=float)
+    with np.errstate(all="ignore"):
+        assert (s0 * v).tobytes() == (s * v).tobytes()
+        assert (w - s0 * v).tobytes() == (w - s * v).tobytes()
+        assert (s0 * v + w).tobytes() == (s * v + w).tobytes()
+        assert (v / s0).tobytes() == (v / s).tobytes()
+        a, b = v.copy(), v.copy()
+        a *= s0
+        b *= s
+        assert a.tobytes() == b.tobytes()
+        a, b = v.copy(), v.copy()
+        a /= np.array(float(batch))
+        b /= batch
+        assert a.tobytes() == b.tobytes()

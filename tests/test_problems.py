@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipen import ConfigError, get_problem, list_problems
+from bipen import ConfigError, InputError, get_problem, list_problems
 from bipen.problems import (
     HardInstanceSpec,
     _hermite_p,
@@ -357,3 +357,16 @@ def test_bump_matches_the_reference_on_random_arrays(b, scaled):
             assert _bump_bits(fn(t, b)) == _bump_bits(ref(t, b))
             for v in t[:3]:
                 assert _bump_bits(fn(float(v), b)) == _bump_bits(ref(float(v), b))
+
+
+@pytest.mark.parametrize("q", [1, 50, 800])
+def test_chain_minimum_eigenvalue_is_the_closed_form_for_every_q(q):
+    lam = chain_min_eigenvalue(q)
+    assert lam == float(np.sin(np.pi / (2.0 * (2.0 * q + 1.0))) ** 2)
+    dense = float(np.linalg.eigvalsh(zero_chain_hessian(q))[0])
+    assert lam == pytest.approx(dense, rel=1e-9, abs=1e-15)
+
+
+def test_chain_minimum_eigenvalue_rejects_an_empty_chain():
+    with pytest.raises(InputError):
+        chain_min_eigenvalue(0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from dataclasses import dataclass, field
@@ -207,7 +206,7 @@ def test_tracker_matches_the_set_based_reference(seq):
         got.note(kind, y, out_y=out)
         want.note(kind, y, out_y=out)
         rec = got.calls[-1]
-        assert dataclasses.replace(rec, query_support=tuple(rec.query_support)) \
+        assert rec._replace(query_support=tuple(rec.query_support)) \
             == want.calls[-1]
         assert type(rec.query_ok) is bool and type(rec.growth_ok) is bool
         assert got.explored == want.explored
@@ -219,3 +218,13 @@ def test_tracker_matches_the_set_based_reference(seq):
         if rec.query_support:
             assert rec.query_support[-1] == tuple(rec.query_support)[-1]
         assert tuple(rec.query_support[-5:]) == tuple(rec.query_support)[-5:]
+
+
+def test_call_record_fields_order_and_defaults_are_fixed():
+    assert CallRecord._fields == ("kind", "query_support", "new_indices",
+                                  "query_ok", "growth_ok")
+    assert CallRecord._field_defaults == {}
+    rec = CallRecord("g_y", range(2), (2,), True, True)
+    assert rec.kind == "g_y" and rec.new_indices == (2,)
+    with pytest.raises(AttributeError):
+        rec.query_ok = False
