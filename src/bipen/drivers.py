@@ -43,7 +43,7 @@ from .core import (
     hypergradient_estimate,
 )
 from .errors import ConfigError, DivergenceError, InputError, NumericError
-from .inner import InnerConfig, _guard, _norm, inner_descend
+from .inner import InnerConfig, _guard, _norm, _overflowed_step, inner_descend
 
 _PLAN_OVERRIDE_KEYS = ("eta", "sigma", "tau", "K", "T", "B", "delta0")
 _PLAN_CONSTANT_KEYS = ("c_eta", "c_sigma", "c_K", "c_B", "c_delta")
@@ -365,13 +365,16 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
         rows.append(TraceRow(t, _norm(est), gt, pt, res.steps, delta, res.grad_norm_y,
                              res.grad_norm_z, calls, tuple(x), wall))
-        x_new = x - eta * est
+        try:
+            x_new = x - eta * est
+        except FloatingPointError:  # overflow under np.errstate(over="raise")
+            x_new = _overflowed_step(x, eta, est)
+        _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
         if oracle is not None:
             step_sq = float(np.sum((x_new - x) ** 2))
             delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq
                      + plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2)
         x = x_new
-        _guard(x, "x", t, radius, "outer")
     wall_s = time.perf_counter() - t_start
     state = IterateState(t=plan.T, x=x, y=y, z=z, delta=delta, oracle_calls=calls,
                          rng_counter=0 if oracle is None else oracle.counter)

@@ -87,6 +87,14 @@ def _norm(v) -> float:
         return math.inf
 
 
+# v - scale * grad as the default error state computes it (inf on overflow),
+# for _guard to classify: the slow path of a step that raised
+# FloatingPointError under np.errstate(over="raise")
+def _overflowed_step(v, scale, grad):
+    with np.errstate(over="ignore"):
+        return v - scale * grad
+
+
 def _guard(vec, which: str, step: int, radius: float, loop: str = "inner"):
     n = _norm(vec)
     # A finite norm within the radius means a finite, in-radius iterate.  NaN,
@@ -164,13 +172,14 @@ def inner_descend(
             if stop is not None and ny <= stop and nz <= stop:
                 steps = k
                 break
-        z = z - tau * gz
-        y = y - tau * gy
         # _guard's fast test, inlined; _guard classifies what fails it
         try:
-            n_z, n_y = math.sqrt(z.dot(z)), math.sqrt(y.dot(y))
+            z_new, y_new = z - tau * gz, y - tau * gy
+            n_z, n_y = math.sqrt(z_new.dot(z_new)), math.sqrt(y_new.dot(y_new))
         except FloatingPointError:  # overflow under np.errstate(over="raise")
+            z_new, y_new = _overflowed_step(z, tau, gz), _overflowed_step(y, tau, gy)
             n_z = n_y = inf
+        z, y = z_new, y_new
         if not (n_z <= radius and n_y <= radius and n_z < inf and n_y < inf):
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
@@ -206,20 +215,22 @@ def descend_single(
     y = np.array(y0, dtype=float).copy()
     if radius is None:
         radius = 1e6 * (1.0 + _norm(y))
-    if exact_steps is not None:
-        for k in range(exact_steps):
-            y = y - tau * np.asarray(grad_fn(y), dtype=float)
-            _guard(y, label, k, radius)
-        return y, _norm(np.asarray(grad_fn(y), dtype=float)), exact_steps
-    for k in range(max_iter):
+    exact = exact_steps is not None
+    for k in range(exact_steps if exact else max_iter):
         gv = np.asarray(grad_fn(y), dtype=float)
-        n = _norm(gv)  # inf also when a finite gradient's norm overflows
-        if not math.isfinite(n) and not np.isfinite(gv).all():
-            raise NumericError(f"non-finite gradient in {label}", point=y.copy())
-        if n <= tol:
-            return y, n, k
-        y = y - tau * gv
+        if not exact:
+            n = _norm(gv)  # inf also when a finite gradient's norm overflows
+            if not math.isfinite(n) and not np.isfinite(gv).all():
+                raise NumericError(f"non-finite gradient in {label}", point=y.copy())
+            if n <= tol:
+                return y, n, k
+        try:
+            y = y - tau * gv
+        except FloatingPointError:  # overflow under np.errstate(over="raise")
+            y = _overflowed_step(y, tau, gv)
         _guard(y, label, k, radius)
+    if exact:
+        return y, _norm(np.asarray(grad_fn(y), dtype=float)), exact_steps
     residual = _norm(np.asarray(grad_fn(y), dtype=float))
     raise ConvergenceError(
         f"{label} failed to reach tolerance {tol:g} within {max_iter} steps "

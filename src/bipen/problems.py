@@ -516,15 +516,20 @@ def zero_chain_value_grad(q: int, z) -> tuple[float, np.ndarray]:
     if q < 1:
         raise InputError(f"chain length q must be >= 1, got {q}")
     z = as_vector(z, q, "z")
-    if q == 1:
-        return 0.125 * (z[0] - 1.0) ** 2, np.array([0.25 * (z[0] - 1.0)])
     d = np.diff(z)
     val = 0.125 * (z[0] - 1.0) ** 2 + 0.125 * float(d @ d)
-    grad = np.zeros(q)
+    return float(val), _chain_grad(z)
+
+
+# The chain's gradient at a float64 vector z of length q >= 1, unchecked: the
+# bits of zero_chain_value_grad's gradient, without its value.
+def _chain_grad(z) -> np.ndarray:
+    e = 0.25 * (z[1:] - z[:-1])  # np.diff's subtraction
+    grad = np.zeros(z.shape[0])
     grad[0] = 0.25 * (z[0] - 1.0)
-    grad[:-1] -= 0.25 * d
-    grad[1:] += 0.25 * d
-    return float(val), grad
+    grad[:-1] -= e
+    grad[1:] += e
+    return grad
 
 
 def zero_chain_hessian(q: int) -> np.ndarray:
@@ -586,6 +591,8 @@ def psi_prime(t, beta: float):
     """Derivative of :func:`psi` (odd; exactly zero at 0 and beyond 2 beta)."""
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
+    if t.ndim and a.max(initial=0.0) <= beta:  # every entry on t^2/2, no NaN:
+        return t.copy()  # what the np.where below gives, -0.0 included
     out = np.where(a <= beta, t, 0.0)  # NaN -> 0
     bend = (a > beta) & (a <= 2.0 * beta)
     if bend.any():
@@ -663,9 +670,10 @@ def make_hard_instance(spec: HardInstanceSpec) -> SuiteProblem:
         val, _ = zero_chain_value_grad(q, y / b)
         return b * b * val
 
-    def grad_g_y(x, y):
-        _, gr = zero_chain_value_grad(q, y / b)
-        return b * gr
+    def grad_g_y(x, y):  # b * zero_chain_value_grad(q, y / b)[1], bit for bit
+        gr = _chain_grad(y / b)
+        gr *= b
+        return gr
 
     def grad_g_x(x, y):
         return np.zeros(1)

@@ -37,10 +37,14 @@ from .errors import InputError, InstrumentationError
 from .problems import (
     HardInstanceSpec,
     SuiteProblem,
+    _chain_grad,
     make_hard_instance,
-    zero_chain_value_grad,
 )
 from .rng import substream
+
+
+# ndarray.any() and .all() without their Python-level wrappers
+_any, _all = np.logical_or.reduce, np.logical_and.reduce
 
 
 def _support(v) -> tuple:
@@ -76,21 +80,23 @@ class SupportTracker:
         y = np.asarray(y)
         mask = self._mask
         n = np.count_nonzero(y)
-        if not y[n:].any():  # the n nonzeros fill y[:n]
+        if not _any(y[n:]):  # the n nonzeros fill y[:n]
             q_supp = range(n)
-            query_ok = bool(mask[:n].all())
+            query_ok = bool(_all(mask[:n]))
         else:
             idx = np.flatnonzero(y)
             q_supp = tuple(idx.tolist())
-            query_ok = bool(mask[idx].all())
+            query_ok = bool(_all(mask[idx]))
         new = ()
         growth_ok = True
         if out_y is not None:
-            fresh = np.flatnonzero((np.asarray(out_y) != 0) & ~mask)
-            new = tuple(fresh.tolist())
-            growth_ok = len(new) <= 1
-            mask[fresh] = True
-            self.explored.update(new)
+            # (out != 0) & ~mask as one comparison of booleans; NaN counts
+            fresh = np.greater(np.not_equal(out_y, 0), mask).nonzero()[0]
+            if fresh.size:
+                new = tuple(fresh.tolist())
+                growth_ok = len(new) <= 1
+                mask[fresh] = True
+                self.explored.update(new)
         self.calls.append(CallRecord(kind, q_supp, new, query_ok, growth_ok))
 
     def counts(self) -> dict:
@@ -361,6 +367,6 @@ def verify_support_lemma(q: int, trials: int = 8, rng=None) -> bool:
         raise InputError(f"chain length q must be >= 1, got {q}")
 
     def grad(z):
-        return zero_chain_value_grad(q, as_vector(z, q, "z"))[1]
+        return _chain_grad(as_vector(z, q, "z"))
 
     return support_growth_holds(grad, q, trials=trials, rng=rng)

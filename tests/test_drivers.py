@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from bipen import (
     ConfigError,
     DivergenceError,
     InputError,
+    NumericError,
     PenaltyObjective,
     ProblemConstants,
     build_schedule,
@@ -248,3 +252,45 @@ def test_trace_row_fields_order_and_defaults_are_fixed():
     assert row.wall_ms is None and row.x == (9.0,) and row.oracle_calls == 8
     with pytest.raises(AttributeError):
         row.t = 1
+
+
+# ---------------------------------------------------------------------------
+# The outer update x - eta * est is classified the same way in every numpy
+# error state: an overflowing step is a non-finite x, and a finite runaway x
+# is caught by the guard before f2bsa squares its step into delta.
+
+
+def _outer_failure(run, state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with np.errstate(over=state):
+            try:
+                run()
+            except (NumericError, DivergenceError) as exc:
+                point = getattr(exc, "point", None)
+                return (type(exc), str(exc), getattr(exc, "norm", None),
+                        None if point is None else np.asarray(point).tobytes())
+    raise AssertionError("no failure raised")
+
+
+@pytest.mark.parametrize("method", ["f2ba", "f2bsa"])
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("eta, error", [(1e300, NumericError), (1e190, DivergenceError)])
+def test_outer_step_overflow_is_classified_in_every_state(kernel, method, state,
+                                                          eta, error):
+    # est = 1e10: eta = 1e300 overflows the step to inf; eta = 1e190 steps x
+    # to -1e200, whose square overflows in the f2bsa delta update
+    prob = dataclasses.replace(kernel.problem,
+                               grad_f_x=lambda x, y: np.full(1, 1e10))
+    plan = kernel_plan(eta=eta, T=3)
+
+    def run():
+        if method == "f2ba":
+            run_f2ba(prob, plan)
+        else:
+            run_f2bsa(prob, plan, seed=0)
+
+    got = _outer_failure(run, state)
+    which = "non-finite x-iterate" if error is NumericError else "x-sequence left"
+    assert got[0] is error and which in got[1] and "outer step 0" in got[1]
+    assert got == _outer_failure(run, "ignore")

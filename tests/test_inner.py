@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -389,6 +390,49 @@ def test_inner_guard_classifies_a_norm_overflow(kernel, sequence, state):
     got = _failure(run, state)
     assert got[:1] + got[2:] == (DivergenceError, 0, math.inf, sequence)
     assert got == _failure(run, "ignore")
+
+
+# A step tau * grad that overflows is classified the same way: under
+# over="raise" the step is recomputed as the default state computes it (inf)
+# and the guard names the non-finite iterate, with the same message and point.
+
+
+def _step_failure(fn, state):
+    with np.errstate(over=state):
+        try:
+            fn()
+        except NumericError as exc:
+            return type(exc), str(exc), _bits(exc.point)
+    raise AssertionError("no NumericError raised")
+
+
+def _overflowing_step_runs(kernel):
+    def big(v):  # tau = 1e300 times 1e10 overflows
+        return np.full(1, 1e10)
+
+    prob = dataclasses.replace(kernel.problem, grad_g_y=lambda x, v: np.full(2, 1e10))
+    return {
+        "inner_descend": lambda: inner_descend(
+            prob, [0.0], [0.0, 0.0], [0.0, 0.0], 1.0,
+            InnerConfig(tau=1e300, K=3, divergence_radius=50.0)),
+        "descend_single": lambda: descend_single(big, [0.0], 1e300, tol=1e-12,
+                                                 radius=50.0),
+        "descend_single_exact": lambda: descend_single(
+            big, [0.0], 1e300, tol=1e-12, radius=50.0, exact_steps=3),
+    }
+
+
+@pytest.mark.parametrize("site", ["inner_descend", "descend_single",
+                                  "descend_single_exact"])
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_an_overflowing_step_is_a_numeric_error_in_every_state(kernel, site, state):
+    run = _overflowing_step_runs(kernel)[site]
+    which = "z" if site == "inner_descend" else "descent"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = _step_failure(run, state)
+    assert got[:2] == (NumericError, f"non-finite {which}-iterate at inner step 0")
+    assert got == _step_failure(run, "ignore")
 
 
 # ---------------------------------------------------------------------------

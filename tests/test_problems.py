@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipen import ConfigError, InputError, get_problem, list_problems
+from bipen.core import as_vector
 from bipen.problems import (
     HardInstanceSpec,
     _hermite_p,
@@ -370,3 +372,85 @@ def test_chain_minimum_eigenvalue_is_the_closed_form_for_every_q(q):
 def test_chain_minimum_eigenvalue_rejects_an_empty_chain():
     with pytest.raises(InputError):
         chain_min_eigenvalue(0)
+
+
+# ---------------------------------------------------------------------------
+# reference chain: zero_chain_value_grad as it stood before its gradient
+# moved into a gradient-only helper, kept verbatim.  The package's chain and
+# the hard instance's grad_g_y (which used to be b * this gradient at y / b)
+# must match it bit for bit.
+
+
+def _ref_zero_chain_value_grad(q: int, z):
+    if q < 1:
+        raise InputError(f"chain length q must be >= 1, got {q}")
+    z = as_vector(z, q, "z")
+    if q == 1:
+        return 0.125 * (z[0] - 1.0) ** 2, np.array([0.25 * (z[0] - 1.0)])
+    d = np.diff(z)
+    val = 0.125 * (z[0] - 1.0) ** 2 + 0.125 * float(d @ d)
+    grad = np.zeros(q)
+    grad[0] = 0.25 * (z[0] - 1.0)
+    grad[:-1] -= 0.25 * d
+    grad[1:] += 0.25 * d
+    return float(val), grad
+
+
+@functools.lru_cache(maxsize=None)
+def _hard_instance(q):
+    return make_hard_instance(HardInstanceSpec(T=q // 2, K=1))
+
+
+_CHAIN_ENTRIES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                     1.7e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _chain_points(draw, q):
+    """Prefix-supported points (what a zero-respecting run queries) or
+    arbitrary ones."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, q))
+        head = draw(st.lists(_CHAIN_ENTRIES, min_size=n, max_size=n))
+        return np.array(head + [draw(st.sampled_from([0.0, -0.0]))] * (q - n))
+    return np.array(draw(st.lists(_CHAIN_ENTRIES, min_size=q, max_size=q)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), half=st.integers(1, 32))
+def test_chain_gradients_match_the_reference_bitwise(data, half):
+    q = 2 * half
+    y = data.draw(_chain_points(q))
+    s, b = _hard_instance(q), HardInstanceSpec(T=half, K=1).beta
+    with np.errstate(all="ignore"):
+        want = b * _ref_zero_chain_value_grad(q, y / b)[1]
+        got = s.problem.grad_g_y(np.zeros(1), y)
+        assert got.dtype == want.dtype and got.shape == (q,)
+        assert got.tobytes() == want.tobytes()
+        for z, n in ((y, q), (y[:1], 1)):
+            val, grad = zero_chain_value_grad(n, z)
+            ref_val, ref_grad = _ref_zero_chain_value_grad(n, z)
+            assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.floats(1e-3, 10.0),
+       scaled=st.lists(st.one_of(st.floats(-1.0, 1.0),
+                                 st.sampled_from([1.0, -1.0, 0.0, -0.0, 5e-324,
+                                                  np.nextafter(1.0, 0.0)])),
+                       min_size=0, max_size=40))
+def test_bump_derivative_inside_the_quadratic_zone_matches_the_reference(b, scaled):
+    # every |t| <= beta (the fast path: t itself, copied), with the knots +-beta,
+    # -0.0 and subnormal products; scalars keep returning a float
+    t = np.array(scaled, dtype=float) * b  # |v| <= 1, so |v * b| <= b
+    out = psi_prime(t, b)
+    assert _bump_bits(out) == _bump_bits(_ref_psi_prime(t, b))
+    assert not np.shares_memory(out, t)
+    for v in list(t[:3]) + [b, -b, -0.0]:
+        got = psi_prime(float(v), b)
+        assert type(got) is float
+        assert _bump_bits(got) == _bump_bits(_ref_psi_prime(float(v), b))

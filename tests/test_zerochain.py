@@ -188,20 +188,29 @@ def _vectors(draw, dim):
 
 @st.composite
 def _call_sequences(draw):
+    """A preset explored set, then calls whose outputs may also reveal
+    nothing: all zeros of either sign, or an output already seen."""
     dim = draw(st.integers(1, 10))
-    calls = []
+    preset = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
+    calls, outs = [], []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(["f", "g", "f_x", "g_x", "f_y", "g_y"]))
-        out = draw(_vectors(dim)) if kind in ("f_y", "g_y") else None
+        out = None
+        if kind in ("f_y", "g_y"):
+            silent = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                            min_size=dim, max_size=dim)))
+            out = draw(st.sampled_from([draw(_vectors(dim)), silent] + outs))
+            outs.append(out)
         calls.append((kind, draw(_vectors(dim)), out))
-    return dim, calls
+    return dim, preset, calls
 
 
 @settings(max_examples=300, deadline=None)
 @given(_call_sequences())
 def test_tracker_matches_the_set_based_reference(seq):
-    dim, calls = seq
-    got, want = SupportTracker(dim_y=dim), _RefTracker(dim_y=dim)
+    dim, preset, calls = seq
+    got = SupportTracker(dim_y=dim, explored=set(preset))
+    want = _RefTracker(dim_y=dim, explored=set(preset))
     for kind, y, out in calls:
         got.note(kind, y, out_y=out)
         want.note(kind, y, out_y=out)
@@ -211,6 +220,7 @@ def test_tracker_matches_the_set_based_reference(seq):
         assert type(rec.query_ok) is bool and type(rec.growth_ok) is bool
         assert got.explored == want.explored
         assert all(type(i) is int for i in got.explored)
+        assert np.flatnonzero(got._mask).tolist() == sorted(got.explored)
     assert got.counts() == want.counts()
     assert got.max_query_index() == want.max_query_index()
     for rec in got.calls:  # what the harness and its tracing read
