@@ -16,11 +16,9 @@ from .core import (
     StochasticOracle,
     hypergradient_estimate,
     penalized_hyperobjective_value,
-    penalty_value_grad_y,
 )
 from .diagnostics import (
     GaletResiduals,
-    SolutionSetApprox,
     check_gradients,
     check_smoothness_constants,
     exact_hypergradient_pinv,
@@ -79,8 +77,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BilevelProblem", "PenaltyObjective", "PenaltyValue", "ProblemConstants",
     "ProblemMeta", "StochasticOracle", "hypergradient_estimate",
-    "penalized_hyperobjective_value", "penalty_value_grad_y",
-    "GaletResiduals", "SolutionSetApprox", "check_gradients",
+    "penalized_hyperobjective_value",
+    "GaletResiduals", "check_gradients",
     "check_smoothness_constants", "exact_hypergradient_pinv",
     "fd_hypergradient", "galet_residuals", "grid_hyper_objective",
     "hausdorff_distance", "hypergradient_routes", "pl_ratio_certificate",

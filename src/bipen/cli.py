@@ -33,6 +33,7 @@ from .drivers import (_PLAN_CONSTANT_KEYS, _PLAN_OVERRIDE_KEYS, build_schedule,
                       fit_complexity_slope, run_f2ba, run_f2bsa)
 from .errors import CapabilityError, ConfigError, ToolkitError
 from .problems import get_problem, list_problems
+from .rng import substream
 from .zerochain import CoordinateProbeAdapter, F2BAAdapter, run_zero_respecting
 
 _BUDGET_KEYS = ("Delta", "R")
@@ -286,7 +287,12 @@ def _cmd_certify_hard(args) -> int:
     return 0 if report.passed else 1
 
 
-_DIAGNOSE_CHECKS = ("gradients", "constants", "pl", "routes")
+_DIAGNOSE_CHECKS = ("gradients", "constants", "pl", "routes", "smoothness")
+
+
+def _status(ratio: float, bound: float) -> str:
+    """'ok' when an empirical ratio stays within its bound, else 'EXCEEDED'."""
+    return "ok" if ratio <= bound * (1 + 1e-9) + 1e-12 else "EXCEEDED"
 
 
 def _cmd_diagnose(args) -> int:
@@ -307,9 +313,8 @@ def _cmd_diagnose(args) -> int:
                 c = prob.constants
                 for key, ratio in ratios.items():
                     bound = c.L_f if key.startswith("grad_f") else c.L_g
-                    status = "ok" if ratio <= bound * (1 + 1e-9) + 1e-12 else "EXCEEDED"
                     print(f"constants: {key:12s} empirical={ratio:.6g} "
-                          f"declared={bound:g} [{status}]")
+                          f"declared={bound:g} [{_status(ratio, bound)}]")
             elif check == "pl":
                 cert = diagnostics.pl_ratio_certificate(
                     prob, sigma=args.sigma, probes=args.probes, seed=args.seed)
@@ -324,6 +329,15 @@ def _cmd_diagnose(args) -> int:
                 print(f"routes: available = {avail}")
                 for pair, gap in sorted(out["disagreements"].items()):
                     print(f"routes: |{pair}| = {gap:.3e}")
+            elif check == "smoothness":
+                # finite-difference hypergradients cost ~1 s per pair
+                pairs = substream(args.seed, "hyper-smoothness").uniform(
+                    *prob.meta.x_window, size=(max(1, args.probes // 20), 2, prob.dim_x))
+                est = diagnostics.smoothness_probe(prob, pairs)
+                status = _status(est.max_ratio, est.scale)
+                print(f"smoothness: max ||grad phi(x1) - grad phi(x2)|| / ||x1 - x2|| "
+                      f"= {est.max_ratio:.6g} over {est.used} pairs, "
+                      f"ell*kappa^3={est.scale:.6g} [{status}]")
             else:
                 raise ConfigError(f"unknown check {check!r}; allowed: "
                                   f"{', '.join(_DIAGNOSE_CHECKS)} or all")

@@ -35,6 +35,8 @@ import numpy as np
 from .errors import (
     CapabilityError,
     ConfigError,
+    ConvergenceError,
+    DivergenceError,
     InputError,
     NumericError,
 )
@@ -245,7 +247,6 @@ class PenaltyObjective:
 
     problem: BilevelProblem
     sigma: float
-    gstar_tolerance: float = 1e-12
 
     def __post_init__(self):
         prob = as_bilevel(self.problem)
@@ -260,8 +261,6 @@ class PenaltyObjective:
                 f"sigma={self.sigma} exceeds the certified range "
                 f"(0, {prob.constants.sigma_bar}]"
             )
-        if not (np.isfinite(self.gstar_tolerance) and self.gstar_tolerance > 0):
-            raise ConfigError("gstar_tolerance must be positive")
         meta = prob.meta
         if meta is not None and meta.penalty_refusal:
             raise CapabilityError(
@@ -270,7 +269,6 @@ class PenaltyObjective:
         if meta is not None and meta.penalty_divergent and meta.y_box is None:
             # The penalty is flagged as unbounded below; confirm dynamically so
             # the refusal reports observed divergence, not just a label.
-            from .errors import DivergenceError
             from .inner import probe_penalty_divergence
 
             x0 = np.array(meta.x0, dtype=float)
@@ -282,27 +280,10 @@ class PenaltyObjective:
                     "refusing construction",
                     step=probe.steps, norm=probe.final_norm, sequence="y",
                 )
-            from .errors import ConvergenceError
-
             raise ConvergenceError(
                 "penalty objective is unbounded below for this problem "
                 "(flagged degenerate); refusing construction"
             )
-
-
-def penalty_value_grad_y(p: PenaltyObjective, x, y) -> tuple[float, Array]:
-    """Value and y-gradient of h_sigma at (x, y).
-
-    Performs exactly one evaluation of each underlying oracle
-    (f, g, grad_y f, grad_y g).
-    """
-    prob = p.problem
-    x, y = prob.check_point(x, y)
-    fv = float(_require_finite(prob.f(x, y), x, y, "f value"))
-    gv = float(_require_finite(prob.g(x, y), x, y, "g value"))
-    gfy = _require_finite(prob.grad_f_y(x, y), x, y, "grad_y f")
-    ggy = _require_finite(prob.grad_g_y(x, y), x, y, "grad_y g")
-    return p.sigma * fv + gv, p.sigma * gfy + ggy
 
 
 def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
@@ -421,6 +402,9 @@ class StochasticOracle:
 # penalized hyper-objective evaluation
 
 
+_GSTAR_TOL = 1e-12  # gradient norm the value-function pre-solves descend to
+
+
 def _grid_min(fn, box, n_per_dim: int, rounds: int = 3):
     """Zooming grid minimizer over a per-coordinate box (dim <= 2).
 
@@ -459,13 +443,19 @@ def _grid_min(fn, box, n_per_dim: int, rounds: int = 3):
     return best_pt, best_val, spacing
 
 
+def _box_min(prob: BilevelProblem, fn):
+    """``_grid_min`` of fn(y) over the problem's ``y_box``, at 201 points per
+    axis in two dimensions and 4001 in one."""
+    return _grid_min(fn, prob.meta.y_box, 201 if prob.dim_y == 2 else 4001)
+
+
 def penalized_hyperobjective_value(
     p: PenaltyObjective, x, y0=None, max_iter: int = 500_000
 ) -> PenaltyValue:
     """Evaluate phi_sigma(x) = (min_y h_sigma - g*(x)) / sigma.
 
     Unconstrained problems are solved by gradient descent on h_sigma and on g
-    to gradient norm ``p.gstar_tolerance``; box-constrained problems use the
+    to gradient norm ``_GSTAR_TOL``; box-constrained problems use the
     zooming grid minimizer over the declared box.  The returned
     ``error_bound`` estimates the value error from the achieved residuals via
     PL quadratic growth (or from the final grid spacing on the box path).
@@ -482,14 +472,8 @@ def penalized_hyperobjective_value(
         raise CapabilityError(f"penalty formulation refused: {meta.penalty_refusal}")
 
     if meta is not None and meta.y_box is not None:
-        def h_of(y):
-            return p.sigma * prob.f(x, y) + prob.g(x, y)
-
-        def g_of(y):
-            return prob.g(x, y)
-
-        _, h_min, s_h = _grid_min(h_of, meta.y_box, 201 if prob.dim_y == 2 else 4001)
-        _, g_min, s_g = _grid_min(g_of, meta.y_box, 201 if prob.dim_y == 2 else 4001)
+        _, h_min, s_h = _box_min(prob, lambda y: p.sigma * prob.f(x, y) + prob.g(x, y))
+        _, g_min, s_g = _box_min(prob, lambda y: prob.g(x, y))
         value = (h_min - g_min) / p.sigma
         # quadratic envelope around a grid-resolved minimizer
         curv = p.sigma * c.L_f + c.L_g
@@ -500,11 +484,11 @@ def penalized_hyperobjective_value(
         _, y0 = prob.default_start()
     y0 = as_vector(y0, prob.dim_y, "y0")
 
-    yh, res_h, _ = presolve(prob, x, p.sigma, y0, p.gstar_tolerance, max_iter,
+    yh, res_h, _ = presolve(prob, x, p.sigma, y0, _GSTAR_TOL, max_iter,
                             "penalty descent")
     # warm-start the lower-level solve at the penalty minimizer: the two
     # solution sets are O(sigma)-close under the PL assumption
-    yg, res_g, _ = presolve(prob, x, 0.0, yh, p.gstar_tolerance, max_iter,
+    yg, res_g, _ = presolve(prob, x, 0.0, yh, _GSTAR_TOL, max_iter,
                             "lower-level descent")
     h_min = p.sigma * prob.f(x, yh) + prob.g(x, yh)
     g_min = prob.g(x, yg)

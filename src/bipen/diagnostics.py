@@ -17,14 +17,13 @@ declared epsilon-stationary when R_x <= eps, R_w <= eps and R_y <= eps^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
-    BilevelProblem,
     PenaltyObjective,
+    _box_min,
     as_bilevel,
     as_vector,
     penalized_hyperobjective_value,
@@ -38,54 +37,7 @@ from .rng import substream
 # solution-set point clouds
 
 
-@dataclass(frozen=True)
-class SolutionSetApprox:
-    """Finite stand-in for a solution set: points plus certified residuals.
-
-    Every stored point carries the inner gradient norm achieved when it was
-    produced, so downstream set-distance numbers inherit an explicit
-    accuracy statement.
-    """
-
-    points: np.ndarray     # (n, dim)
-    residuals: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        res = np.atleast_1d(np.asarray(self.residuals, dtype=float))
-        if pts.shape[0] == 0:
-            raise InputError("a solution-set approximation needs at least one point")
-        if res.shape != (pts.shape[0],):
-            raise InputError(
-                f"residuals shape {res.shape} does not match {pts.shape[0]} points"
-            )
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(res)):
-            raise NumericError("non-finite entries in solution-set approximation")
-        if np.any(res < 0):
-            raise InputError("residuals must be nonnegative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "residuals", res)
-
-    @classmethod
-    def from_presolves(cls, problem, x, sigma: float, starts, tol: float = 1e-10,
-                       max_iter: int = 500_000) -> "SolutionSetApprox":
-        """Descend h_sigma(x, .) (g when sigma = 0) from every start point."""
-        prob = as_bilevel(problem)
-        x = as_vector(x, prob.dim_x, "x")
-        if sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {sigma}")
-        pts, res = [], []
-        for y0 in starts:
-            y, r, _ = presolve(prob, x, sigma, as_vector(y0, prob.dim_y, "start"),
-                               tol, max_iter, "solution pre-solve")
-            pts.append(y)
-            res.append(r)
-        return cls(np.array(pts), np.array(res))
-
-
 def _as_point_cloud(S) -> np.ndarray:
-    if isinstance(S, SolutionSetApprox):
-        return S.points
     arr = np.asarray(S, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -361,9 +313,7 @@ def galet_residuals(problem, x, y, gstar_tol: float = 1e-12) -> GaletResiduals:
     R_w = float(np.linalg.norm(H @ (gfy + H @ w)))
     g_val = float(prob.g(x, y))
     if prob.meta is not None and prob.meta.y_box is not None:
-        from .core import _grid_min
-        _, g_star, _ = _grid_min(lambda v: prob.g(x, v), prob.meta.y_box,
-                                 201 if prob.dim_y == 2 else 4001)
+        _, g_star, _ = _box_min(prob, lambda v: prob.g(x, v))
     else:
         y_min, _, _ = presolve(prob, x, 0.0, y, gstar_tol, label="g* pre-solve")
         g_star = float(prob.g(x, y_min))

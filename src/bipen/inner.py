@@ -31,18 +31,16 @@ from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Step size, step count and stopping policy for one inner phase.
+    """Step size, step count and runaway radius for one inner phase.
 
     ``batch`` = 0 means full (deterministic) gradients; batch >= 1 draws that
     many noisy gradients per evaluation from the run's stochastic oracle.
-    ``stop_grad_norm`` enables early exit once both sequences' gradient norms
-    fall below it (disabled by default: worst-case budgets are run in full).
+    Every phase runs its K steps in full: worst-case budgets are not cut short.
     """
 
     tau: float
     K: int
     batch: int = 0
-    stop_grad_norm: Optional[float] = None
     divergence_radius: Optional[float] = None
 
     def __post_init__(self):
@@ -52,8 +50,6 @@ class InnerConfig:
             raise ConfigError(f"inner step count K must be >= 0, got {self.K}")
         if self.batch < 0:
             raise ConfigError(f"batch must be >= 0 (0 = full gradients), got {self.batch}")
-        if self.stop_grad_norm is not None and self.stop_grad_norm <= 0:
-            raise ConfigError("stop_grad_norm must be positive when set")
         _check_radius(self.divergence_radius)
 
 
@@ -69,10 +65,8 @@ class InnerResult(NamedTuple):
     z: np.ndarray
     grad_norm_y: float  # norm of the last h_sigma-gradient used (nan if no steps)
     grad_norm_z: float  # norm of the last g-gradient used (nan if no steps)
-    oracle_calls: int   # 2 * max(batch, 1) per gradient evaluation (incl. a stopping one)
+    oracle_calls: int   # 2 * max(batch, 1) per step
     steps: int
-    y_path: Optional[list] = None
-    z_path: Optional[list] = None
 
 
 def _norm(v) -> float:
@@ -121,7 +115,6 @@ def inner_descend(
     sigma: float,
     cfg: InnerConfig,
     oracle: Optional[StochasticOracle] = None,
-    record_path: bool = False,
 ) -> InnerResult:
     """Run K simultaneous descent steps on h_sigma(x, .) and g(x, .).
 
@@ -153,44 +146,32 @@ def inner_descend(
     # 0-d: the same bits as Python floats, ~0.4 us cheaper per ufunc
     tau, sig = np.array(cfg.tau, dtype=float), np.array(sigma, dtype=float)
     grad_f, grad_g, draw = prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None)
-    y_path = [y.copy()] if record_path else None
-    z_path = [z.copy()] if record_path else None
 
-    ny = nz = math.nan
-    stop, K, last, inf = cfg.stop_grad_norm, cfg.K, cfg.K - 1, math.inf
-    steps = K
+    K, inf = cfg.K, math.inf
     for k in range(K):
         if batch == 0:
-            gz = grad_g(x, z)
-            gy = sig * grad_f(x, y) + grad_g(x, y)
+            gz, fy, gg = grad_g(x, z), grad_f(x, y), grad_g(x, y)
         else:
-            gz = draw("g_y", x, z, batch)
-            gy = sig * draw("f_y", x, y, batch) + draw("g_y", x, y, batch)
-        # the norms are read only by the stopping test and from the last step
-        if stop is not None or k == last:
-            ny, nz = _norm(gy), _norm(gz)
-            if stop is not None and ny <= stop and nz <= stop:
-                steps = k
-                break
+            gz, fy, gg = (draw("g_y", x, z, batch), draw("f_y", x, y, batch),
+                          draw("g_y", x, y, batch))
         # _guard's fast test, inlined; _guard classifies what fails it
         try:
+            gy = sig * fy + gg
             z_new, y_new = z - tau * gz, y - tau * gy
             n_z, n_y = math.sqrt(z_new.dot(z_new)), math.sqrt(y_new.dot(y_new))
         except FloatingPointError:  # overflow under np.errstate(over="raise")
-            z_new, y_new = _overflowed_step(z, tau, gz), _overflowed_step(y, tau, gy)
+            with np.errstate(over="ignore"):
+                gy = sig * fy + gg
+                z_new, y_new = z - tau * gz, y - tau * gy
             n_z = n_y = inf
         z, y = z_new, y_new
         if not (n_z <= radius and n_y <= radius and n_z < inf and n_y < inf):
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
-        if record_path:
-            y_path.append(y.copy())
-            z_path.append(z.copy())
 
-    # fused units: one h_sigma-gradient + one g-gradient per evaluation,
-    # the stopping one included
-    calls = 2 * max(batch, 1) * (steps + (steps < K))
-    return InnerResult(y, z, ny, nz, calls, steps, y_path, z_path)
+    ny, nz = (_norm(gy), _norm(gz)) if K else (math.nan, math.nan)
+    # fused units: one h_sigma-gradient + one g-gradient per step
+    return InnerResult(y, z, ny, nz, 2 * max(batch, 1) * K, K)
 
 
 def descend_single(
@@ -271,31 +252,39 @@ def probe_penalty_divergence(
 ) -> DivergenceProbe:
     """Bounded-budget detector for unbounded-below penalties.
 
-    Runs gradient descent on h_sigma(x, .) from the problem's default start
-    with a deliberately tight radius: a penalty that is unbounded below in a
-    linear direction drifts out of it within the step budget, while benign
-    instances stay put.  Returns the observation; callers decide whether to
-    raise.
+    Runs ``max_steps`` steps of gradient descent on h_sigma(x, .) from the
+    problem's default start with a deliberately tight radius: a penalty that
+    is unbounded below in a linear direction drifts out of it within the step
+    budget, while benign instances stay put.  A non-finite iterate, or one
+    whose norm overflows, counts as diverged with norm inf.  Returns the
+    observation; callers decide whether to raise.
     """
     prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
     if y0 is None:
         _, y0 = prob.default_start()
-    y = as_vector(y0, prob.dim_y, "y0").copy()
+    y0 = as_vector(y0, prob.dim_y, "y0")
     c = prob.constants
     if radius is None:
-        meta = prob.meta
-        radius = getattr(meta, "divergence_radius", None) if meta else None
-    _check_radius(radius)
+        radius = getattr(prob.meta, "divergence_radius", None)
     if radius is None:
-        radius = 10.0 * (1.0 + _norm(y))
-    tau = 1.0 / (sigma * c.L_f + c.L_g)
-    for k in range(max_steps):
-        gv = sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
-        y = y - tau * np.asarray(gv)
-        n = _norm(y)
-        if not np.isfinite(n):
-            return DivergenceProbe(True, k + 1, float("inf"), radius)
-        if n > radius:
-            return DivergenceProbe(True, k + 1, n, radius)
+        radius = 10.0 * (1.0 + _norm(y0))
+    calls = 0  # gradient evaluations: one per step, then one at the end
+
+    def grad(y):
+        nonlocal calls
+        # _guard passes an iterate of overflowing norm when radius is inf
+        if calls and _norm(y) == math.inf:
+            raise DivergenceError("norm overflow", step=calls - 1, norm=math.inf)
+        calls += 1
+        return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
+
+    try:
+        y, _, _ = descend_single(grad, y0, 1.0 / (sigma * c.L_f + c.L_g), 0.0,
+                                 radius=radius, label="penalty probe",
+                                 exact_steps=max_steps)
+    except DivergenceError as exc:
+        return DivergenceProbe(True, exc.step + 1, exc.norm, radius)
+    except NumericError:
+        return DivergenceProbe(True, calls, math.inf, radius)
     return DivergenceProbe(False, max_steps, _norm(y), radius)

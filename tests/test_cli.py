@@ -174,6 +174,14 @@ def test_diagnose_kernel_all_checks_pass():
     assert "gradients" in r.stdout
 
 
+def test_diagnose_smoothness_check():
+    r = run_cli("diagnose", "--problem", "kernel_pl", "--checks", "smoothness")
+    assert r.returncode == 0
+    assert r.stdout.startswith("smoothness: ") and r.stdout.rstrip().endswith("[ok]")
+    r = run_cli("diagnose", "--problem", "discontinuous", "--checks", "smoothness")
+    assert r.returncode == 0 and r.stdout.startswith("smoothness: skipped (")
+
+
 def test_diagnose_unknown_check_rejected():
     r = run_cli("diagnose", "--problem", "kernel_pl", "--checks", "nope")
     assert r.returncode == 2

@@ -19,7 +19,6 @@ from bipen import (
     get_problem,
     hypergradient_estimate,
     penalized_hyperobjective_value,
-    penalty_value_grad_y,
 )
 from bipen.core import _grid_min, _require_finite, as_vector
 from bipen.errors import ToolkitError
@@ -92,34 +91,6 @@ def test_penalty_objective_refuses_unbounded_penalty():
 
 def test_boxed_degenerate_penalty_constructs():
     PenaltyObjective(get_problem("degenerate_penalty_boxed").problem, 0.5)
-
-
-def test_penalty_value_grad_hand_computed(kernel):
-    # h = 0.5*f + g at x=0, y=(0,0): f = 1/2, g = 0 -> h = 1/4,
-    # grad = (sigma*(y1-1) + (y1-x), 0) = (-1/2, 0)
-    p = PenaltyObjective(kernel.problem, 0.5)
-    val, grad = penalty_value_grad_y(p, np.array([0.0]), np.array([0.0, 0.0]))
-    assert val == pytest.approx(0.25, abs=1e-15)
-    assert np.allclose(grad, [-0.5, 0.0], atol=1e-15)
-
-
-def test_penalty_value_grad_calls_each_oracle_once(kernel):
-    counts = {"f": 0, "g": 0, "f_y": 0, "g_y": 0}
-    prob = kernel.problem
-
-    def count(key, fn):
-        def wrapped(x, y):
-            counts[key] += 1
-            return fn(x, y)
-        return wrapped
-
-    tracked = dataclasses.replace(
-        prob, f=count("f", prob.f), g=count("g", prob.g),
-        grad_f_y=count("f_y", prob.grad_f_y), grad_g_y=count("g_y", prob.grad_g_y),
-    )
-    p = PenaltyObjective(tracked, 0.5)
-    penalty_value_grad_y(p, np.array([0.3]), np.array([0.1, 0.2]))
-    assert counts == {"f": 1, "g": 1, "f_y": 1, "g_y": 1}
 
 
 def test_hypergradient_estimate_hand_computed(kernel):
@@ -268,11 +239,12 @@ def test_grid_min_dimension_cap():
 
 
 def test_value_error_carries_offending_point(kernel):
-    prob = dataclasses.replace(kernel.problem, f=lambda x, y: float("nan"))
+    prob = dataclasses.replace(kernel.problem, grad_g_x=lambda x, y: np.array([np.nan]))
     p = PenaltyObjective(prob, 0.5)
     with pytest.raises(NumericError) as err:
-        penalty_value_grad_y(p, [0.1], [0.2, 0.3])
-    assert err.value.point is not None
+        hypergradient_estimate(p, [0.1], [0.2, 0.3], [0.4, 0.5])
+    x, y = err.value.point
+    assert np.array_equal(x, [0.1]) and np.array_equal(y, [0.2, 0.3])
 
 
 def test_problem_rejects_nonpositive_dims(kernel):

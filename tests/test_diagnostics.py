@@ -8,7 +8,6 @@ from bipen import (
     ConfigError,
     InputError,
     NumericError,
-    SolutionSetApprox,
     check_gradients,
     check_smoothness_constants,
     exact_hypergradient_pinv,
@@ -37,35 +36,11 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
         assert hausdorff_distance(a, a) == 0.0
 
-    def test_accepts_solution_set_approx(self):
-        s = SolutionSetApprox(points=np.array([[0.0], [1.0]]),
-                              residuals=np.zeros(2))
-        assert hausdorff_distance(s, [0.2]) == pytest.approx(0.8)
-
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(InputError):
             hausdorff_distance([], [0.0])
         with pytest.raises(InputError):
             hausdorff_distance(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestSolutionSetApprox:
-    def test_validation(self):
-        with pytest.raises(InputError):
-            SolutionSetApprox(points=np.zeros((2, 1)), residuals=np.zeros(3))
-        with pytest.raises(InputError):
-            SolutionSetApprox(points=np.zeros((2, 1)),
-                              residuals=np.array([0.0, -1.0]))
-
-    def test_from_presolves_lands_on_kernel_set(self, kernel):
-        x = np.array([0.4])
-        starts = [np.array([2.0, 1.0]), np.array([-1.0, -0.5])]
-        approx = SolutionSetApprox.from_presolves(kernel.problem, x, 0.0, starts)
-        assert approx.points.shape == (2, 2)
-        for p, r in zip(approx.points, approx.residuals):
-            g = kernel.problem.grad_g_y(x, p)
-            assert np.linalg.norm(g) <= r + 1e-15
-            assert p[0] == pytest.approx(0.4, abs=1e-9)
 
 
 class TestHypergradientRoutes:

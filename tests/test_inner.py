@@ -23,7 +23,7 @@ from bipen import (
     probe_penalty_divergence,
 )
 from bipen.core import as_bilevel, as_vector
-from bipen.inner import _norm
+from bipen.inner import DivergenceProbe, _norm
 
 
 def test_config_validation():
@@ -33,8 +33,6 @@ def test_config_validation():
         InnerConfig(tau=0.1, K=-1)
     with pytest.raises(ConfigError):
         InnerConfig(tau=0.1, K=3, batch=-2)
-    with pytest.raises(ConfigError):
-        InnerConfig(tau=0.1, K=3, stop_grad_norm=0.0)
     InnerConfig(tau=0.1, K=0)  # zero steps allowed: a no-op descent
 
 
@@ -126,20 +124,6 @@ def test_batch_requires_oracle(kernel):
                       InnerConfig(tau=0.5, K=2, batch=2))
 
 
-def test_early_stop_counts_the_stopping_evaluation(kernel):
-    res = inner_descend(kernel.problem, [0.1], [0.5, 0.0], [0.5, 0.0], 0.2,
-                        InnerConfig(tau=0.5, K=50, stop_grad_norm=1e3))
-    assert res.steps == 0 and res.oracle_calls == 2
-    assert res.grad_norm_y <= 1e3 and res.grad_norm_z <= 1e3
-
-
-def test_record_path_lengths(kernel):
-    res = inner_descend(kernel.problem, [0.1], [0.9, 0.0], [0.9, 0.0], 0.2,
-                        InnerConfig(tau=0.5, K=7), record_path=True)
-    assert len(res.y_path) == 8 and len(res.z_path) == 8
-    assert np.array_equal(res.y_path[-1], res.y)
-
-
 def test_descend_single_exact_quadratic():
     # (y-2)^2/2 with tau = 1/curvature lands on the minimizer in one step
     y, gnorm, steps = descend_single(lambda v: v - 2.0, np.array([10.0]),
@@ -199,7 +183,8 @@ def test_lower_level_gap_never_expands(x, z0, sigma, K):
 
 # ---------------------------------------------------------------------------
 # reference loop: the inner loop as it stood before its norms became lazy and
-# its guard a single dot product, kept verbatim; the package's loop must
+# its guard a single dot product, kept verbatim but for the early-exit and
+# path-recording options the package no longer has; the package's loop must
 # match it bit for bit, failures included.
 
 
@@ -229,7 +214,6 @@ def _ref_inner_descend(
     sigma: float,
     cfg: InnerConfig,
     oracle: Optional[StochasticOracle] = None,
-    record_path: bool = False,
 ) -> InnerResult:
     prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
@@ -258,9 +242,6 @@ def _ref_inner_descend(
             return (sigma * oracle.draw("f_y", x, v, cfg.batch)
                     + oracle.draw("g_y", x, v, cfg.batch))
 
-    y_path = [y.copy()] if record_path else None
-    z_path = [z.copy()] if record_path else None
-
     batch_eff = max(cfg.batch, 1)
     steps = 0
     calls = 0  # fused units: one h_sigma-gradient + one g-gradient per step
@@ -270,19 +251,13 @@ def _ref_inner_descend(
         gy = grad_h(y)
         calls += 2 * batch_eff
         ny, nz = _ref_norm(gy), _ref_norm(gz)
-        if cfg.stop_grad_norm is not None \
-                and ny <= cfg.stop_grad_norm and nz <= cfg.stop_grad_norm:
-            break
         z = z - cfg.tau * gz
         y = y - cfg.tau * gy
         _ref_guard(z, "z", k, radius)
         _ref_guard(y, "y", k, radius)
         steps += 1
-        if record_path:
-            y_path.append(y.copy())
-            z_path.append(z.copy())
 
-    return InnerResult(y, z, ny, nz, calls, steps, y_path, z_path)
+    return InnerResult(y, z, ny, nz, calls, steps)
 
 
 def _bits(v):
@@ -291,22 +266,20 @@ def _bits(v):
     return np.asarray(v).dtype.str, np.asarray(v).tobytes()
 
 
-def _outcome(fn, name, seed, args, cfg, record_path):
+def _outcome(fn, name, seed, args, cfg):
     # the oracle exists even when batch = 0 and goes unused, as in a run
     prob = get_problem(name).problem
     oracle = StochasticOracle(prob, 0.1, 0.1, rng_seed=seed)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            res = fn(prob, *args, cfg, oracle, record_path)
+            res = fn(prob, *args, cfg, oracle)
     except (NumericError, DivergenceError) as exc:
         point = None if getattr(exc, "point", None) is None else _bits(exc.point)
         return ("raised", type(exc), str(exc), getattr(exc, "step", None),
                 _bits(float(exc.norm)) if getattr(exc, "norm", None) is not None
                 else None, getattr(exc, "sequence", None), point, oracle.counter)
-    paths = [] if res.y_path is None else res.y_path + res.z_path
     return ("returned", _bits(res.y), _bits(res.z), _bits(res.grad_norm_y),
-            _bits(res.grad_norm_z), res.oracle_calls, res.steps,
-            [_bits(p) for p in paths], oracle.counter)
+            _bits(res.grad_norm_z), res.oracle_calls, res.steps, oracle.counter)
 
 
 _INNER_PROBLEMS = {"kernel_pl": (1, 2), "quadratic_sc": (1, 2), "sin_sq_pl": (1, 1)}
@@ -320,23 +293,89 @@ _INNER_PROBLEMS = {"kernel_pl": (1, 2), "quadratic_sc": (1, 2), "sin_sq_pl": (1,
     tau=st.one_of(st.floats(1e-3, 25.0), st.sampled_from([1e3, 1e160, 1e300])),
     K=st.integers(0, 12),
     batch=st.sampled_from([0, 0, 1, 3]),
-    stop=st.one_of(st.none(), st.floats(1e-3, 10.0)),
     radius=st.one_of(st.none(), st.floats(0.1, 50.0), st.just(math.inf)),
-    record_path=st.booleans(),
     seed=st.integers(0, 3),
 )
 def test_inner_descend_matches_the_reference_loop_bitwise(
-        name, coords, sigma, tau, K, batch, stop, radius, record_path, seed):
+        name, coords, sigma, tau, K, batch, radius, seed):
     dim_x, dim_y = _INNER_PROBLEMS[name]
     x = np.array(coords[:dim_x])
     y0 = np.array(coords[1:1 + dim_y])
     z0 = np.array(coords[3:3 + dim_y])
-    cfg = InnerConfig(tau=tau, K=K, batch=batch, stop_grad_norm=stop,
-                      divergence_radius=radius)
+    cfg = InnerConfig(tau=tau, K=K, batch=batch, divergence_radius=radius)
     args = (x, y0, z0, sigma)
-    want = _outcome(_ref_inner_descend, name, seed, args, cfg, record_path)
-    got = _outcome(inner_descend, name, seed, args, cfg, record_path)
+    want = _outcome(_ref_inner_descend, name, seed, args, cfg)
+    got = _outcome(inner_descend, name, seed, args, cfg)
     assert got == want
+
+
+# reference probe: the divergence probe's own descent loop as it stood before
+# the probe became a wrapper around descend_single, kept verbatim; the wrapper
+# must give the same observation, bit for bit.
+
+
+def _ref_probe(problem, x, sigma, max_steps=1000, radius=None, y0=None):
+    prob = as_bilevel(problem)
+    x = as_vector(x, prob.dim_x, "x")
+    if y0 is None:
+        _, y0 = prob.default_start()
+    y = as_vector(y0, prob.dim_y, "y0").copy()
+    c = prob.constants
+    if radius is None:
+        meta = prob.meta
+        radius = getattr(meta, "divergence_radius", None) if meta else None
+    if radius is None:
+        radius = 10.0 * (1.0 + _norm(y))
+    tau = 1.0 / (sigma * c.L_f + c.L_g)
+    for k in range(max_steps):
+        gv = sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
+        y = y - tau * np.asarray(gv)
+        n = _norm(y)
+        if not np.isfinite(n):
+            return DivergenceProbe(True, k + 1, float("inf"), radius)
+        if n > radius:
+            return DivergenceProbe(True, k + 1, n, radius)
+    return DivergenceProbe(False, max_steps, _norm(y), radius)
+
+
+def _probe_bits(fn, *args, **kwargs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = fn(*args, **kwargs)
+    return p.diverged, p.steps, _bits(float(p.final_norm)), _bits(float(p.radius))
+
+
+@pytest.mark.parametrize("name", ["degenerate_penalty", "kernel_pl", "quadratic_sc",
+                                  "sin_sq_pl"])
+def test_divergence_probe_matches_the_reference_loop_bitwise(name):
+    prob = get_problem(name).problem
+    lo, hi = prob.meta.x_window
+    for x in (lo, 0.5 * (lo + hi), hi, prob.meta.x0[0]):
+        for sigma in (0.01, 0.05, 0.3, 1.0):
+            for radius in (None, 0.5, 4.0, 1e3, math.inf):
+                for max_steps in (1, 10, 1000):
+                    args = (prob, [x], sigma, max_steps, radius)
+                    want = _probe_bits(_ref_probe, *args)
+                    assert _probe_bits(probe_penalty_divergence, *args) == want, \
+                        (x, sigma, radius, max_steps)
+
+
+@pytest.mark.parametrize("state", ["ignore", "raise"])
+@pytest.mark.parametrize("grad_f_y, steps", [
+    # y <- 3y: the norm overflows ~320 steps before any entry does, and an
+    # infinite radius must not let such an iterate through
+    (lambda x, y: -4.0 * y, 324),
+    # a NaN gradient once |y| passes 10: a non-finite iterate
+    (lambda x, y: np.where(np.abs(y) > 10.0, np.nan, -4.0 * y), 4),
+])
+def test_divergence_probe_counts_a_non_finite_norm_as_divergence(kernel, state,
+                                                                 grad_f_y, steps):
+    prob = dataclasses.replace(kernel.problem, grad_f_y=grad_f_y,
+                               grad_g_y=lambda x, y: np.zeros(2))
+    want = _probe_bits(_ref_probe, prob, [0.5], 1.0, radius=math.inf)
+    assert want[:3] == (True, steps, _bits(math.inf))
+    with np.errstate(over=state):
+        got = probe_penalty_divergence(prob, [0.5], 1.0, radius=math.inf)
+    assert (got.diverged, got.steps, _bits(got.final_norm), _bits(got.radius)) == want
 
 
 @pytest.mark.parametrize("size", [1, 2, 800, 3200])
@@ -432,6 +471,23 @@ def test_an_overflowing_step_is_a_numeric_error_in_every_state(kernel, site, sta
         warnings.simplefilter("ignore", RuntimeWarning)
         got = _step_failure(run, state)
     assert got[:2] == (NumericError, f"non-finite {which}-iterate at inner step 0")
+    assert got == _step_failure(run, "ignore")
+
+
+@pytest.mark.parametrize("batch", [0, 1])
+@pytest.mark.parametrize("state", ["ignore", "raise"])
+def test_an_overflowing_gradient_combination_is_a_numeric_error(kernel, state, batch):
+    # sigma * grad_f = 1e310 overflows before the step is taken
+    prob = dataclasses.replace(kernel.problem, grad_f_y=lambda x, v: np.full(2, 1e300))
+    oracle = StochasticOracle(prob, 0.0, 0.0, rng_seed=0)
+
+    def run():
+        inner_descend(prob, [0.1], [0.5, 0.0], [0.5, 0.0], 1e10,
+                      InnerConfig(tau=0.1, K=3, batch=batch, divergence_radius=50.0),
+                      oracle)
+
+    got = _step_failure(run, state)
+    assert got[:2] == (NumericError, "non-finite y-iterate at inner step 0")
     assert got == _step_failure(run, "ignore")
 
 
