@@ -311,7 +311,11 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
         gfx = oracle.draw("f_x", x, yK, batch)
         ggx_y = oracle.draw("g_x", x, yK, batch)
         ggx_z = oracle.draw("g_x", x, zK, batch)
-    return gfx + (ggx_y - ggx_z) / p._sigma_0d
+    try:
+        return gfx + (ggx_y - ggx_z) / p._sigma_0d
+    except FloatingPointError:  # overflow under np.errstate(over="raise")
+        with np.errstate(over="ignore"):
+            return gfx + (ggx_y - ggx_z) / p._sigma_0d
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,7 @@ class StochasticOracle:
     noise_std_f: float
     noise_std_g: float
     rng_seed: int
-    counter: int = 0
+    counter: int = field(default=0, init=False)  # raw draws taken from the stream
 
     def __post_init__(self):
         for std in (self.noise_std_f, self.noise_std_g):
@@ -382,8 +386,6 @@ class StochasticOracle:
         mean = _require_finite(fn(x, y), x, y, what)
         if std == 0.0:
             return mean
-        # per-draw covariance (M^2/dim) I so that E||noise||^2 = M^2 per call;
-        # the batch mean is the sum and the division ndarray.mean performs
         n = batch * dim
         buf, pos = self._buf, self._pos
         if pos + n > buf.shape[0]:
@@ -391,11 +393,23 @@ class StochasticOracle:
                 (buf[pos:], self._gen.standard_normal(max(n, _NOISE_BLOCK))))
             pos = 0
         self._pos = pos + n
-        noise = np.add.reduce(buf[pos:pos + n].reshape(batch, dim), axis=0)
+        block = buf[pos:pos + n].reshape(batch, dim)
         self.counter += batch
-        noise /= np.array(float(batch))  # 0-d: cheaper than dividing by an int
-        noise *= scale
-        return mean + noise
+        try:
+            return _add_noise(mean, block, scale)
+        except FloatingPointError:  # overflow under np.errstate(over="raise")
+            with np.errstate(over="ignore"):
+                return _add_noise(mean, block, scale)
+
+
+# mean + scale * (the mean of block's rows): per-draw covariance (M^2/dim) I so
+# that E||noise||^2 = M^2 per call; the batch mean is the sum and the division
+# ndarray.mean performs
+def _add_noise(mean, block, scale):
+    noise = np.add.reduce(block, axis=0)
+    noise /= np.array(float(block.shape[0]))  # 0-d: cheaper than dividing by an int
+    noise *= scale
+    return mean + noise
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +419,10 @@ class StochasticOracle:
 _GSTAR_TOL = 1e-12  # gradient norm the value-function pre-solves descend to
 
 
-def _grid_min(fn, box, n_per_dim: int, rounds: int = 3):
+_GRID_ROUNDS = 3  # zooms of the grid minimizer
+
+
+def _grid_min(fn, box, n_per_dim: int):
     """Zooming grid minimizer over a per-coordinate box (dim <= 2).
 
     Grids always include the box endpoints, so minimizers sitting exactly at
@@ -419,7 +436,7 @@ def _grid_min(fn, box, n_per_dim: int, rounds: int = 3):
         )
     best_pt, best_val = None, math.inf
     cur = list(box)
-    for _ in range(rounds):
+    for _ in range(_GRID_ROUNDS):
         axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in cur]
         if dim == 1:
             pts = axes[0][:, None]
@@ -449,16 +466,15 @@ def _box_min(prob: BilevelProblem, fn):
     return _grid_min(fn, prob.meta.y_box, 201 if prob.dim_y == 2 else 4001)
 
 
-def penalized_hyperobjective_value(
-    p: PenaltyObjective, x, y0=None, max_iter: int = 500_000
-) -> PenaltyValue:
+def penalized_hyperobjective_value(p: PenaltyObjective, x) -> PenaltyValue:
     """Evaluate phi_sigma(x) = (min_y h_sigma - g*(x)) / sigma.
 
-    Unconstrained problems are solved by gradient descent on h_sigma and on g
-    to gradient norm ``_GSTAR_TOL``; box-constrained problems use the
-    zooming grid minimizer over the declared box.  The returned
-    ``error_bound`` estimates the value error from the achieved residuals via
-    PL quadratic growth (or from the final grid spacing on the box path).
+    Unconstrained problems are solved by gradient descent on h_sigma, from
+    the problem's default start, and on g to gradient norm ``_GSTAR_TOL``;
+    box-constrained problems use the zooming grid minimizer over the
+    declared box.  The returned ``error_bound`` estimates the value error from
+    the achieved residuals via PL quadratic growth (or from the final grid
+    spacing on the box path).
     The PL estimate uses g's constant mu for h_sigma as well, which holds
     only up to O(sigma) and is not proven, so the value is not certified.
     """
@@ -480,16 +496,11 @@ def penalized_hyperobjective_value(
         bound = (curv * s_h**2 / 2 + c.L_g * s_g**2 / 2) / p.sigma
         return PenaltyValue(value, bound, math.nan, math.nan)
 
-    if y0 is None:
-        _, y0 = prob.default_start()
-    y0 = as_vector(y0, prob.dim_y, "y0")
-
-    yh, res_h, _ = presolve(prob, x, p.sigma, y0, _GSTAR_TOL, max_iter,
+    yh, res_h, _ = presolve(prob, x, p.sigma, prob.default_start()[1], _GSTAR_TOL,
                             "penalty descent")
     # warm-start the lower-level solve at the penalty minimizer: the two
     # solution sets are O(sigma)-close under the PL assumption
-    yg, res_g, _ = presolve(prob, x, 0.0, yh, _GSTAR_TOL, max_iter,
-                            "lower-level descent")
+    yg, res_g, _ = presolve(prob, x, 0.0, yh, _GSTAR_TOL, "lower-level descent")
     h_min = p.sigma * prob.f(x, yh) + prob.g(x, yh)
     g_min = prob.g(x, yg)
     value = (h_min - g_min) / p.sigma

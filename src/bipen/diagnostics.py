@@ -17,11 +17,12 @@ declared epsilon-stationary when R_x <= eps, R_w <= eps and R_y <= eps^2.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    _GSTAR_TOL,
     PenaltyObjective,
     _box_min,
     as_bilevel,
@@ -29,7 +30,7 @@ from .core import (
     penalized_hyperobjective_value,
 )
 from .errors import CapabilityError, ConfigError, InputError, NumericError
-from .inner import descend_single, presolve
+from .inner import _h_grad, descend_single, presolve
 from .rng import substream
 
 
@@ -65,19 +66,19 @@ class FDHypergradient(NamedTuple):
     error_estimate: float  # sigma-sensitivity plus inner-accuracy leakage
 
 
-def fd_hypergradient(problem, x, sigma: float = 1e-5, step: float = 1e-4,
-                     y0=None) -> FDHypergradient:
+_FD_STEP = 1e-4  # central-difference step of fd_hypergradient
+
+
+def fd_hypergradient(problem, x, sigma: float = 1e-5) -> FDHypergradient:
     """Central finite differences of the penalized value function.
 
-    Differentiates phi_sigma at the default sigma = 1e-5 and reports, as the
-    error estimate, the observed sensitivity to halving sigma plus the
-    propagated inner-solve certificates.  Entirely independent of the
-    first-order estimator.
+    Differentiates phi_sigma at the default sigma = 1e-5 with step
+    ``_FD_STEP`` and reports, as the error estimate, the observed sensitivity
+    to halving sigma plus the propagated inner-solve certificates.  Entirely
+    independent of the first-order estimator.
     """
     prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
-    if not (np.isfinite(step) and step > 0):
-        raise ConfigError(f"fd step must be > 0, got {step}")
 
     def grad_at(sig):
         p = PenaltyObjective(prob, sig)
@@ -85,11 +86,11 @@ def fd_hypergradient(problem, x, sigma: float = 1e-5, step: float = 1e-4,
         leak = 0.0
         for i in range(prob.dim_x):
             e = np.zeros(prob.dim_x)
-            e[i] = step
-            hi = penalized_hyperobjective_value(p, x + e, y0=y0)
-            lo = penalized_hyperobjective_value(p, x - e, y0=y0)
-            g[i] = (hi.value - lo.value) / (2.0 * step)
-            leak += (hi.error_bound + lo.error_bound) / (2.0 * step)
+            e[i] = _FD_STEP
+            hi = penalized_hyperobjective_value(p, x + e)
+            lo = penalized_hyperobjective_value(p, x - e)
+            g[i] = (hi.value - lo.value) / (2.0 * _FD_STEP)
+            leak += (hi.error_bound + lo.error_bound) / (2.0 * _FD_STEP)
         return g, leak
 
     g1, leak1 = grad_at(sigma)
@@ -105,30 +106,34 @@ def _pl_pinv(H: np.ndarray, cutoff: float) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def exact_hypergradient_pinv(problem, x, y_star, residual_tol: float = 1e-8) -> np.ndarray:
+_PINV_RESIDUAL_TOL = 1e-8  # ||grad_y g|| above which y_star is not a minimizer
+
+
+def exact_hypergradient_pinv(problem, x, y_star) -> np.ndarray:
     """Implicit-function hypergradient at an (essentially) exact minimizer:
 
         grad phi = grad_x f - hess_xy g . pinv(hess_yy g) . grad_y f,
 
     with the pseudoinverse cut off at mu/2 so kernel directions are dropped
-    rather than amplified.  Requires the problem's Hessian blocks.
+    rather than amplified.  Requires the problem's Hessian blocks and
+    ||grad_y g(x, y_star)|| <= ``_PINV_RESIDUAL_TOL``.
     """
     prob = as_bilevel(problem)
     x, y_star = prob.check_point(x, y_star)
     if prob.hess_g_yy is None or prob.hess_g_xy is None:
         raise CapabilityError("pseudoinverse hypergradient needs hess_g_yy and hess_g_xy")
     resid = float(np.linalg.norm(prob.grad_g_y(x, y_star)))
-    if resid > residual_tol:
+    if resid > _PINV_RESIDUAL_TOL:
         raise InputError(
             f"y_star is not a certified minimizer: ||grad_y g|| = {resid:.3e} "
-            f"> {residual_tol:g}"
+            f"> {_PINV_RESIDUAL_TOL:g}"
         )
     pinv = _pl_pinv(prob.hess_g_yy(x, y_star), prob.constants.mu / 2.0)
     gfy = prob.grad_f_y(x, y_star)
     return prob.grad_f_x(x, y_star) - np.asarray(prob.hess_g_xy(x, y_star)) @ (pinv @ gfy)
 
 
-def hypergradient_routes(suite, x, sigma: float = 1e-5) -> dict:
+def hypergradient_routes(suite, x) -> dict:
     """All available hypergradient routes at x, plus pairwise disagreements.
 
     Routes: 'fd' (always), 'pinv' (when Hessian blocks and a certified
@@ -136,7 +141,7 @@ def hypergradient_routes(suite, x, sigma: float = 1e-5) -> dict:
     """
     prob = as_bilevel(suite)
     x = as_vector(x, prob.dim_x, "x")
-    routes = {"fd": fd_hypergradient(prob, x, sigma=sigma).grad}
+    routes = {"fd": fd_hypergradient(prob, x).grad}
     project = getattr(suite, "project_y_star", None)
     if prob.hess_g_yy is not None and prob.hess_g_xy is not None:
         if project is not None:
@@ -169,27 +174,24 @@ class PLCertificate(NamedTuple):
 
 
 def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
-                         seed: int = 0, region: Optional[tuple] = None) -> PLCertificate:
+                         seed: int = 0) -> PLCertificate:
     """Empirical lower bound on the PL ratio ||grad h||^2 / (2 (h - h*)).
 
     h is g(x, .) for sigma = 0, otherwise h_sigma(x, .).  h*(x) is taken as
     the minimum over descents started from the default start *and* from
     every probe, so a probe stuck in a spurious basin would lower h* and
-    depress the certificate instead of inflating it.  Probes with gap
-    <= 1e-12 are skipped (0/0 convention).
+    depress the certificate instead of inflating it.  Probes come from the
+    problem's windows; those with gap <= 1e-12 are skipped (0/0 convention).
     """
     prob = as_bilevel(problem)
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if probes < 1:
         raise InputError(f"probes must be >= 1, got {probes}")
-    if region is not None:
-        x_lo, x_hi, y_lo, y_hi = region
-    elif prob.meta is not None:
-        x_lo, x_hi = prob.meta.x_window
-        y_lo, y_hi = prob.meta.y_window
-    else:
-        raise ConfigError("no probe region: problem has no meta and none was given")
+    if prob.meta is None:
+        raise ConfigError("no probe region: the problem declares no windows")
+    x_lo, x_hi = prob.meta.x_window
+    y_lo, y_hi = prob.meta.y_window
 
     rng = substream(seed, "pl-ratio", round(sigma * 1e9))
 
@@ -197,11 +199,6 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         if sigma == 0.0:
             return prob.g(x, y)
         return sigma * prob.f(x, y) + prob.g(x, y)
-
-    def grad_h(x, y):
-        if sigma == 0.0:
-            return prob.grad_g_y(x, y)
-        return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
 
     n_x = max(1, probes // 20)
     n_y = max(1, probes // n_x)
@@ -214,15 +211,16 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         _, y0 = prob.default_start()
         h_star = math.inf
         for start in [y0] + ys:
-            y_min, _, _ = presolve(prob, x, sigma, start, 1e-12,
+            y_min, _, _ = presolve(prob, x, sigma, start, _GSTAR_TOL,
                                    label="PL pre-solve")
             h_star = min(h_star, h(x, y_min))
+        grad_h = _h_grad(prob, x, sigma)
         for y in ys:
             gap = h(x, y) - h_star
             if gap <= 1e-12:
                 skipped += 1
                 continue
-            ratio = float(np.linalg.norm(grad_h(x, y)) ** 2 / (2.0 * gap))
+            ratio = float(np.linalg.norm(grad_h(y)) ** 2 / (2.0 * gap))
             used += 1
             if ratio < min_ratio:
                 min_ratio = ratio
@@ -293,7 +291,7 @@ class GaletResiduals(NamedTuple):
         return self.R_x <= eps and self.R_w <= eps and self.R_y <= eps * eps
 
 
-def galet_residuals(problem, x, y, gstar_tol: float = 1e-12) -> GaletResiduals:
+def galet_residuals(problem, x, y) -> GaletResiduals:
     """Residual triplet of the gradient-based stationarity reformulation.
 
     g*(x) comes from a certified pre-solve started at the queried point (the
@@ -315,7 +313,7 @@ def galet_residuals(problem, x, y, gstar_tol: float = 1e-12) -> GaletResiduals:
     if prob.meta is not None and prob.meta.y_box is not None:
         _, g_star, _ = _box_min(prob, lambda v: prob.g(x, v))
     else:
-        y_min, _, _ = presolve(prob, x, 0.0, y, gstar_tol, label="g* pre-solve")
+        y_min, _, _ = presolve(prob, x, 0.0, y, _GSTAR_TOL, label="g* pre-solve")
         g_star = float(prob.g(x, y_min))
     gap = g_val - g_star
     if gap < -1e-9 * (1.0 + abs(g_star)):
@@ -368,13 +366,15 @@ def smoothness_probe(problem, x_pairs) -> SmoothnessEstimate:
     return SmoothnessEstimate(max_ratio, scale, max_ratio / scale, used, skipped)
 
 
-def check_gradients(problem, n_probes: int = 100, seed: int = 0,
-                    step: float = 1e-6) -> float:
+_FD_CHECK_STEP = 1e-6  # check_gradients' central-difference step at unit scale
+
+
+def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     """Max relative error of declared gradients against central differences.
 
-    Probes are sampled inside the problem's declared windows; the step is
-    scaled by the probe magnitude.  Returns the worst relative error over
-    all four gradients.
+    Probes are sampled inside the problem's declared windows; the step
+    ``_FD_CHECK_STEP`` is scaled by the probe magnitude.  Returns the worst
+    relative error over all four gradients.
     """
     prob = as_bilevel(problem)
     meta = prob.meta
@@ -385,7 +385,8 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0,
     for _ in range(n_probes):
         x = rng.uniform(*meta.x_window, size=prob.dim_x)
         y = rng.uniform(*meta.y_window, size=prob.dim_y)
-        h = step * max(1.0, float(np.hypot(np.linalg.norm(x), np.linalg.norm(y))))
+        scale = max(1.0, float(np.hypot(np.linalg.norm(x), np.linalg.norm(y))))
+        h = _FD_CHECK_STEP * scale
 
         for fn, gx, gy in ((prob.f, prob.grad_f_x, prob.grad_f_y),
                            (prob.g, prob.grad_g_x, prob.grad_g_y)):
@@ -447,8 +448,12 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
 # grid value-function oracle and solution-set stability
 
 
-def grid_hyper_objective(problem, x, n: int = 5001, tie_tol: float = 1e-9) -> float:
-    """Brute-force phi(x): grid-minimize g, then minimize f over the tie set.
+_TIE_TOL = 1e-9  # relative gap in g within which grid points tie for argmin
+
+
+def grid_hyper_objective(problem, x, n: int = 5001) -> float:
+    """Brute-force phi(x): grid-minimize g, then minimize f over the tie set
+    (the points within ``_TIE_TOL`` of the grid minimum, relative to 1 + |min|).
 
     One-dimensional lower levels only; the grid covers the declared box (when
     present) or probe window, including the endpoints exactly.
@@ -463,20 +468,23 @@ def grid_hyper_objective(problem, x, n: int = 5001, tie_tol: float = 1e-9) -> fl
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
     ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
     gv = np.array([prob.g(x, y) for y in ys])
-    ties = gv <= gv.min() + tie_tol * (1.0 + abs(float(gv.min())))
+    ties = gv <= gv.min() + _TIE_TOL * (1.0 + abs(float(gv.min())))
     fv = np.array([prob.f(x, y) for y in ys[ties]])
     return float(fv.min())
 
 
-def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0,
-                        n_samples: int = 51, slack: float = 1e-9) -> dict:
+_SET_SAMPLES = 51  # points per sampled solution set
+_SET_SLACK = 1e-9  # rounding allowance on the set-distance bound
+
+
+def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
     """Stability of penalized solution sets in (x, sigma).
 
     For random pairs (x1, sigma1), (x2, sigma2) the Hausdorff distance of
-    the sampled sets must not exceed
+    the sets, sampled at ``_SET_SAMPLES`` points each, must not exceed
 
         (C_f / mu) |sigma1 - sigma2|
-        + ((max(sigma) L_f + L_g) / mu) ||x1 - x2||  (+ slack).
+        + ((max(sigma) L_f + L_g) / mu) ||x1 - x2||  (+ _SET_SLACK).
 
     Requires the suite's analytic set sampler.  Returns counts and the worst
     ratio distance / bound.
@@ -493,11 +501,12 @@ def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0,
     for _ in range(n_pairs):
         x1, x2 = rng.uniform(*meta.x_window, size=2)
         s1, s2 = rng.uniform(0.0, c.sigma_bar, size=2)
-        d = hausdorff_distance(sampler(x1, s1, n_samples), sampler(x2, s2, n_samples))
+        d = hausdorff_distance(sampler(x1, s1, _SET_SAMPLES),
+                               sampler(x2, s2, _SET_SAMPLES))
         bound = (c.C_f / c.mu) * abs(s1 - s2) \
             + ((max(s1, s2) * c.L_f + c.L_g) / c.mu) * abs(x1 - x2)
         if bound > 0:
             worst_ratio = max(worst_ratio, d / bound)
-        if d > bound + slack:
+        if d > bound + _SET_SLACK:
             violations.append((float(x1), float(s1), float(x2), float(s2), d, bound))
     return {"checked": n_pairs, "violations": violations, "worst_ratio": worst_ratio}

@@ -220,19 +220,20 @@ def descend_single(
     )
 
 
+def _h_grad(prob: BilevelProblem, x, sigma: float):
+    """y -> grad_y h_sigma(x, y), or grad_y g(x, y) when sigma = 0."""
+    if sigma == 0.0:
+        return lambda y: prob.grad_g_y(x, y)
+    return lambda y: sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
+
+
 def presolve(prob: BilevelProblem, x, sigma: float, y0, tol: float,
-             max_iter: int = 500_000, label: str = "pre-solve"):
+             label: str = "pre-solve"):
     """``descend_single`` on h_sigma(x, .), or on g(x, .) when sigma = 0, at
     the step 1 / (sigma L_f + L_g); returns its (y, final_grad_norm, steps)."""
     c = prob.constants
-
-    def grad(y):
-        if sigma == 0.0:
-            return prob.grad_g_y(x, y)
-        return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
-
-    return descend_single(grad, y0, 1.0 / (sigma * c.L_f + c.L_g), tol,
-                          max_iter=max_iter, label=label)
+    return descend_single(_h_grad(prob, x, sigma), y0, 1.0 / (sigma * c.L_f + c.L_g),
+                          tol, label=label)
 
 
 class DivergenceProbe(NamedTuple):
@@ -248,7 +249,6 @@ def probe_penalty_divergence(
     sigma: float,
     max_steps: int = 1000,
     radius: Optional[float] = None,
-    y0=None,
 ) -> DivergenceProbe:
     """Bounded-budget detector for unbounded-below penalties.
 
@@ -261,9 +261,7 @@ def probe_penalty_divergence(
     """
     prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
-    if y0 is None:
-        _, y0 = prob.default_start()
-    y0 = as_vector(y0, prob.dim_y, "y0")
+    _, y0 = prob.default_start()
     c = prob.constants
     if radius is None:
         radius = getattr(prob.meta, "divergence_radius", None)

@@ -31,7 +31,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import as_vector
 from .drivers import build_schedule, run_f2ba
 from .errors import InputError, InstrumentationError
 from .problems import (
@@ -140,13 +139,12 @@ def tracked_instance(instance: SuiteProblem, tracker: SupportTracker) -> SuitePr
 # adapters
 
 
-@dataclass
 class F2BAAdapter:
     """Runs the deterministic penalty method with a forced T x K budget."""
 
-    sigma: float = 1.0
-    eta: float = 0.1
-    name: str = "f2ba"
+    name = "f2ba"
+    sigma = 1.0
+    eta = 0.1
 
     def run(self, instance: SuiteProblem, T: int, K: int):
         prob = instance.problem
@@ -162,24 +160,20 @@ class F2BAAdapter:
         return {"f_y": T * K, "g_y": 2 * T * K, "f_x": T, "g_x": 2 * T}
 
 
-@dataclass
 class CoordinateProbeAdapter(F2BAAdapter):
     """Deliberately non-zero-respecting: peeks at an unexplored coordinate.
 
     Before running the method it queries the lower-level gradient at a unit
-    vector on ``probe_coord`` (default: the last coordinate), which no
-    zero-respecting run could have revealed.  Used to show the detector is
-    not vacuous.
+    vector on the last coordinate, which no zero-respecting run could have
+    revealed.  Used to show the detector is not vacuous.
     """
 
-    probe_coord: Optional[int] = None
-    name: str = "f2ba+probe"
+    name = "f2ba+probe"
 
     def run(self, instance: SuiteProblem, T: int, K: int):
         prob = instance.problem
-        j = prob.dim_y - 1 if self.probe_coord is None else self.probe_coord
         y_peek = np.zeros(prob.dim_y)
-        y_peek[j] = 1.0
+        y_peek[-1] = 1.0
         prob.grad_g_y(np.zeros(prob.dim_x), y_peek)
         return super().run(instance, T, K)
 
@@ -341,32 +335,26 @@ def run_zero_respecting(adapter, T: int, K: int,
 # chain support lemma
 
 
-def support_growth_holds(grad_fn, q: int, trials: int = 8, rng=None,
-                         span: float = 2.0) -> bool:
-    """Check supp(grad(z)) grows a prefix support by at most one index.
+_LEMMA_TRIALS = 8  # random fillings per prefix length
+_LEMMA_SPAN = 2.0  # fillings are uniform on [-span, span]
 
-    For every prefix length j = 0..q and several random fillings of that
-    prefix, the gradient's support must lie in the first j+1 coordinates.
+
+def verify_support_lemma(q: int) -> bool:
+    """Support-growth property of the chain itself (see ``zero_chain_value_grad``).
+
+    For every prefix length j = 0..q and ``_LEMMA_TRIALS`` random fillings
+    of that prefix, the chain gradient's support must lie in the first j+1
+    coordinates: a prefix support grows by at most one index.
     """
-    if rng is None:
-        rng = substream(2024, "support-lemma", q)
+    if q < 1:
+        raise InputError(f"chain length q must be >= 1, got {q}")
+    rng = substream(2024, "support-lemma", q)
     for j in range(q + 1):
-        for _ in range(trials):
+        for _ in range(_LEMMA_TRIALS):
             z = np.zeros(q)
             if j:
-                z[:j] = rng.uniform(-span, span, size=j)
-            supp = _support(np.asarray(grad_fn(z)))
+                z[:j] = rng.uniform(-_LEMMA_SPAN, _LEMMA_SPAN, size=j)
+            supp = _support(_chain_grad(z))
             if supp and supp[-1] > j:  # 0-based: prefix j may reveal index j
                 return False
     return True
-
-
-def verify_support_lemma(q: int, trials: int = 8, rng=None) -> bool:
-    """Support-growth property of the chain itself (see ``zero_chain_value_grad``)."""
-    if q < 1:
-        raise InputError(f"chain length q must be >= 1, got {q}")
-
-    def grad(z):
-        return _chain_grad(as_vector(z, q, "z"))
-
-    return support_growth_holds(grad, q, trials=trials, rng=rng)

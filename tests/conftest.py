@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from bipen import get_problem
+
+
+@pytest.fixture(autouse=True)
+def _no_bipen_settings_from_the_environment(monkeypatch):
+    """The CLI reads ``BIPEN_<KEY>`` as a settings layer; a caller's exported
+    override must not change what a test runs or compares."""
+    for key in [k for k in os.environ if k.startswith("BIPEN_")]:
+        monkeypatch.delenv(key)
 
 
 def central_fd_grad(fn, v, h=1e-6):

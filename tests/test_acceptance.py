@@ -1,7 +1,6 @@
 """Acceptance gate: one test per shipped criterion, each printing a
 pass/fail line (see conftest) with the measured numbers."""
 
-import os
 import re
 import subprocess
 import sys
@@ -31,9 +30,9 @@ BIPEN = [sys.executable, "-m", "bipen"]
 
 
 def run_cli(*args, timeout=300):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BIPEN_")}
+    # inherits the environment conftest has cleared of BIPEN_<KEY> settings
     return subprocess.run(BIPEN + list(args), capture_output=True, text=True,
-                          env=env, timeout=timeout)
+                          timeout=timeout)
 
 
 def test_c01_zero_respecting_certification(criterion):

@@ -14,9 +14,8 @@ BIPEN = [sys.executable, "-m", "bipen"]
 
 
 def run_cli(*args, env_extra=None, timeout=120):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BIPEN_")}
-    if env_extra:
-        env.update(env_extra)
+    # conftest has cleared the caller's BIPEN_<KEY> settings from os.environ
+    env = dict(os.environ, **(env_extra or {}))
     return subprocess.run(BIPEN + list(args), capture_output=True, text=True,
                           env=env, timeout=timeout)
 

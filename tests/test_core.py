@@ -470,3 +470,44 @@ def test_require_finite_returns_a_finite_vector_whose_norm_overflows():
     for state in ("ignore", "raise"):
         with np.errstate(over=state):
             assert _require_finite(big, np.array([0.1]), None, "grad f_x") is big
+
+
+# ---------------------------------------------------------------------------
+# overflow in the estimator and the oracle: what numpy's error state does to
+# the arithmetic must not change the result the drivers' guards classify
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_an_overflowing_estimate_is_returned_as_the_default_state_computes_it(
+        kernel, state):
+    # (grad_x g(x, yK) - grad_x g(x, zK)) / sigma overflows
+    pen = PenaltyObjective(kernel.problem, 1e-300)
+    with np.errstate(over=state):
+        est = hypergradient_estimate(pen, [0.1], [1e10, 0.0], [0.0, 0.0])
+    assert est.tolist() == [-math.inf]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_an_overflowing_draw_is_returned_as_the_default_state_computes_it(
+        kernel, state):
+    huge_mean = dataclasses.replace(
+        kernel.problem, grad_f_y=lambda x, y: np.array([1.79e308, -1.79e308]))
+    with np.errstate(over=state):
+        first = StochasticOracle(huge_mean, 1e308, 0.0, rng_seed=1).draw(
+            "f_y", [0.1], [0.0, 0.0])
+    assert first.tolist() == [math.inf, -math.inf]  # mean + noise overflows
+    # on the plain kernel noise * scale overflows instead, in some draws only
+    ops = [("f_y", batch, [0.1], [0.0, 0.0]) for batch in (1, 1, 3, 1, 2)]
+    for prob, std in ((huge_mean, 1e308), (kernel.problem, 1.79e308)):
+        with np.errstate(over="ignore"):
+            want = _replay(_RefOracle(prob, std, 0.0, rng_seed=1), ops)
+        with np.errstate(over=state):
+            assert _replay(StochasticOracle(prob, std, 0.0, rng_seed=1), ops) == want
+
+
+def test_oracle_counter_is_not_a_constructor_argument(kernel):
+    # a counter set at construction would disagree with the stream's position
+    with pytest.raises(TypeError, match="counter"):
+        StochasticOracle(kernel.problem, 0.1, 0.0, rng_seed=0, counter=5)

@@ -10,6 +10,9 @@ The property tests below pin the fused oracle-call accounting for any plan
 and the replay contract: a trace's header alone reproduces it byte for byte.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,17 @@ def test_trace_matches_golden(tmp_path, fname, problem, algorithm, seed):
     out = tmp_path / fname
     render(problem, algorithm, seed, out)
     assert out.read_bytes() == (GOLDEN_DIR / fname).read_bytes()
+
+
+def test_an_exported_setting_does_not_reach_the_goldens():
+    # conftest clears BIPEN_<KEY>: c_K = 0.5 would change every trace
+    case = "test_trace_matches_golden[kernel_pl_f2ba]"
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::{case}"],
+        cwd=Path(__file__).parents[1], env=dict(os.environ, BIPEN_C_K="0.5"),
+        capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
 
 
 def test_every_golden_file_has_a_case():
@@ -122,6 +136,8 @@ def test_any_trace_replays_from_its_own_header(tmp_path_factory, case, epsilon,
 
 
 if __name__ == "__main__":
+    for key in [k for k in os.environ if k.startswith("BIPEN_")]:
+        del os.environ[key]  # the goldens pin the defaults
     GOLDEN_DIR.mkdir(exist_ok=True)
     for fname, problem, algorithm, seed in CASES:
         render(problem, algorithm, seed, GOLDEN_DIR / fname)
