@@ -219,6 +219,25 @@ def as_bilevel(problem) -> BilevelProblem:
 # penalty objective
 
 
+def _h(prob: BilevelProblem, x, sigma: float):
+    """y -> h_sigma(x, y) = sigma f(x, y) + g(x, y), or g(x, y) when sigma = 0."""
+    if sigma == 0.0:
+        return lambda y: prob.g(x, y)
+    return lambda y: sigma * prob.f(x, y) + prob.g(x, y)
+
+
+def _h_grad(prob: BilevelProblem, x, sigma: float):
+    """y -> grad_y h_sigma(x, y), or grad_y g(x, y) when sigma = 0."""
+    if sigma == 0.0:
+        return lambda y: prob.grad_g_y(x, y)
+    return lambda y: sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
+
+
+def _h_lipschitz(c: ProblemConstants, sigma: float) -> float:
+    """sigma L_f + L_g, the smoothness constant of h_sigma(x, .)."""
+    return sigma * c.L_f + c.L_g
+
+
 class PenaltyValue(NamedTuple):
     """phi_sigma(x) together with an a-posteriori accuracy estimate.
 
@@ -297,8 +316,6 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
     ``batch`` = 0, batch-``batch`` averages drawn from ``oracle`` otherwise.
     """
     prob = p.problem
-    if not (math.isfinite(p.sigma) and p.sigma > 0):
-        raise ConfigError("hypergradient estimate needs sigma > 0")
     if batch == 0:
         x, yK = prob.check_point(x, yK)
         zK = as_vector(zK, prob.dim_y, "zK")
@@ -426,7 +443,8 @@ def _grid_min(fn, box, n_per_dim: int):
     """Zooming grid minimizer over a per-coordinate box (dim <= 2).
 
     Grids always include the box endpoints, so minimizers sitting exactly at
-    declared corners/kinks are found exactly.  Returns (argmin, min).
+    declared corners/kinks are found exactly.  Returns (argmin, min,
+    spacing), the spacing being the widest axis step of the final grid.
     """
     box = [tuple(map(float, b)) for b in box]
     dim = len(box)
@@ -478,32 +496,21 @@ def penalized_hyperobjective_value(p: PenaltyObjective, x) -> PenaltyValue:
     The PL estimate uses g's constant mu for h_sigma as well, which holds
     only up to O(sigma) and is not proven, so the value is not certified.
     """
-    from .inner import presolve  # late import: inner depends on core types
+    from .inner import _h_min  # late import: inner depends on core types
 
     prob = p.problem
     x = prob.check_point(x)
     c = prob.constants
-    meta = prob.meta
-    if meta is not None and meta.penalty_refusal:
-        raise CapabilityError(f"penalty formulation refused: {meta.penalty_refusal}")
-
-    if meta is not None and meta.y_box is not None:
-        _, h_min, s_h = _box_min(prob, lambda y: p.sigma * prob.f(x, y) + prob.g(x, y))
-        _, g_min, s_g = _box_min(prob, lambda y: prob.g(x, y))
-        value = (h_min - g_min) / p.sigma
-        # quadratic envelope around a grid-resolved minimizer
-        curv = p.sigma * c.L_f + c.L_g
-        bound = (curv * s_h**2 / 2 + c.L_g * s_g**2 / 2) / p.sigma
-        return PenaltyValue(value, bound, math.nan, math.nan)
-
-    yh, res_h, _ = presolve(prob, x, p.sigma, prob.default_start()[1], _GSTAR_TOL,
-                            "penalty descent")
+    yh, h_min, acc_h = _h_min(prob, x, p.sigma, prob.default_start()[1],
+                              "penalty descent")
     # warm-start the lower-level solve at the penalty minimizer: the two
     # solution sets are O(sigma)-close under the PL assumption
-    yg, res_g, _ = presolve(prob, x, 0.0, yh, _GSTAR_TOL, "lower-level descent")
-    h_min = p.sigma * prob.f(x, yh) + prob.g(x, yh)
-    g_min = prob.g(x, yg)
+    _, g_min, acc_g = _h_min(prob, x, 0.0, yh, "lower-level descent")
     value = (h_min - g_min) / p.sigma
-    mu_h = c.mu  # h_sigma inherits the lower-level PL constant up to O(sigma)
-    bound = (res_h**2 / (2 * mu_h) + res_g**2 / (2 * c.mu)) / p.sigma
-    return PenaltyValue(float(value), float(bound), float(res_h), float(res_g))
+    if prob.meta is not None and prob.meta.y_box is not None:
+        # quadratic envelope around a grid-resolved minimizer
+        bound = (_h_lipschitz(c, p.sigma) * acc_h**2 / 2 + c.L_g * acc_g**2 / 2) / p.sigma
+        return PenaltyValue(value, bound, math.nan, math.nan)
+    # h_sigma inherits the lower-level PL constant mu up to O(sigma)
+    bound = (acc_h**2 / (2 * c.mu) + acc_g**2 / (2 * c.mu)) / p.sigma
+    return PenaltyValue(float(value), float(bound), float(acc_h), float(acc_g))

@@ -24,14 +24,24 @@ import numpy as np
 from .core import (
     _GSTAR_TOL,
     PenaltyObjective,
-    _box_min,
+    ProblemMeta,
+    _h,
+    _h_grad,
+    _h_lipschitz,
     as_bilevel,
     as_vector,
     penalized_hyperobjective_value,
 )
 from .errors import CapabilityError, ConfigError, InputError, NumericError
-from .inner import _h_grad, descend_single, presolve
+from .inner import _h_min, descend_single, presolve
 from .rng import substream
+
+
+def _windows(prob, what: str) -> ProblemMeta:
+    """The problem's meta, which holds its probe windows, or ConfigError."""
+    if prob.meta is None:
+        raise ConfigError(f"{what} needs a problem with probe windows")
+    return prob.meta
 
 
 # ---------------------------------------------------------------------------
@@ -188,35 +198,26 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if probes < 1:
         raise InputError(f"probes must be >= 1, got {probes}")
-    if prob.meta is None:
-        raise ConfigError("no probe region: the problem declares no windows")
-    x_lo, x_hi = prob.meta.x_window
-    y_lo, y_hi = prob.meta.y_window
+    meta = _windows(prob, "PL check")
 
     rng = substream(seed, "pl-ratio", round(sigma * 1e9))
-
-    def h(x, y):
-        if sigma == 0.0:
-            return prob.g(x, y)
-        return sigma * prob.f(x, y) + prob.g(x, y)
-
     n_x = max(1, probes // 20)
     n_y = max(1, probes // n_x)
     min_ratio = math.inf
     worst = (np.zeros(prob.dim_x), np.zeros(prob.dim_y))
     used = skipped = 0
     for _ in range(n_x):
-        x = rng.uniform(x_lo, x_hi, size=prob.dim_x)
-        ys = [rng.uniform(y_lo, y_hi, size=prob.dim_y) for _ in range(n_y)]
+        x = rng.uniform(*meta.x_window, size=prob.dim_x)
+        ys = [rng.uniform(*meta.y_window, size=prob.dim_y) for _ in range(n_y)]
         _, y0 = prob.default_start()
+        h, grad_h = _h(prob, x, sigma), _h_grad(prob, x, sigma)
         h_star = math.inf
         for start in [y0] + ys:
             y_min, _, _ = presolve(prob, x, sigma, start, _GSTAR_TOL,
                                    label="PL pre-solve")
-            h_star = min(h_star, h(x, y_min))
-        grad_h = _h_grad(prob, x, sigma)
+            h_star = min(h_star, h(y_min))
         for y in ys:
-            gap = h(x, y) - h_star
+            gap = h(y) - h_star
             if gap <= 1e-12:
                 skipped += 1
                 continue
@@ -255,9 +256,9 @@ def prox_eb_check(suite, sigma: float, rho: float, probes: int = 50,
                           f"got {rho}")
     if not (0 < sigma <= c.sigma_bar):
         raise ConfigError(f"sigma must lie in (0, {c.sigma_bar}], got {sigma}")
-    meta = prob.meta
+    meta = _windows(prob, "prox error-bound check")
     rng = substream(seed, "prox-eb")
-    tau = 1.0 / (sigma * c.L_f + c.L_g + 1.0 / rho)
+    tau = 1.0 / (_h_lipschitz(c, sigma) + 1.0 / rho)
     min_ratio = math.inf
     used = skipped = 0
     for _ in range(probes):
@@ -267,10 +268,9 @@ def prox_eb_check(suite, sigma: float, rho: float, probes: int = 50,
         if dist <= 1e-12:
             skipped += 1
             continue
-        prox, _, _ = descend_single(
-            lambda v: (sigma * prob.grad_f_y(x, v) + prob.grad_g_y(x, v)
-                       + (v - y) / rho),
-            y, tau, tol=1e-12, label="prox solve")
+        grad_h = _h_grad(prob, x, sigma)
+        prox, _, _ = descend_single(lambda v: grad_h(v) + (v - y) / rho,
+                                    y, tau, tol=1e-12, label="prox solve")
         ratio = float(np.linalg.norm(y - prox) / (rho * dist))
         used += 1
         min_ratio = min(min_ratio, ratio)
@@ -310,11 +310,7 @@ def galet_residuals(problem, x, y) -> GaletResiduals:
                                + np.asarray(prob.hess_g_xy(x, y)) @ w))
     R_w = float(np.linalg.norm(H @ (gfy + H @ w)))
     g_val = float(prob.g(x, y))
-    if prob.meta is not None and prob.meta.y_box is not None:
-        _, g_star, _ = _box_min(prob, lambda v: prob.g(x, v))
-    else:
-        y_min, _, _ = presolve(prob, x, 0.0, y, _GSTAR_TOL, label="g* pre-solve")
-        g_star = float(prob.g(x, y_min))
+    g_star = float(_h_min(prob, x, 0.0, y, "g* pre-solve")[1])
     gap = g_val - g_star
     if gap < -1e-9 * (1.0 + abs(g_star)):
         raise NumericError(
@@ -377,9 +373,7 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     relative error over all four gradients.
     """
     prob = as_bilevel(problem)
-    meta = prob.meta
-    if meta is None:
-        raise ConfigError("gradient check needs a problem with probe windows")
+    meta = _windows(prob, "gradient check")
     rng = substream(seed, "fd-check")
     worst = 0.0
     for _ in range(n_probes):
@@ -416,9 +410,7 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
     ratio per (block, argument); callers compare against declarations.
     """
     prob = as_bilevel(problem)
-    meta = prob.meta
-    if meta is None:
-        raise ConfigError("smoothness check needs a problem with probe windows")
+    meta = _windows(prob, "smoothness check")
     rng = substream(seed, "lip-check")
     blocks = (("grad_f_x", prob.grad_f_x), ("grad_f_y", prob.grad_f_y),
               ("grad_g_x", prob.grad_g_x), ("grad_g_y", prob.grad_g_y))
@@ -462,9 +454,7 @@ def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     x = as_vector(x, prob.dim_x, "x")
     if prob.dim_y != 1:
         raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
-    meta = prob.meta
-    if meta is None:
-        raise ConfigError("grid hyper-objective needs declared windows")
+    meta = _windows(prob, "grid hyper-objective")
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
     ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
     gv = np.array([prob.g(x, y) for y in ys])
@@ -494,7 +484,7 @@ def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
         raise CapabilityError("set stability check needs an analytic set sampler")
     prob = as_bilevel(suite)
     c = prob.constants
-    meta = prob.meta
+    meta = _windows(prob, "set stability check")
     rng = substream(seed, "set-lip")
     violations = []
     worst_ratio = 0.0
@@ -504,7 +494,7 @@ def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
         d = hausdorff_distance(sampler(x1, s1, _SET_SAMPLES),
                                sampler(x2, s2, _SET_SAMPLES))
         bound = (c.C_f / c.mu) * abs(s1 - s2) \
-            + ((max(s1, s2) * c.L_f + c.L_g) / c.mu) * abs(x1 - x2)
+            + (_h_lipschitz(c, max(s1, s2)) / c.mu) * abs(x1 - x2)
         if bound > 0:
             worst_ratio = max(worst_ratio, d / bound)
         if d > bound + _SET_SLACK:

@@ -38,6 +38,7 @@ from .core import (
     PenaltyObjective,
     ProblemConstants,
     StochasticOracle,
+    _h_lipschitz,
     as_bilevel,
     as_vector,
     hypergradient_estimate,
@@ -155,7 +156,7 @@ def build_schedule(
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
 
-    tau = float(ov.pop("tau")) if "tau" in ov else 1.0 / (sigma * c.L_f + c.L_g)
+    tau = float(ov.pop("tau")) if "tau" in ov else 1.0 / _h_lipschitz(c, sigma)
     eta = float(ov.pop("eta")) if "eta" in ov else cs["c_eta"] / (ell * kap ** 3)
     if "K" in ov:
         K = int(ov.pop("K"))

@@ -25,7 +25,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import BilevelProblem, StochasticOracle, as_bilevel, as_vector
+from .core import (_GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h, _h_grad,
+                   _h_lipschitz, as_bilevel, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 
@@ -220,20 +221,23 @@ def descend_single(
     )
 
 
-def _h_grad(prob: BilevelProblem, x, sigma: float):
-    """y -> grad_y h_sigma(x, y), or grad_y g(x, y) when sigma = 0."""
-    if sigma == 0.0:
-        return lambda y: prob.grad_g_y(x, y)
-    return lambda y: sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
-
-
 def presolve(prob: BilevelProblem, x, sigma: float, y0, tol: float,
              label: str = "pre-solve"):
     """``descend_single`` on h_sigma(x, .), or on g(x, .) when sigma = 0, at
     the step 1 / (sigma L_f + L_g); returns its (y, final_grad_norm, steps)."""
-    c = prob.constants
-    return descend_single(_h_grad(prob, x, sigma), y0, 1.0 / (sigma * c.L_f + c.L_g),
-                          tol, label=label)
+    return descend_single(_h_grad(prob, x, sigma), y0,
+                          1.0 / _h_lipschitz(prob.constants, sigma), tol, label=label)
+
+
+def _h_min(prob: BilevelProblem, x, sigma: float, y0, label: str):
+    """(argmin, min, accuracy) of h_sigma(x, .), or of g(x, .) when sigma = 0:
+    ``_box_min`` and its grid spacing over a declared ``y_box``, otherwise
+    ``presolve`` from y0 to ``_GSTAR_TOL`` and its final gradient norm."""
+    h = _h(prob, x, sigma)
+    if prob.meta is not None and prob.meta.y_box is not None:
+        return _box_min(prob, h)
+    y, residual, _ = presolve(prob, x, sigma, y0, _GSTAR_TOL, label)
+    return y, h(y), residual
 
 
 class DivergenceProbe(NamedTuple):
@@ -267,6 +271,7 @@ def probe_penalty_divergence(
         radius = getattr(prob.meta, "divergence_radius", None)
     if radius is None:
         radius = 10.0 * (1.0 + _norm(y0))
+    grad_h = _h_grad(prob, x, sigma)
     calls = 0  # gradient evaluations: one per step, then one at the end
 
     def grad(y):
@@ -275,10 +280,10 @@ def probe_penalty_divergence(
         if calls and _norm(y) == math.inf:
             raise DivergenceError("norm overflow", step=calls - 1, norm=math.inf)
         calls += 1
-        return sigma * prob.grad_f_y(x, y) + prob.grad_g_y(x, y)
+        return grad_h(y)
 
     try:
-        y, _, _ = descend_single(grad, y0, 1.0 / (sigma * c.L_f + c.L_g), 0.0,
+        y, _, _ = descend_single(grad, y0, 1.0 / _h_lipschitz(c, sigma), 0.0,
                                  radius=radius, label="penalty probe",
                                  exact_steps=max_steps)
     except DivergenceError as exc:

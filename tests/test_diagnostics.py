@@ -268,3 +268,22 @@ class TestSetStability:
     def test_needs_a_sampler(self, sin_sq):
         with pytest.raises(CapabilityError):
             set_lipschitz_check(sin_sq)
+
+
+def test_every_window_reading_check_refuses_a_windowless_problem(kernel, sin_sq):
+    # prox_eb_check and set_lipschitz_check used to fail with AttributeError
+    def bare(suite):
+        return dataclasses.replace(suite, problem=dataclasses.replace(suite.problem,
+                                                                      meta=None))
+    k, s = bare(kernel), bare(sin_sq)
+    checks = [
+        lambda: pl_ratio_certificate(k.problem, probes=20),
+        lambda: prox_eb_check(k, sigma=0.1, rho=0.1, probes=5),
+        lambda: check_gradients(k.problem, n_probes=5),
+        lambda: check_smoothness_constants(k.problem, n_pairs=5),
+        lambda: grid_hyper_objective(s.problem, [0.3]),  # dim_y = 1 only
+        lambda: set_lipschitz_check(k, n_pairs=5),
+    ]
+    for check in checks:
+        with pytest.raises(ConfigError, match="needs a problem with probe windows"):
+            check()
