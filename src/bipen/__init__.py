@@ -28,7 +28,6 @@ from .diagnostics import (
     hausdorff_distance,
     hypergradient_routes,
     pl_ratio_certificate,
-    prox_eb_check,
     set_lipschitz_check,
     smoothness_probe,
 )
@@ -68,7 +67,6 @@ from .zerochain import (
     SupportTracker,
     run_zero_respecting,
     tracked_instance,
-    verify_support_lemma,
 )
 from .cli import read_trace_header, render_trace_csv, write_trace_csv
 
@@ -82,7 +80,7 @@ __all__ = [
     "check_smoothness_constants", "exact_hypergradient_pinv",
     "fd_hypergradient", "galet_residuals", "grid_hyper_objective",
     "hausdorff_distance", "hypergradient_routes", "pl_ratio_certificate",
-    "prox_eb_check", "set_lipschitz_check", "smoothness_probe",
+    "set_lipschitz_check", "smoothness_probe",
     "RunTrace", "SchedulePlan", "TraceRow", "build_schedule",
     "fit_complexity_slope", "run_f2ba", "run_f2bsa", "stochastic_inner_count",
     "CapabilityError", "ConfigError", "ConvergenceError", "DivergenceError",
@@ -93,7 +91,6 @@ __all__ = [
     "make_hard_instance",
     "CertificationReport", "CoordinateProbeAdapter", "F2BAAdapter",
     "SupportTracker", "run_zero_respecting", "tracked_instance",
-    "verify_support_lemma",
     "read_trace_header", "render_trace_csv", "write_trace_csv",
     "__version__",
 ]

@@ -21,7 +21,6 @@ configuration or usage; 3 an iteration diverged or failed to converge;
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -296,6 +295,8 @@ def _status(ratio: float, bound: float) -> str:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.probes < 1:
+        raise ConfigError(f"--probes must be at least 1, got {args.probes}")
     suite = get_problem(args.problem)
     prob = suite.problem
     checks = _DIAGNOSE_CHECKS if "all" in args.checks else tuple(args.checks)

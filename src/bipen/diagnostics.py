@@ -3,9 +3,9 @@
 Everything here deliberately avoids the estimator code paths it is used to
 verify: hypergradients are recomputed by finite differences of the penalized
 value function and by an explicit pseudoinverse formula; solution sets are
-handled as explicit point clouds; PL/proximal error-bound constants are
-certified by brute probing; stationarity is measured through the residual
-triplet of the gradient-based reformulation
+handled as explicit point clouds; the PL constant is estimated by brute
+probing (a sampled estimate, not a bound); stationarity is measured through
+the residual triplet of the gradient-based reformulation
 
     R_x = || grad_x f + hess_xy g . w ||,
     R_w = || hess_yy g (grad_y f + hess_yy g . w) ||,   w = -pinv(hess_yy g) grad_y f,
@@ -33,8 +33,15 @@ from .core import (
     penalized_hyperobjective_value,
 )
 from .errors import CapabilityError, ConfigError, InputError, NumericError
-from .inner import _h_min, descend_single, presolve
+from .inner import _h_min, presolve
 from .rng import substream
+
+
+def _require_count(n: int, name: str) -> None:
+    """A probe or pair count must be at least one: a check that samples
+    nothing would report a pass it never earned."""
+    if n < 1:
+        raise InputError(f"{name} must be >= 1, got {n}")
 
 
 def _windows(prob, what: str) -> ProblemMeta:
@@ -172,7 +179,7 @@ def hypergradient_routes(suite, x) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# PL and proximal error-bound certificates
+# PL ratio estimate
 
 
 class PLCertificate(NamedTuple):
@@ -185,19 +192,20 @@ class PLCertificate(NamedTuple):
 
 def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
                          seed: int = 0) -> PLCertificate:
-    """Empirical lower bound on the PL ratio ||grad h||^2 / (2 (h - h*)).
+    """Sampled estimate of the PL constant: min of ||grad h||^2 / (2 (h - h*)).
 
-    h is g(x, .) for sigma = 0, otherwise h_sigma(x, .).  h*(x) is taken as
-    the minimum over descents started from the default start *and* from
-    every probe, so a probe stuck in a spurious basin would lower h* and
-    depress the certificate instead of inflating it.  Probes come from the
-    problem's windows; those with gap <= 1e-12 are skipped (0/0 convention).
+    The minimum over finitely many probes can only over-state the true
+    infimum, so this is an estimate, not a bound.  h is g(x, .) for
+    sigma = 0, otherwise h_sigma(x, .).  h*(x) is taken as the minimum over
+    descents started from the default start *and* from every probe, so a
+    probe stuck in a spurious basin would lower h* and depress the estimate
+    instead of inflating it.  Probes come from the problem's windows; those
+    with gap <= 1e-12 are skipped (0/0 convention).
     """
     prob = as_bilevel(problem)
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    if probes < 1:
-        raise InputError(f"probes must be >= 1, got {probes}")
+    _require_count(probes, "probes")
     meta = _windows(prob, "PL check")
 
     rng = substream(seed, "pl-ratio", round(sigma * 1e9))
@@ -229,54 +237,6 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
     return PLCertificate(min_ratio, worst[0], worst[1], used, skipped)
 
 
-class ProxEBResult(NamedTuple):
-    mu_prime: float    # empirical lower bound on the prox error-bound constant
-    predicted: float   # mu / (1 + 2 L_g rho)
-    used: int
-    skipped: int
-
-
-def prox_eb_check(suite, sigma: float, rho: float, probes: int = 50,
-                  seed: int = 0) -> ProxEBResult:
-    """Empirical proximal error bound  ||y - prox(y)|| / rho >= mu' dist(y, Y*_sigma).
-
-    The proximal point minimizes h_sigma(x, .) + ||. - y||^2 / (2 rho), which
-    is strongly convex for rho < 1/(2 L_g); distances to Y*_sigma come from
-    the suite's analytic projection.  Probes already on the solution set are
-    skipped (0/0 convention).
-    """
-    prob = as_bilevel(suite)
-    c = prob.constants
-    project = getattr(suite, "project_y_star", None)
-    if project is None:
-        raise CapabilityError("prox error-bound check needs an analytic projection "
-                              "onto Y*_sigma")
-    if not (0 < rho < 1.0 / (2.0 * c.L_g)):
-        raise ConfigError(f"rho must lie in (0, 1/(2 L_g)) = (0, {1.0 / (2 * c.L_g):g}), "
-                          f"got {rho}")
-    if not (0 < sigma <= c.sigma_bar):
-        raise ConfigError(f"sigma must lie in (0, {c.sigma_bar}], got {sigma}")
-    meta = _windows(prob, "prox error-bound check")
-    rng = substream(seed, "prox-eb")
-    tau = 1.0 / (_h_lipschitz(c, sigma) + 1.0 / rho)
-    min_ratio = math.inf
-    used = skipped = 0
-    for _ in range(probes):
-        x = rng.uniform(*meta.x_window, size=prob.dim_x)
-        y = rng.uniform(*meta.y_window, size=prob.dim_y)
-        dist = float(np.linalg.norm(y - project(x, y, sigma)))
-        if dist <= 1e-12:
-            skipped += 1
-            continue
-        grad_h = _h_grad(prob, x, sigma)
-        prox, _, _ = descend_single(lambda v: grad_h(v) + (v - y) / rho,
-                                    y, tau, tol=1e-12, label="prox solve")
-        ratio = float(np.linalg.norm(y - prox) / (rho * dist))
-        used += 1
-        min_ratio = min(min_ratio, ratio)
-    return ProxEBResult(min_ratio, c.mu / (1.0 + 2.0 * c.L_g * rho), used, skipped)
-
-
 # ---------------------------------------------------------------------------
 # stationarity residuals
 
@@ -286,9 +246,6 @@ class GaletResiduals(NamedTuple):
     R_w: float
     R_y: float
     w: np.ndarray
-
-    def stationary(self, eps: float) -> bool:
-        return self.R_x <= eps and self.R_w <= eps and self.R_y <= eps * eps
 
 
 def galet_residuals(problem, x, y) -> GaletResiduals:
@@ -373,6 +330,7 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     relative error over all four gradients.
     """
     prob = as_bilevel(problem)
+    _require_count(n_probes, "n_probes")
     meta = _windows(prob, "gradient check")
     rng = substream(seed, "fd-check")
     worst = 0.0
@@ -410,6 +368,7 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
     ratio per (block, argument); callers compare against declarations.
     """
     prob = as_bilevel(problem)
+    _require_count(n_pairs, "n_pairs")
     meta = _windows(prob, "smoothness check")
     rng = substream(seed, "lip-check")
     blocks = (("grad_f_x", prob.grad_f_x), ("grad_f_y", prob.grad_f_y),
@@ -483,6 +442,7 @@ def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
     if sampler is None:
         raise CapabilityError("set stability check needs an analytic set sampler")
     prob = as_bilevel(suite)
+    _require_count(n_pairs, "n_pairs")
     c = prob.constants
     meta = _windows(prob, "set stability check")
     rng = substream(seed, "set-lip")

@@ -45,11 +45,11 @@ REGIMES = (
 class SuiteProblem:
     """A registered benchmark instance plus its analytic side-information.
 
-    ``phi_sigma`` / ``grad_phi_sigma`` take a scalar (or length-1 vector) x
-    and the penalty weight sigma.  ``project_y_star(x, y, sigma)`` returns
-    the closest point of the penalized solution set Y*_sigma(x) to y (sigma=0
-    gives Y*(x)); ``sample_y_star(x, sigma, n)`` returns an (n, dim_y) array
-    of points covering the set on the problem's probe window.
+    ``phi_sigma`` takes a scalar (or length-1 vector) x and the penalty
+    weight sigma.  ``project_y_star(x, y, sigma)`` returns the closest point
+    of the penalized solution set Y*_sigma(x) to y (sigma=0 gives Y*(x));
+    ``sample_y_star(x, sigma, n)`` returns an (n, dim_y) array of points
+    covering the set on the problem's probe window.
     """
 
     name: str
@@ -58,7 +58,6 @@ class SuiteProblem:
     notes: str
     phi_inf: Optional[float] = None
     phi_sigma: Optional[Callable] = None
-    grad_phi_sigma: Optional[Callable] = None
     project_y_star: Optional[Callable] = None
     sample_y_star: Optional[Callable] = None
 
@@ -129,7 +128,6 @@ def make_quadratic_sc() -> SuiteProblem:
         notes="strongly convex lower level; minimizer of phi at x = 1/2",
         phi_inf=0.25,
         phi_sigma=lambda x, s: 0.5 * (_sc(x) - 1.0) ** 2 + _sc(x) ** 2 / (2.0 * (1.0 + s)),
-        grad_phi_sigma=lambda x, s: (_sc(x) - 1.0) + _sc(x) / (1.0 + s),
         project_y_star=lambda x, y, s=0.0: np.array([_sc(x) / (1.0 + s), 0.0]),
         sample_y_star=lambda x, s=0.0, n=1: np.array([[_sc(x) / (1.0 + s), 0.0]]),
     )
@@ -208,7 +206,6 @@ def make_kernel_pl(name: str = "kernel_pl", noise_f: float = 0.0,
         notes="PL lower level with a one-dimensional kernel direction" + noise_note,
         phi_inf=0.0,
         phi_sigma=lambda x, s: (_sc(x) - 1.0) ** 2 / (2.0 * (1.0 + s)),
-        grad_phi_sigma=lambda x, s: (_sc(x) - 1.0) / (1.0 + s),
         project_y_star=project,
         sample_y_star=sample,
     )

@@ -33,21 +33,12 @@ import numpy as np
 
 from .drivers import build_schedule, run_f2ba
 from .errors import InputError, InstrumentationError
-from .problems import (
-    HardInstanceSpec,
-    SuiteProblem,
-    _chain_grad,
-    make_hard_instance,
-)
-from .rng import substream
+from .problems import HardInstanceSpec, SuiteProblem, make_hard_instance
+from .rng import substream  # unused here; perfbench/tracing.py patches zerochain.substream
 
 
 # ndarray.any() and .all() without their Python-level wrappers
 _any, _all = np.logical_or.reduce, np.logical_and.reduce
-
-
-def _support(v) -> tuple:
-    return tuple(np.nonzero(np.asarray(v))[0].tolist())
 
 
 class CallRecord(NamedTuple):
@@ -329,32 +320,3 @@ def run_zero_respecting(adapter, T: int, K: int,
         explored_size=len(tracker.explored),
         grad_phi_at_start=grad0,
     )
-
-
-# ---------------------------------------------------------------------------
-# chain support lemma
-
-
-_LEMMA_TRIALS = 8  # random fillings per prefix length
-_LEMMA_SPAN = 2.0  # fillings are uniform on [-span, span]
-
-
-def verify_support_lemma(q: int) -> bool:
-    """Support-growth property of the chain itself (see ``zero_chain_value_grad``).
-
-    For every prefix length j = 0..q and ``_LEMMA_TRIALS`` random fillings
-    of that prefix, the chain gradient's support must lie in the first j+1
-    coordinates: a prefix support grows by at most one index.
-    """
-    if q < 1:
-        raise InputError(f"chain length q must be >= 1, got {q}")
-    rng = substream(2024, "support-lemma", q)
-    for j in range(q + 1):
-        for _ in range(_LEMMA_TRIALS):
-            z = np.zeros(q)
-            if j:
-                z[:j] = rng.uniform(-_LEMMA_SPAN, _LEMMA_SPAN, size=j)
-            supp = _support(_chain_grad(z))
-            if supp and supp[-1] > j:  # 0-based: prefix j may reveal index j
-                return False
-    return True

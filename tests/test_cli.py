@@ -181,6 +181,13 @@ def test_diagnose_smoothness_check():
     assert r.returncode == 0 and r.stdout.startswith("smoothness: skipped (")
 
 
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_diagnose_rejects_fewer_than_one_probe(probes):
+    r = run_cli("diagnose", "--problem", "kernel_pl", "--probes", probes)
+    assert r.returncode == 2 and "--probes" in r.stderr
+    assert r.stdout == ""
+
+
 def test_diagnose_unknown_check_rejected():
     r = run_cli("diagnose", "--problem", "kernel_pl", "--checks", "nope")
     assert r.returncode == 2

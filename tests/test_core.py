@@ -109,7 +109,7 @@ def test_hypergradient_estimate_exact_at_inner_optima(kernel):
         y_star = kernel.project_y_star([x], [9.0, 3.0], sigma)
         z_star = kernel.project_y_star([x], [9.0, 3.0], 0.0)
         est = hypergradient_estimate(p, [x], y_star, z_star)
-        assert est[0] == pytest.approx(kernel.grad_phi_sigma(x, sigma), abs=1e-12)
+        assert est[0] == pytest.approx((x - 1.0) / (1.0 + sigma), abs=1e-12)
 
 
 def test_estimate_finiteness_guard(kernel):

@@ -19,7 +19,6 @@ from bipen import (
     get_problem,
     penalized_hyperobjective_value,
     pl_ratio_certificate,
-    prox_eb_check,
     set_lipschitz_check,
 )
 from bipen.inner import probe_penalty_divergence
@@ -73,11 +72,6 @@ def test_galet_residuals(name, x, y, want):
 def test_pl_ratio_certificate(kernel, sigma, want):
     cert = pl_ratio_certificate(kernel.problem, sigma=sigma, probes=60)
     assert _bits(tuple(cert)) == _bits(want)
-
-
-def test_prox_eb_check(kernel):
-    res = prox_eb_check(kernel, sigma=0.1, rho=0.1, probes=40)
-    assert _bits(tuple(res)) == _bits((0.9909909909909571, 0.8333333333333334, 40, 0))
 
 
 def test_set_lipschitz_worst_ratio(kernel):

@@ -16,14 +16,25 @@ from bipen import (
     SupportTracker,
     make_hard_instance,
     run_zero_respecting,
-    verify_support_lemma,
 )
+from bipen.problems import _chain_grad
+from bipen.rng import substream
 from bipen.zerochain import CallRecord
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 40])
 def test_support_lemma_on_chain_gradients(q):
-    assert verify_support_lemma(q)
+    # for every prefix length j = 0..q and 8 random fillings of that prefix
+    # on [-2, 2], the chain gradient's support lies in the first j+1
+    # coordinates: a prefix support grows by at most one index
+    rng = substream(2024, "support-lemma", q)
+    for j in range(q + 1):
+        for _ in range(8):
+            z = np.zeros(q)
+            if j:
+                z[:j] = rng.uniform(-2.0, 2.0, size=j)
+            supp = _ref_support(_chain_grad(z))
+            assert not supp or supp[-1] <= j, (j, supp)  # 0-based: index j may appear
 
 
 def test_tracker_flags_query_outside_explored_set():
