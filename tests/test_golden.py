@@ -1,8 +1,11 @@
 """Golden traces: every non-refused problem's CSV trace, pinned byte for byte.
 
 Each case is one ``bipen run`` at epsilon = 0.1 with a small outer budget,
-written with its replay header and without ``--timing``.  A golden may change
-only in a change that says why in CHANGES.md; regenerate them with
+written with its replay header and without ``--timing``.  The stdout of
+``bipen diagnose --problem P`` (all checks, default probes) is pinned the
+same way for every problem but ``hard_instance``, whose PL check alone runs
+for minutes.  A golden may change only in a change that says why in
+CHANGES.md; regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -10,6 +13,8 @@ The property tests below pin the fused oracle-call accounting for any plan
 and the replay contract: a trace's header alone reproduces it byte for byte.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -19,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipen import build_schedule, get_problem, run_f2ba, run_f2bsa
+from bipen import build_schedule, get_problem, list_problems, run_f2ba, run_f2bsa
 from bipen.cli import main, read_trace_header
 from bipen.drivers import _PLAN_CONSTANT_KEYS, _PLAN_OVERRIDE_KEYS
 
@@ -37,6 +42,7 @@ def _settings(problem):
 # (file name, problem, algorithm, seed) of every golden trace
 CASES = [(f"{p}_f2ba.csv", p, "f2ba", 0) for p in NOISELESS + NOISY]
 CASES += [(f"{p}_f2bsa_seed{s}.csv", p, "f2bsa", s) for p in NOISY for s in (0, 1)]
+DIAGNOSED = [p for p in list_problems() if p != "hard_instance"]
 
 
 def render(problem, algorithm, seed, out):
@@ -55,6 +61,20 @@ def test_trace_matches_golden(tmp_path, fname, problem, algorithm, seed):
     assert out.read_bytes() == (GOLDEN_DIR / fname).read_bytes()
 
 
+def render_diagnose(problem) -> bytes:
+    """The stdout of ``bipen diagnose --problem <problem>``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["diagnose", "--problem", problem]) == 0
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("problem", DIAGNOSED)
+def test_diagnose_matches_golden(problem):
+    want = (GOLDEN_DIR / f"diagnose_{problem}.txt").read_bytes()
+    assert render_diagnose(problem) == want
+
+
 def test_an_exported_setting_does_not_reach_the_goldens():
     # conftest clears BIPEN_<KEY>: c_K = 0.5 would change every trace
     case = "test_trace_matches_golden[kernel_pl_f2ba]"
@@ -67,7 +87,8 @@ def test_an_exported_setting_does_not_reach_the_goldens():
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN_DIR.glob("*.csv")) == sorted(c[0] for c in CASES)
+    want = [c[0] for c in CASES] + [f"diagnose_{p}.txt" for p in DIAGNOSED]
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,3 +162,5 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for fname, problem, algorithm, seed in CASES:
         render(problem, algorithm, seed, GOLDEN_DIR / fname)
+    for problem in DIAGNOSED:
+        (GOLDEN_DIR / f"diagnose_{problem}.txt").write_bytes(render_diagnose(problem))

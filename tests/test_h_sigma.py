@@ -3,8 +3,11 @@
 The value, gradient, smoothness constant and minimum of h_sigma are each
 defined once (``core._h``, ``core._h_grad``, ``core._h_lipschitz``,
 ``inner._h_min``); the figures below were recorded before those definitions
-were shared and must not move by a single bit.  Floats are compared through
-``float.hex``, so NaN and signed zeros are pinned too.
+were shared and must not move by a single bit.  The central-difference
+checks (``fd_hypergradient``, ``check_gradients``,
+``check_smoothness_constants``) are pinned the same way, from figures
+recorded before they shared one difference routine.  Floats are compared
+through ``float.hex``, so NaN and signed zeros are pinned too.
 """
 
 import math
@@ -15,6 +18,9 @@ import pytest
 from bipen import (
     PenaltyObjective,
     build_schedule,
+    check_gradients,
+    check_smoothness_constants,
+    fd_hypergradient,
     galet_residuals,
     get_problem,
     penalized_hyperobjective_value,
@@ -89,3 +95,34 @@ def test_divergence_probe():
 def test_schedule_step(kernel):
     plan = build_schedule(kernel.problem.constants, 0.1, Delta=0.5, R=0.25)
     assert _bits(plan.tau) == _bits(0.9090909090909091)
+
+
+@pytest.mark.parametrize("name, x, want", [
+    ("kernel_pl", [0.3], [-0.6999930000699262]),
+    ("sin_sq_pl", [0.4], [-0.19999925000124819]),
+    ("degenerate_penalty_boxed", [-0.7], [0.9999999999998899]),  # the box path
+])
+def test_fd_hypergradient(name, x, want):
+    grad = fd_hypergradient(get_problem(name).problem, x).grad
+    assert _bits(grad) == _bits(want)
+
+
+@pytest.mark.parametrize("name, want_err, want_ratios", [
+    ("kernel_pl", 3.1661299761032676e-11,
+     {"grad_f_x/dx": 0.0, "grad_f_x/dy": 0.0, "grad_f_y/dx": 0.0,
+      "grad_f_y/dy": 0.9991668355977608, "grad_g_x/dx": 1.0,
+      "grad_g_x/dy": 0.9991668355977608, "grad_g_y/dx": 1.0,
+      "grad_g_y/dy": 0.9991668355977608}),
+    ("sin_sq_pl", 1.5479975496892687e-10,
+     {"grad_f_x/dx": 1.0, "grad_f_x/dy": 0.0, "grad_f_y/dx": 0.0,
+      "grad_f_y/dy": 1.0, "grad_g_x/dx": 7.846761101639782,
+      "grad_g_x/dy": 7.266621246719011, "grad_g_y/dx": 7.846761101639782,
+      "grad_g_y/dy": 7.266621246719011}),
+])
+def test_gradient_and_constant_checks(name, want_err, want_ratios):
+    prob = get_problem(name).problem
+    assert _bits(check_gradients(prob, n_probes=20, seed=3)) == _bits(want_err)
+    ratios = check_smoothness_constants(prob, n_pairs=20, seed=3)
+    assert list(ratios) == list(want_ratios)
+    assert {k: _bits(v) for k, v in ratios.items()} == \
+        {k: _bits(v) for k, v in want_ratios.items()}
