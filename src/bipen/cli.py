@@ -297,6 +297,8 @@ def _status(ratio: float, bound: float) -> str:
 def _cmd_diagnose(args) -> int:
     if args.probes < 1:
         raise ConfigError(f"--probes must be at least 1, got {args.probes}")
+    if not 0.0 <= args.sigma < np.inf:
+        raise ConfigError(f"--sigma must be finite and >= 0, got {args.sigma}")
     suite = get_problem(args.problem)
     prob = suite.problem
     checks = _DIAGNOSE_CHECKS if "all" in args.checks else tuple(args.checks)
@@ -331,7 +333,7 @@ def _cmd_diagnose(args) -> int:
                 for pair, gap in sorted(out["disagreements"].items()):
                     print(f"routes: |{pair}| = {gap:.3e}")
             elif check == "smoothness":
-                # finite-difference hypergradients cost ~1 s per pair
+                # fd hypergradients cost up to ~1 s per pair on a boxed problem (grid minima)
                 pairs = substream(args.seed, "hyper-smoothness").uniform(
                     *prob.meta.x_window, size=(max(1, args.probes // 20), 2, prob.dim_x))
                 est = diagnostics.smoothness_probe(prob, pairs)
@@ -339,12 +341,7 @@ def _cmd_diagnose(args) -> int:
                 print(f"smoothness: max ||grad phi(x1) - grad phi(x2)|| / ||x1 - x2|| "
                       f"= {est.max_ratio:.6g} over {est.used} pairs, "
                       f"ell*kappa^3={est.scale:.6g} [{status}]")
-            else:
-                raise ConfigError(f"unknown check {check!r}; allowed: "
-                                  f"{', '.join(_DIAGNOSE_CHECKS)} or all")
         except ToolkitError as exc:
-            if isinstance(exc, ConfigError) and check not in _DIAGNOSE_CHECKS:
-                raise
             print(f"{check}: skipped ({exc})")
     return 0
 
@@ -407,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="independent checks of declarations")
     p.add_argument("--problem", required=True)
     p.add_argument("--checks", nargs="+", default=["all"],
-                   metavar="CHECK",
+                   choices=_DIAGNOSE_CHECKS + ("all",), metavar="CHECK",
                    help=f"subset of: {', '.join(_DIAGNOSE_CHECKS)} (default all)")
     p.add_argument("--sigma", type=float, default=0.0,
                    help="penalty weight for the PL check (0 = lower level)")

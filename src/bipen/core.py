@@ -251,8 +251,6 @@ class PenaltyValue(NamedTuple):
 
     value: float
     error_bound: float
-    h_grad_norm: float
-    g_grad_norm: float
 
 
 @dataclass(frozen=True)
@@ -510,7 +508,7 @@ def penalized_hyperobjective_value(p: PenaltyObjective, x) -> PenaltyValue:
     if prob.meta is not None and prob.meta.y_box is not None:
         # quadratic envelope around a grid-resolved minimizer
         bound = (_h_lipschitz(c, p.sigma) * acc_h**2 / 2 + c.L_g * acc_g**2 / 2) / p.sigma
-        return PenaltyValue(value, bound, math.nan, math.nan)
+        return PenaltyValue(value, bound)
     # h_sigma inherits the lower-level PL constant mu up to O(sigma)
     bound = (acc_h**2 / (2 * c.mu) + acc_g**2 / (2 * c.mu)) / p.sigma
-    return PenaltyValue(float(value), float(bound), float(acc_h), float(acc_g))
+    return PenaltyValue(float(value), float(bound))

@@ -193,6 +193,19 @@ def test_diagnose_unknown_check_rejected():
     assert r.returncode == 2
 
 
+def test_diagnose_unknown_check_runs_no_check():
+    r = run_cli("diagnose", "--problem", "kernel_pl", "--checks", "gradients", "nope")
+    assert r.returncode == 2 and r.stdout == ""
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_diagnose_rejects_a_negative_or_non_finite_sigma(sigma):
+    r = run_cli("diagnose", "--problem", "kernel_pl", "--checks", "pl",
+                "--sigma", sigma, "--probes", "20")
+    assert r.returncode == 2 and "--sigma" in r.stderr
+    assert r.stdout == ""
+
+
 def test_missing_subcommand_uses_argparse_exit():
     r = run_cli()
     assert r.returncode == 2

@@ -10,8 +10,6 @@ recorded before they shared one difference routine.  Floats are compared
 through ``float.hex``, so NaN and signed zeros are pinned too.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,8 +27,6 @@ from bipen import (
 )
 from bipen.inner import probe_penalty_divergence
 
-nan = math.nan
-
 
 def _bits(v):
     """Exact image of a result: floats by their hex, containers entrywise."""
@@ -44,16 +40,13 @@ def _bits(v):
 
 
 @pytest.mark.parametrize("name, x, sigma, want", [
-    ("kernel_pl", [0.3], 0.1,
-     (0.22272727272727272, 9.62964972193618e-34, 1.3877787807814457e-17, 0.0)),
-    ("kernel_pl", [0.3], 0.5, (0.16333333333333333, 0.0, 0.0, 0.0)),
-    ("sin_sq_pl", [0.4], 0.05,
-     (0.25888198371986665, 8.842392953132225e-31, 1.214306433183765e-16, 0.0)),
-    ("sin_sq_pl", [0.4], 0.2,
-     (0.25560952673742837, 2.4078283256005484e-25, 1.2673195826096162e-13, 0.0)),
-    # the box path: grid minima and a grid-spacing envelope, no residuals
-    ("degenerate_penalty_boxed", [0.6], 0.1, (0.0, 1.6800000000000002e-14, nan, nan)),
-    ("degenerate_penalty_boxed", [0.6], 0.5, (0.0, 4e-15, nan, nan)),
+    ("kernel_pl", [0.3], 0.1, (0.22272727272727272, 9.62964972193618e-34)),
+    ("kernel_pl", [0.3], 0.5, (0.16333333333333333, 0.0)),
+    ("sin_sq_pl", [0.4], 0.05, (0.25888198371986665, 8.842392953132225e-31)),
+    ("sin_sq_pl", [0.4], 0.2, (0.25560952673742837, 2.4078283256005484e-25)),
+    # the box path: grid minima and a grid-spacing envelope
+    ("degenerate_penalty_boxed", [0.6], 0.1, (0.0, 1.6800000000000002e-14)),
+    ("degenerate_penalty_boxed", [0.6], 0.5, (0.0, 4e-15)),
 ])
 def test_penalized_value(name, x, sigma, want):
     p = PenaltyObjective(get_problem(name).problem, sigma)
@@ -103,7 +96,7 @@ def test_schedule_step(kernel):
     ("degenerate_penalty_boxed", [-0.7], [0.9999999999998899]),  # the box path
 ])
 def test_fd_hypergradient(name, x, want):
-    grad = fd_hypergradient(get_problem(name).problem, x).grad
+    grad = fd_hypergradient(get_problem(name).problem, x)
     assert _bits(grad) == _bits(want)
 
 
