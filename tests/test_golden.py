@@ -3,9 +3,9 @@
 Each case is one ``bipen run`` at epsilon = 0.1 with a small outer budget,
 written with its replay header and without ``--timing``.  The stdout of
 ``bipen diagnose --problem P`` (all checks, default probes) is pinned the
-same way for every problem but ``hard_instance``, whose PL check alone runs
-for minutes.  A golden may change only in a change that says why in
-CHANGES.md; regenerate them with
+same way; on ``hard_instance``, whose ``pl`` and ``routes`` checks run for
+minutes, only its other checks are.  A golden may change only in a change
+that says why in CHANGES.md; regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -42,7 +42,9 @@ def _settings(problem):
 # (file name, problem, algorithm, seed) of every golden trace
 CASES = [(f"{p}_f2ba.csv", p, "f2ba", 0) for p in NOISELESS + NOISY]
 CASES += [(f"{p}_f2bsa_seed{s}.csv", p, "f2bsa", s) for p in NOISY for s in (0, 1)]
-DIAGNOSED = [p for p in list_problems() if p != "hard_instance"]
+DIAGNOSED = list_problems()
+# the checks pinned where running all of them takes too long
+DIAGNOSE_CHECKS = {"hard_instance": ("constants", "gradients", "smoothness")}
 
 
 def render(problem, algorithm, seed, out):
@@ -62,10 +64,14 @@ def test_trace_matches_golden(tmp_path, fname, problem, algorithm, seed):
 
 
 def render_diagnose(problem) -> bytes:
-    """The stdout of ``bipen diagnose --problem <problem>``."""
+    """The stdout of ``bipen diagnose --problem <problem>`` (with its pinned
+    ``--checks``, if any)."""
+    args = ["diagnose", "--problem", problem]
+    if problem in DIAGNOSE_CHECKS:
+        args += ["--checks", *DIAGNOSE_CHECKS[problem]]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(["diagnose", "--problem", problem]) == 0
+        assert main(args) == 0
     return buf.getvalue().encode()
 
 

@@ -457,3 +457,55 @@ def test_bump_derivative_inside_the_quadratic_zone_matches_the_reference(b, scal
         got = psi_prime(float(v), b)
         assert type(got) is float
         assert _bump_bits(got) == _bump_bits(_ref_psi_prime(float(v), b))
+
+
+# reference upper y-gradient of the hard instance: its grad_f_y as it stood
+# when psi' copied its input on the quadratic piece, kept verbatim (psi' is
+# the reference bump above, which the package's matches bit for bit).
+
+
+def _ref_hard_grad_f_y(q, b, x, y):
+    half = q // 2
+    out = np.zeros(q)
+    out[half:] = 2.0 * (x[0] + 1.0) ** 2 * _ref_psi_prime(y[half:], b)
+    return out
+
+
+@st.composite
+def _bump_points(draw, q, b):
+    """Points whose last q/2 entries lie on psi's quadratic piece (every
+    |t| <= beta), on one side of it (every t <= beta, or every t >= -beta) or
+    anywhere: the blend, beyond 2 beta, the knots, +-0.0, subnormals, NaN and
+    inf; the first q/2 entries are arbitrary."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, b, -b, np.nextafter(b, 0.0),
+                np.nextafter(b, 1.0), 2.0 * b, -2.0 * b, np.nextafter(2.0 * b, 1.0)]
+    inside = st.one_of(st.floats(-1.0, 1.0).map(lambda v: v * b),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, b, -b]))
+    anywhere = st.one_of(st.floats(-3.0, 3.0).map(lambda v: v * b),
+                         st.sampled_from(specials + [math.nan, math.inf, -math.inf,
+                                                     1e300, -1e300]))
+    below, above = (st.floats(lo, hi).map(lambda v: v * b) for lo, hi in ((-3.0, 1.0),
+                                                                         (-1.0, 3.0)))
+    half = q // 2
+    head = draw(st.lists(anywhere, min_size=half, max_size=half))
+    tail = draw(st.lists(draw(st.sampled_from([inside, below, above, anywhere])),
+                         min_size=half, max_size=half))
+    return np.array(head + tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), half=st.integers(1, 32),
+       x=st.one_of(st.floats(-3.0, 3.0),
+                   st.sampled_from([0.0, -0.0, -1.0, 1e200, 5e-324, math.nan,
+                                    math.inf, -math.inf])))
+def test_hard_instance_upper_y_gradient_matches_the_reference_bitwise(data, half, x):
+    q = 2 * half
+    s, b = _hard_instance(q), HardInstanceSpec(T=half, K=1).beta
+    y = data.draw(_bump_points(q, b))
+    xv = np.array([x])
+    with np.errstate(all="ignore"):
+        want = _ref_hard_grad_f_y(q, b, xv, y)
+        got = s.problem.grad_f_y(xv, y)
+    assert got.dtype == want.dtype and got.shape == (q,)
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, y)
