@@ -513,20 +513,33 @@ def zero_chain_value_grad(q: int, z) -> tuple[float, np.ndarray]:
     if q < 1:
         raise InputError(f"chain length q must be >= 1, got {q}")
     z = as_vector(z, q, "z")
+    return _chain_value(z), _chain_grad(z, np.empty(q))
+
+
+# The chain's value at a float64 vector z of length q >= 1, unchecked.
+def _chain_value(z) -> float:
     d = np.diff(z)
-    val = 0.125 * (z[0] - 1.0) ** 2 + 0.125 * float(d @ d)
-    return float(val), _chain_grad(z)
+    return float(0.125 * (z[0] - 1.0) ** 2 + 0.125 * float(d @ d))
 
 
-# The chain's gradient at a float64 vector z of length q >= 1, unchecked: the
-# bits of zero_chain_value_grad's gradient, without its value.
-def _chain_grad(z) -> np.ndarray:
-    e = 0.25 * (z[1:] - z[:-1])  # np.diff's subtraction
-    grad = np.zeros(z.shape[0])
-    grad[0] = 0.25 * (z[0] - 1.0)
-    grad[:-1] -= e
-    grad[1:] += e
-    return grad
+_QUARTER, _ZERO = np.array(0.25), np.array(0.0)  # 0-d: cheaper per ufunc
+
+
+# The chain's gradient at a float64 vector z of length q >= 1, unchecked,
+# written into ``out`` (z itself may be passed) and returned.  With
+# e = 0.25 * diff(z), entry j is (0.0 - e[j]) + e[j-1], the first entry
+# 0.25 * (z[0] - 1.0) - e[0] and the last 0.0 + e[-1]: the operations of
+# zeros(q) -= e, += e in that order, so signed zeros and NaN keep their bits.
+def _chain_grad(z, out) -> np.ndarray:
+    e = z[1:] - z[:-1]  # np.diff's subtraction
+    np.multiply(e, _QUARTER, e)
+    head = 0.25 * (z[0] - 1.0)
+    out[-1] = 0.0
+    np.subtract(_ZERO, e, out[:-1])
+    tail = out[1:]
+    np.add(tail, e, tail)
+    out[0] = head - e[0] if e.size else head
+    return out
 
 
 def zero_chain_hessian(q: int) -> np.ndarray:
@@ -588,8 +601,6 @@ def psi_prime(t, beta: float):
     """Derivative of :func:`psi` (odd; exactly zero at 0 and beyond 2 beta)."""
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    if t.ndim and a.max(initial=0.0) <= beta:  # every entry on t^2/2, no NaN:
-        return t.copy()  # what the np.where below gives, -0.0 included
     out = np.where(a <= beta, t, 0.0)  # NaN -> 0
     bend = (a > beta) & (a <= 2.0 * beta)
     if bend.any():
@@ -646,6 +657,7 @@ def make_hard_instance(spec: HardInstanceSpec) -> SuiteProblem:
     last q/2 coordinates -- the only ones f sees -- stay identically zero.
     """
     q, b = spec.q, spec.beta
+    b_arr = np.array(b)  # 0-d: b's bits on float64 input, cheaper per ufunc
     half = q // 2
     env = psi_envelopes()
 
@@ -660,17 +672,22 @@ def make_hard_instance(spec: HardInstanceSpec) -> SuiteProblem:
 
     def grad_f_y(x, y):
         out = np.zeros(q)
-        out[half:] = 2.0 * (x[0] + 1.0) ** 2 * psi_prime(y[half:], b)
+        o, t = out[half:], np.asarray(y[half:], dtype=float)
+        c = 2.0 * (x[0] + 1.0) ** 2
+        if np.maximum.reduce(np.abs(t, o)) <= b:  # psi' is t on its quadratic piece
+            np.multiply(c, t, o)
+        else:
+            o[:] = c * psi_prime(t, b)
         return out
 
     def g(x, y):
-        val, _ = zero_chain_value_grad(q, y / b)
-        return b * b * val
+        return b * b * _chain_value(as_vector(y / b, q, "z"))
 
     def grad_g_y(x, y):  # b * zero_chain_value_grad(q, y / b)[1], bit for bit
-        gr = _chain_grad(y / b)
-        gr *= b
-        return gr
+        z = y / b_arr
+        _chain_grad(z, z)
+        np.multiply(z, b_arr, z)
+        return z
 
     def grad_g_x(x, y):
         return np.zeros(1)

@@ -36,9 +36,7 @@ from .errors import InputError, InstrumentationError
 from .problems import HardInstanceSpec, SuiteProblem, make_hard_instance
 from .rng import substream  # unused here; perfbench/tracing.py patches zerochain.substream
 
-
-# ndarray.any() and .all() without their Python-level wrappers
-_any, _all = np.logical_or.reduce, np.logical_and.reduce
+_ZERO = np.array(0.0)  # 0-d: compares as the literal 0 does, cheaper per ufunc
 
 
 class CallRecord(NamedTuple):
@@ -65,28 +63,38 @@ class SupportTracker:
     def __post_init__(self):
         self._mask = np.zeros(self.dim_y, dtype=bool)
         self._mask[list(self.explored)] = True
+        self._prefix = 0  # mask[:_prefix] is all True, mask[_prefix] False
+        self._grow_prefix()
+
+    def _grow_prefix(self):  # O(dim_y) over the tracker's life: the mask only gains
+        mask, i = self._mask, self._prefix
+        while i < mask.size and mask[i]:
+            i += 1
+        self._prefix = i
 
     def note(self, kind: str, y, out_y=None):
-        y = np.asarray(y)
         mask = self._mask
-        n = np.count_nonzero(y)
-        if not _any(y[n:]):  # the n nonzeros fill y[:n]
+        nz = np.not_equal(y, _ZERO)  # NaN counts
+        n = np.count_nonzero(nz)
+        # the n nonzeros fill y[:n] when y has no zero or its first zero is at n
+        if n == nz.size or nz.argmin() == n:
             q_supp = range(n)
-            query_ok = bool(_all(mask[:n]))
+            query_ok = bool(n <= self._prefix)
         else:
-            idx = np.flatnonzero(y)
+            idx = nz.nonzero()[0]
             q_supp = tuple(idx.tolist())
-            query_ok = bool(_all(mask[idx]))
+            query_ok = bool(mask[idx].all())
         new = ()
         growth_ok = True
         if out_y is not None:
-            # (out != 0) & ~mask as one comparison of booleans; NaN counts
-            fresh = np.greater(np.not_equal(out_y, 0), mask).nonzero()[0]
-            if fresh.size:
-                new = tuple(fresh.tolist())
+            fresh = np.greater(np.not_equal(out_y, _ZERO), mask)  # (out != 0) & ~mask
+            if np.count_nonzero(fresh):
+                idx = fresh.nonzero()[0]
+                new = tuple(idx.tolist())
                 growth_ok = len(new) <= 1
-                mask[fresh] = True
+                mask[idx] = True
                 self.explored.update(new)
+                self._grow_prefix()
         self.calls.append(CallRecord(kind, q_supp, new, query_ok, growth_ok))
 
     def counts(self) -> dict:

@@ -447,8 +447,8 @@ def test_chain_gradients_match_the_reference_bitwise(data, half):
                                                   np.nextafter(1.0, 0.0)])),
                        min_size=0, max_size=40))
 def test_bump_derivative_inside_the_quadratic_zone_matches_the_reference(b, scaled):
-    # every |t| <= beta (the fast path: t itself, copied), with the knots +-beta,
-    # -0.0 and subnormal products; scalars keep returning a float
+    # every |t| <= beta (where psi' is t itself), with the knots +-beta, -0.0
+    # and subnormal products; scalars keep returning a float
     t = np.array(scaled, dtype=float) * b  # |v| <= 1, so |v * b| <= b
     out = psi_prime(t, b)
     assert _bump_bits(out) == _bump_bits(_ref_psi_prime(t, b))

@@ -33,7 +33,7 @@ def test_support_lemma_on_chain_gradients(q):
             z = np.zeros(q)
             if j:
                 z[:j] = rng.uniform(-2.0, 2.0, size=j)
-            supp = _ref_support(_chain_grad(z))
+            supp = _ref_support(_chain_grad(z, np.empty(q)))
             assert not supp or supp[-1] <= j, (j, supp)  # 0-based: index j may appear
 
 
