@@ -484,8 +484,8 @@ def _bump_points(draw, q, b):
     anywhere = st.one_of(st.floats(-3.0, 3.0).map(lambda v: v * b),
                          st.sampled_from(specials + [math.nan, math.inf, -math.inf,
                                                      1e300, -1e300]))
-    below, above = (st.floats(lo, hi).map(lambda v: v * b) for lo, hi in ((-3.0, 1.0),
-                                                                         (-1.0, 3.0)))
+    below = st.floats(-3.0, 1.0).map(lambda v: v * b)  # every t <= beta
+    above = st.floats(-1.0, 3.0).map(lambda v: v * b)  # every t >= -beta
     half = q // 2
     head = draw(st.lists(anywhere, min_size=half, max_size=half))
     tail = draw(st.lists(draw(st.sampled_from([inside, below, above, anywhere])),
