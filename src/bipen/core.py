@@ -26,6 +26,7 @@ estimator/evaluation operations built on them.  Iterative drivers live in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -222,7 +223,7 @@ def as_bilevel(problem) -> BilevelProblem:
 def _h(prob: BilevelProblem, x, sigma: float):
     """y -> h_sigma(x, y) = sigma f(x, y) + g(x, y), or g(x, y) when sigma = 0."""
     if sigma == 0.0:
-        return lambda y: prob.g(x, y)
+        return functools.partial(prob.g, x)
     return lambda y: sigma * prob.f(x, y) + prob.g(x, y)
 
 
@@ -437,6 +438,11 @@ _GSTAR_TOL = 1e-12  # gradient norm the value-function pre-solves descend to
 _GRID_ROUNDS = 3  # zooms of the grid minimizer
 
 
+def _grid_values(fn, rows) -> np.ndarray:
+    """fn at each row of a 2-D array of grid points, as a float64 array."""
+    return np.fromiter(map(fn, rows), float, len(rows))
+
+
 def _grid_min(fn, box, n_per_dim: int):
     """Zooming grid minimizer over a per-coordinate box (dim <= 2).
 
@@ -459,7 +465,7 @@ def _grid_min(fn, box, n_per_dim: int):
         else:
             g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
             pts = np.column_stack([g0.ravel(), g1.ravel()])
-        vals = np.array([fn(p) for p in pts])
+        vals = _grid_values(fn, pts)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])

@@ -16,6 +16,7 @@ declared epsilon-stationary when R_x <= eps, R_w <= eps and R_y <= eps^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ from .core import (
     _GSTAR_TOL,
     PenaltyObjective,
     ProblemMeta,
+    _grid_values,
     _h,
     _h_grad,
     _h_lipschitz,
@@ -33,7 +35,7 @@ from .core import (
     penalized_hyperobjective_value,
 )
 from .errors import CapabilityError, ConfigError, InputError, NumericError
-from .inner import _h_min, presolve
+from .inner import _h_min, _norm, presolve
 from .rng import substream
 
 
@@ -42,6 +44,12 @@ def _require_count(n: int, name: str) -> None:
     nothing would report a pass it never earned."""
     if n < 1:
         raise InputError(f"{name} must be >= 1, got {n}")
+
+
+def _vnorm(v) -> float:
+    """Euclidean norm of a vector: ``inner._norm`` of its float64 conversion,
+    the bits of ``np.linalg.norm`` on float64 input without its dispatch."""
+    return _norm(np.asarray(v, dtype=float))
 
 
 def _windows(prob, what: str) -> ProblemMeta:
@@ -69,8 +77,14 @@ def hausdorff_distance(S1, S2) -> float:
     A, B = _as_point_cloud(S1), _as_point_cloud(S2)
     if A.shape[1] != B.shape[1]:
         raise InputError(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    # squared distances summed one coordinate plane at a time, in coordinate
+    # order: numpy's norm over a length-d axis adds its terms in that order
+    # for d < 8, so these are its bits without the (n, m, d) temporary
+    D = (A[:, 0, None] - B[None, :, 0]) ** 2
+    for k in range(1, A.shape[1]):
+        D += (A[:, k, None] - B[None, :, k]) ** 2
+    # sqrt is monotone, so it commutes with min and max
+    return math.sqrt(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +143,7 @@ def exact_hypergradient_pinv(problem, x, y_star) -> np.ndarray:
     x, y_star = prob.check_point(x, y_star)
     if prob.hess_g_yy is None or prob.hess_g_xy is None:
         raise CapabilityError("pseudoinverse hypergradient needs hess_g_yy and hess_g_xy")
-    resid = float(np.linalg.norm(prob.grad_g_y(x, y_star)))
+    resid = _vnorm(prob.grad_g_y(x, y_star))
     if resid > _PINV_RESIDUAL_TOL:
         raise InputError(
             f"y_star is not a certified minimizer: ||grad_y g|| = {resid:.3e} "
@@ -164,7 +178,7 @@ def hypergradient_routes(suite, x) -> dict:
     names = sorted(routes)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            diffs[f"{a}~{b}"] = float(np.linalg.norm(routes[a] - routes[b]))
+            diffs[f"{a}~{b}"] = _vnorm(routes[a] - routes[b])
     return {"routes": routes, "disagreements": diffs}
 
 
@@ -189,8 +203,10 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
     sigma = 0, otherwise h_sigma(x, .).  h*(x) is taken as the minimum over
     descents started from the default start *and* from every probe, so a
     probe stuck in a spurious basin would lower h* and depress the estimate
-    instead of inflating it.  Probes come from the problem's windows; those
-    with gap <= 1e-12 are skipped (0/0 convention).
+    instead of inflating it; on a problem with a declared ``y_box`` it is the
+    box grid minimum of ``inner._h_min``, once per x-probe.  Probes come from
+    the problem's windows; those with gap <= 1e-12 are skipped (0/0
+    convention).
     """
     prob = as_bilevel(problem)
     if not 0.0 <= sigma < math.inf:
@@ -209,17 +225,20 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
         ys = [rng.uniform(*meta.y_window, size=prob.dim_y) for _ in range(n_y)]
         _, y0 = prob.default_start()
         h, grad_h = _h(prob, x, sigma), _h_grad(prob, x, sigma)
-        h_star = math.inf
-        for start in [y0] + ys:
-            y_min, _, _ = presolve(prob, x, sigma, start, _GSTAR_TOL,
-                                   label="PL pre-solve")
-            h_star = min(h_star, h(y_min))
+        if meta.y_box is not None:  # the box grid minimum
+            h_star = _h_min(prob, x, sigma, y0, "PL pre-solve")[1]
+        else:
+            h_star = math.inf
+            for start in [y0] + ys:
+                y_min, _, _ = presolve(prob, x, sigma, start, _GSTAR_TOL,
+                                       label="PL pre-solve")
+                h_star = min(h_star, h(y_min))
         for y in ys:
             gap = h(y) - h_star
             if gap <= 1e-12:
                 skipped += 1
                 continue
-            ratio = float(np.linalg.norm(grad_h(y)) ** 2 / (2.0 * gap))
+            ratio = float(_vnorm(grad_h(y)) ** 2 / (2.0 * gap))
             used += 1
             if ratio < min_ratio:
                 min_ratio = ratio
@@ -253,9 +272,8 @@ def galet_residuals(problem, x, y) -> GaletResiduals:
     H = np.asarray(prob.hess_g_yy(x, y), dtype=float)
     gfy = prob.grad_f_y(x, y)
     w = -_pl_pinv(H, c.mu / 2.0) @ gfy
-    R_x = float(np.linalg.norm(prob.grad_f_x(x, y)
-                               + np.asarray(prob.hess_g_xy(x, y)) @ w))
-    R_w = float(np.linalg.norm(H @ (gfy + H @ w)))
+    R_x = _vnorm(prob.grad_f_x(x, y) + np.asarray(prob.hess_g_xy(x, y)) @ w)
+    R_w = _vnorm(H @ (gfy + H @ w))
     g_val = float(prob.g(x, y))
     g_star = float(_h_min(prob, x, 0.0, y, "g* pre-solve")[1])
     gap = g_val - g_star
@@ -298,12 +316,12 @@ def smoothness_probe(problem, x_pairs) -> SmoothnessEstimate:
     for x1, x2 in x_pairs:
         x1 = as_vector(x1, prob.dim_x, "x1")
         x2 = as_vector(x2, prob.dim_x, "x2")
-        gap = float(np.linalg.norm(x1 - x2))
+        gap = _vnorm(x1 - x2)
         if gap <= 1e-12:
             skipped += 1
             continue
         used += 1
-        max_ratio = max(max_ratio, float(np.linalg.norm(grad(x1) - grad(x2))) / gap)
+        max_ratio = max(max_ratio, _vnorm(grad(x1) - grad(x2)) / gap)
     return SmoothnessEstimate(max_ratio, c.ell * c.kappa ** 3, used, skipped)
 
 
@@ -325,7 +343,7 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     for _ in range(n_probes):
         x = rng.uniform(*meta.x_window, size=prob.dim_x)
         y = rng.uniform(*meta.y_window, size=prob.dim_y)
-        scale = max(1.0, float(np.hypot(np.linalg.norm(x), np.linalg.norm(y))))
+        scale = max(1.0, float(np.hypot(_vnorm(x), _vnorm(y))))
         h = _FD_CHECK_STEP * scale
 
         for fn, gx, gy in ((prob.f, prob.grad_f_x, prob.grad_f_y),
@@ -333,8 +351,8 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
             fd_x = _central_diff(lambda v: fn(v, y), x, h)
             fd_y = _central_diff(lambda v: fn(x, v), y, h)
             for fd, grad in ((fd_x, gx(x, y)), (fd_y, gy(x, y))):
-                err = np.linalg.norm(fd - np.asarray(grad))
-                worst = max(worst, float(err / (1.0 + np.linalg.norm(grad))))
+                err = _vnorm(fd - np.asarray(grad))
+                worst = max(worst, err / (1.0 + _vnorm(grad)))
     return worst
 
 
@@ -364,10 +382,10 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
         y = rng.uniform(*meta.y_window, size=prob.dim_y)
         for var, a, b, step in (("y", (x, y1), (x, y2), y1 - y2),
                                 ("x", (x1, y), (x2, y), x1 - x2)):
-            gap = float(np.linalg.norm(step))
+            gap = _vnorm(step)
             if gap > 1e-9:
                 for name, fn in blocks:
-                    d = float(np.linalg.norm(np.asarray(fn(*a)) - np.asarray(fn(*b))))
+                    d = _vnorm(np.asarray(fn(*a)) - np.asarray(fn(*b)))
                     key = f"{name}/d{var}"
                     out[key] = max(out[key], d / gap)
     return out
@@ -394,9 +412,9 @@ def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     meta = _windows(prob, "grid hyper-objective")
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
     ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
-    gv = np.array([prob.g(x, y) for y in ys])
+    gv = _grid_values(_h(prob, x, 0.0), ys)
     ties = gv <= gv.min() + _TIE_TOL * (1.0 + abs(float(gv.min())))
-    fv = np.array([prob.f(x, y) for y in ys[ties]])
+    fv = _grid_values(functools.partial(prob.f, x), ys[ties])
     return float(fv.min())
 
 

@@ -15,6 +15,8 @@ Hot path: on 1-2 entry vectors numpy's per-call cost dominates, so scale
 factors (tau, sigma, eta, noise scales) are 0-d float64 arrays made once -- a
 Python-float operand costs ~0.4 us more per ufunc (numpy 2.4), for the same
 bits -- oracles are called without closures, and trace rows are NamedTuples.
+On the chain's q-length vectors allocation costs: a step writes its gradient
+combination and both updates into the three arrays it allocates.
 """
 
 from __future__ import annotations
@@ -157,8 +159,17 @@ def inner_descend(
                           draw("g_y", x, y, batch))
         # _guard's fast test, inlined; _guard classifies what fails it
         try:
-            gy = sig * fy + gg
-            z_new, y_new = z - tau * gz, y - tau * gy
+            try:
+                # the same operations in the same order as the broadcasting
+                # form below, written into the three arrays they allocate
+                gy = sig * fy
+                gy += gg
+                z_new, y_new = tau * gz, tau * gy
+                np.subtract(z, z_new, z_new)
+                np.subtract(y, y_new, y_new)
+            except (TypeError, ValueError):  # a gradient that only broadcasts
+                gy = sig * fy + gg
+                z_new, y_new = z - tau * gz, y - tau * gy
             n_z, n_y = math.sqrt(z_new.dot(z_new)), math.sqrt(y_new.dot(y_new))
         except FloatingPointError:  # overflow under np.errstate(over="raise")
             with np.errstate(over="ignore"):

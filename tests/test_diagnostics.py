@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from bipen import (
     set_lipschitz_check,
     smoothness_probe,
 )
-from bipen.core import as_bilevel, as_vector
+from bipen.core import _GRID_ROUNDS, _grid_min, _h, as_bilevel, as_vector
+from bipen.diagnostics import _TIE_TOL, _as_point_cloud, _vnorm, _windows
 
 
 class TestHausdorff:
@@ -40,6 +43,62 @@ class TestHausdorff:
             hausdorff_distance([], [0.0])
         with pytest.raises(InputError):
             hausdorff_distance(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_the_broadcast_reference_bitwise(self, d):
+        # numpy adds fewer than 8 terms in sequence, as the package does
+        for A, B in _clouds(d, seed=d):
+            want = _ref_hausdorff_distance(A, B)
+            assert _f64_bits(hausdorff_distance(A, B)) == _f64_bits(want), (A, B)
+
+    @pytest.mark.parametrize("d", [8, 9, 16])
+    def test_matches_the_broadcast_reference_to_rounding_from_8_coordinates(self, d):
+        # from 8 terms numpy sums in pairwise blocks, so the last bits may
+        # differ: d nonnegative terms summed in two orders agree to
+        # (d - 1) ulps, and the square root halves that
+        rel = 1e-14
+        for A, B in _clouds(d, seed=d):
+            got, want = hausdorff_distance(A, B), _ref_hausdorff_distance(A, B)
+            if math.isnan(want) or math.isinf(want):
+                assert _f64_bits(got) == _f64_bits(want)
+            else:
+                assert abs(got - want) <= rel * want, (got, want)
+
+
+def _f64_bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+def _clouds(d, seed):
+    """Pairs of (n, d) and (m, d) clouds: one-point and unequal sizes, entries
+    of one scale or across 400 decades (so some squares overflow), and some
+    with NaN, +-inf and +-0.0 entries."""
+    rng = np.random.default_rng(seed)
+    for n, m in ((1, 1), (1, 7), (7, 1), (2, 3), (51, 51), (51, 37)):
+        for trial in range(8):
+            wide = 200.0 if trial >= 4 else 0.0
+            A = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-wide, wide, (n, d))
+            B = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-wide, wide, (m, d))
+            if trial % 2:
+                for C in (A, B):
+                    hit = rng.random(C.shape) < 0.2
+                    C[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+            yield A, B
+    yield np.zeros((3, d)), -np.zeros((2, d))
+
+
+# the distance as it stood when it broadcast an (n, m, d) array, kept
+# verbatim: the package's version must match it bit for bit below 8
+# coordinates
+def _ref_hausdorff_distance(S1, S2) -> float:
+    A, B = _as_point_cloud(S1), _as_point_cloud(S2)
+    if A.shape[1] != B.shape[1]:
+        raise InputError(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
+    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 class TestHypergradientRoutes:
@@ -108,6 +167,17 @@ class TestPLCertificate:
     def test_non_finite_sigma_is_a_config_error(self, kernel, sigma):
         with pytest.raises(ConfigError):
             pl_ratio_certificate(kernel.problem, sigma=sigma, probes=20)
+
+    def test_boxed_problem_takes_h_star_from_the_box_grid(self):
+        # g = x y on y in [0, 1]: the grid holds both endpoints, so h* =
+        # min(x, 0) exactly and each ratio is x^2 / (2 (x y - min(x, 0)));
+        # unconstrained pre-solves would run into the step cap instead
+        prob = get_problem("discontinuous").problem
+        cert = pl_ratio_certificate(prob, probes=40, seed=3)
+        assert cert.used + cert.skipped == 40 and cert.used > 0
+        x, y = cert.worst_x[0], cert.worst_y[0]
+        want = x * x / (2.0 * (x * y - min(x, 0.0)))
+        assert cert.min_ratio == pytest.approx(want, rel=1e-12)
 
 
 class TestGaletResiduals:
@@ -231,6 +301,121 @@ def _ref_grid_hyper_objective(problem, x, n: int = 5001, tie_tol: float = 1e-9) 
     ties = gv <= gv.min() + tie_tol * (1.0 + abs(float(gv.min())))
     fv = np.array([prob.f(x, np.array([t])) for t in ys[ties]])
     return float(fv.min())
+
+
+# the grid evaluators as they stood when each point went through a list
+# comprehension and h_0 was a lambda, kept verbatim: the package's versions
+# must match them bit for bit
+def _ref_h(prob, x, sigma: float):
+    if sigma == 0.0:
+        return lambda y: prob.g(x, y)
+    return lambda y: sigma * prob.f(x, y) + prob.g(x, y)
+
+
+def _ref_grid_min(fn, box, n_per_dim: int):
+    box = [tuple(map(float, b)) for b in box]
+    dim = len(box)
+    if dim > 2:
+        raise CapabilityError(
+            f"grid evaluation supports dim_y <= 2, got dim_y = {dim}"
+        )
+    best_pt, best_val = None, math.inf
+    cur = list(box)
+    for _ in range(_GRID_ROUNDS):
+        axes = [np.linspace(lo, hi, n_per_dim) for lo, hi in cur]
+        if dim == 1:
+            pts = axes[0][:, None]
+        else:
+            g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+            pts = np.column_stack([g0.ravel(), g1.ravel()])
+        vals = np.array([fn(p) for p in pts])
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val = float(vals[k])
+            best_pt = pts[k].copy()
+        nxt = []
+        for d in range(dim):
+            lo0, hi0 = box[d]
+            span = (cur[d][1] - cur[d][0]) / (n_per_dim - 1) * 4
+            c = best_pt[d]
+            nxt.append((max(lo0, c - span), min(hi0, c + span)))
+        cur = nxt
+    spacing = max((hi - lo) / (n_per_dim - 1) for lo, hi in cur)
+    return best_pt, best_val, spacing
+
+
+def _ref_list_grid_hyper_objective(problem, x, n: int = 5001) -> float:
+    prob = as_bilevel(problem)
+    x = as_vector(x, prob.dim_x, "x")
+    if prob.dim_y != 1:
+        raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
+    meta = _windows(prob, "grid hyper-objective")
+    lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
+    ys = np.linspace(lo, hi, n)[:, None]
+    gv = np.array([prob.g(x, y) for y in ys])
+    ties = gv <= gv.min() + _TIE_TOL * (1.0 + abs(float(gv.min())))
+    fv = np.array([prob.f(x, y) for y in ys[ties]])
+    return float(fv.min())
+
+
+_GRID_PROBLEMS = ["sin_sq_pl", "discontinuous", "discontinuous_smoothed",
+                  "degenerate_penalty_boxed"]
+
+
+def _grid_xs(prob):
+    lo, hi = prob.meta.x_window
+    xs = (0.0, 0.37 * hi) if prob.dim_y == 2 else (lo, -1e-3, 0.0, 1e-3, 0.37 * hi)
+    return [np.array([x]) for x in xs]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("name", _GRID_PROBLEMS)
+def test_grid_minimizer_matches_the_list_reference_bitwise(name, sigma):
+    # over the declared box, or the probe window where none is declared, at
+    # the point counts of the box path
+    prob = get_problem(name).problem
+    meta = prob.meta
+    box = meta.y_box if meta.y_box is not None else [meta.y_window] * prob.dim_y
+    n = 201 if prob.dim_y == 2 else 4001
+    for x in _grid_xs(prob):
+        pt, val, spacing = _grid_min(_h(prob, x, sigma), box, n)
+        ref_pt, ref_val, ref_spacing = _ref_grid_min(_ref_h(prob, x, sigma), box, n)
+        assert pt.dtype == ref_pt.dtype and pt.tobytes() == ref_pt.tobytes(), x
+        assert type(val) is float and _f64_bits(val) == _f64_bits(ref_val), x
+        assert _f64_bits(spacing) == _f64_bits(ref_spacing), x
+
+
+@pytest.mark.parametrize("name", _GRID_PROBLEMS)
+def test_grid_hyper_objective_matches_the_list_reference_bitwise(name):
+    prob = get_problem(name).problem
+    if prob.dim_y != 1:
+        for fn in (grid_hyper_objective, _ref_list_grid_hyper_objective):
+            with pytest.raises(CapabilityError):
+                fn(prob, [0.3])
+        return
+    for x in _grid_xs(prob):
+        got = grid_hyper_objective(prob, x)
+        assert _f64_bits(got) == _f64_bits(_ref_list_grid_hyper_objective(prob, x)), x
+
+
+@pytest.mark.parametrize("v", [
+    [3.0, 4.0], [0.1] * 9, [-0.0], [1e-200, 3e-200], [1e155, 1e155],
+    [1, 2, 2], [7], np.arange(-3, 4), np.array([5]), np.array([-2.5]),
+    np.array([0.0]), np.random.default_rng(5).standard_normal(50),
+])
+def test_vector_norm_is_numpys_norm_bitwise(v):
+    # lists, ints and length-1 inputs: numpy converts them to float64 too;
+    # a norm that overflows is inf either way
+    with np.errstate(over="ignore"):
+        assert _f64_bits(_vnorm(v)) == _f64_bits(float(np.linalg.norm(v)))
+
+
+def test_vector_norm_takes_float32_in_float64():
+    # numpy keeps float32 and rounds its norm to float32; the helper takes
+    # the float64 conversion, so the two agree to float32 rounding only
+    v = np.random.default_rng(6).standard_normal(5).astype(np.float32)
+    assert _f64_bits(_vnorm(v)) == _f64_bits(float(np.linalg.norm(v.astype(float))))
+    assert abs(_vnorm(v) - float(np.linalg.norm(v))) <= 2.0 ** -23 * _vnorm(v)
 
 
 class TestSetStability:

@@ -266,9 +266,18 @@ def _bits(v):
     return np.asarray(v).dtype.str, np.asarray(v).tobytes()
 
 
-def _outcome(fn, name, seed, args, cfg):
+# a gradient oracle as declared, or cut to a shape that only broadcasts
+# against y: its first entry as a length-1 array
+_SHAPES = {
+    "declared": lambda grad: grad,
+    "length 1": lambda grad: lambda x, y: grad(x, y)[:1],
+}
+
+
+def _outcome(fn, name, seed, args, cfg, part="grad_f_y", shape="declared"):
     # the oracle exists even when batch = 0 and goes unused, as in a run
     prob = get_problem(name).problem
+    prob = dataclasses.replace(prob, **{part: _SHAPES[shape](getattr(prob, part))})
     oracle = StochasticOracle(prob, 0.1, 0.1, rng_seed=seed)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,17 +304,19 @@ _INNER_PROBLEMS = {"kernel_pl": (1, 2), "quadratic_sc": (1, 2), "sin_sq_pl": (1,
     batch=st.sampled_from([0, 0, 1, 3]),
     radius=st.one_of(st.none(), st.floats(0.1, 50.0), st.just(math.inf)),
     seed=st.integers(0, 3),
+    part=st.sampled_from(["grad_f_y", "grad_g_y"]),
+    shape=st.sampled_from(["declared", "length 1"]),
 )
 def test_inner_descend_matches_the_reference_loop_bitwise(
-        name, coords, sigma, tau, K, batch, radius, seed):
+        name, coords, sigma, tau, K, batch, radius, seed, part, shape):
     dim_x, dim_y = _INNER_PROBLEMS[name]
     x = np.array(coords[:dim_x])
     y0 = np.array(coords[1:1 + dim_y])
     z0 = np.array(coords[3:3 + dim_y])
     cfg = InnerConfig(tau=tau, K=K, batch=batch, divergence_radius=radius)
     args = (x, y0, z0, sigma)
-    want = _outcome(_ref_inner_descend, name, seed, args, cfg)
-    got = _outcome(inner_descend, name, seed, args, cfg)
+    want = _outcome(_ref_inner_descend, name, seed, args, cfg, part, shape)
+    got = _outcome(inner_descend, name, seed, args, cfg, part, shape)
     assert got == want
 
 
