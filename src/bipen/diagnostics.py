@@ -80,8 +80,8 @@ def hausdorff_distance(S1, S2) -> float:
     # squared distances summed one coordinate plane at a time, in coordinate
     # order: numpy's norm over a length-d axis adds its terms in that order
     # for d < 8, so these are its bits without the (n, m, d) temporary
-    D = (A[:, 0, None] - B[None, :, 0]) ** 2
-    for k in range(1, A.shape[1]):
+    D = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
         D += (A[:, k, None] - B[None, :, k]) ** 2
     # sqrt is monotone, so it commutes with min and max
     return math.sqrt(max(D.min(axis=1).max(), D.min(axis=0).max()))

@@ -44,9 +44,10 @@ class TestHausdorff:
         with pytest.raises(InputError):
             hausdorff_distance(np.zeros((2, 2)), np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("d", range(8))
     def test_matches_the_broadcast_reference_bitwise(self, d):
-        # numpy adds fewer than 8 terms in sequence, as the package does
+        # numpy adds fewer than 8 terms in sequence, as the package does;
+        # points with no coordinates are all at distance 0
         for A, B in _clouds(d, seed=d):
             want = _ref_hausdorff_distance(A, B)
             assert _f64_bits(hausdorff_distance(A, B)) == _f64_bits(want), (A, B)

@@ -274,7 +274,7 @@ _SHAPES = {
 }
 
 
-def _outcome(fn, name, seed, args, cfg, part="grad_f_y", shape="declared"):
+def _outcome(fn, name, seed, args, cfg, part, shape):
     # the oracle exists even when batch = 0 and goes unused, as in a run
     prob = get_problem(name).problem
     prob = dataclasses.replace(prob, **{part: _SHAPES[shape](getattr(prob, part))})
