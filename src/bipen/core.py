@@ -340,6 +340,14 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
 
 _ORACLE_PARTS = ("f_x", "f_y", "g_x", "g_y")
 _NOISE_BLOCK = 4096  # standard normals drawn per refill of an oracle's noise block
+_AHEAD_NORMALS = 1 << 20  # most standard normals one announcement pre-reduces (8 MiB)
+
+
+def _check_seed(seed):
+    """Refuse a noise seed that is not an int (bool included): None, a float or
+    True would otherwise run another method or another seed's stream."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InputError(f"seed must be an int, got {seed!r}")
 
 
 @dataclass
@@ -354,7 +362,14 @@ class StochasticOracle:
     ahead from that stream; the stream does not depend on how it is chunked,
     so every draw has the bits a fresh ``standard_normal((batch, dim))``
     call would give.  The base gradients, noise levels and scales are looked
-    up once, at construction; each scale is a 0-d float64 array.
+    up once, at construction; each scale is a float64 array of shape (1, 1).
+
+    An inner phase announces its draws with ``_expect``, and each draw that
+    matches the announcement takes its pre-computed row, with the same bits;
+    any other draw drops the announcement.  Such a phase holds its
+    K * P * B * dim_y normals at once (P noisy parts per step; ~64,000 on
+    kernel_pl_gnoise at eps = 0.05, B = 1,600), at most ``_AHEAD_NORMALS``.
+    The read position and ``counter`` still advance one draw at a time.
     """
 
     base: BilevelProblem
@@ -368,11 +383,13 @@ class StochasticOracle:
             if not (math.isfinite(std) and std >= 0):
                 raise ConfigError("noise standard deviations must be finite and >= 0, "
                                   f"got {self.noise_std_f} and {self.noise_std_g}")
+        _check_seed(self.rng_seed)
         self._gen = substream(self.rng_seed, "oracle")
         self._buf, self._pos = np.empty(0), 0  # the noise block and its read position
+        self._ahead, self._next = None, 0  # announced (parts, batch, rows), next row
         base = self.base
         self._table = {
-            which: (fn, std, dim, np.array(std / math.sqrt(dim)), f"grad {which}")
+            which: (fn, std, dim, np.full((1, 1), std / math.sqrt(dim)), f"grad {which}")
             for which, fn, std, dim in (
                 ("f_x", base.grad_f_x, self.noise_std_f, base.dim_x),
                 ("f_y", base.grad_f_y, self.noise_std_f, base.dim_y),
@@ -386,6 +403,43 @@ class StochasticOracle:
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
         self._buf, self._pos = np.empty(0), 0
+        self._ahead = None
+
+    def _expect(self, parts, batch, count: int):
+        """Announce ``count`` rounds of draws of ``parts`` (selectors of one
+        dimension, in draw order) at ``batch``, and compute their noise rows
+        in one pass; rounds past the first ``_AHEAD_NORMALS`` normals are drawn
+        one at a time."""
+        self._ahead = None
+        noisy = [which for which in parts if self._table[which][1] != 0.0]
+        if not noisy or count < 1 or type(batch) is not int or batch < 1:
+            return  # draw validates, and draws one at a time, every other batch
+        dim = self._table[noisy[0]][2]
+        count = min(count, max(1, _AHEAD_NORMALS // (len(noisy) * batch * dim)))
+        scales = np.concatenate([self._table[which][3] for which in noisy])
+        rows = self._noise(scales, batch, dim, count).reshape(-1, dim)
+        self._ahead, self._next = (tuple(noisy) * count, batch, rows), 0
+
+    def _noise(self, scales, batch, dim, count):
+        """Noise of the next ``count`` rounds of ``len(scales)`` draws in the
+        stream, shape (count, len(scales), dim), without moving the read
+        position: per-draw covariance (M^2/dim) I, so E||noise||^2 = M^2 per
+        call.  A batch mean is the sum and the division ndarray.mean performs;
+        numpy sums axis 2 of (count, P, batch, dim) with the bits of axis 0 of
+        each (batch, dim) block."""
+        n = count * scales.shape[0] * batch * dim
+        buf, pos = self._buf, self._pos
+        if pos + n > buf.shape[0]:
+            buf = self._buf = np.concatenate(
+                (buf[pos:], self._gen.standard_normal(max(n, _NOISE_BLOCK))))
+            pos = self._pos = 0
+        noise = np.add.reduce(buf[pos:pos + n].reshape(count, -1, batch, dim), axis=2)
+        noise /= np.array(float(batch))  # 0-d: cheaper than dividing by an int
+        try:
+            return noise * scales
+        except FloatingPointError:  # overflow under np.errstate(over="raise")
+            with np.errstate(over="ignore"):
+                return noise * scales
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
         # an exact int skips the isinstance tests, which refuse bool and float
@@ -402,30 +456,21 @@ class StochasticOracle:
         mean = _require_finite(fn(x, y), x, y, what)
         if std == 0.0:
             return mean
-        n = batch * dim
-        buf, pos = self._buf, self._pos
-        if pos + n > buf.shape[0]:
-            buf = self._buf = np.concatenate(
-                (buf[pos:], self._gen.standard_normal(max(n, _NOISE_BLOCK))))
-            pos = 0
-        self._pos = pos + n
-        block = buf[pos:pos + n].reshape(batch, dim)
+        ahead, i = self._ahead, self._next
+        if ahead is not None and i < len(ahead[0]) and ahead[0][i] == which \
+                and ahead[1] == batch:
+            noise = ahead[2][i]
+            self._next = i + 1
+        else:
+            self._ahead = None
+            noise = self._noise(scale, batch, dim, 1)[0, 0]
+        self._pos += batch * dim
         self.counter += batch
         try:
-            return _add_noise(mean, block, scale)
+            return mean + noise
         except FloatingPointError:  # overflow under np.errstate(over="raise")
             with np.errstate(over="ignore"):
-                return _add_noise(mean, block, scale)
-
-
-# mean + scale * (the mean of block's rows): per-draw covariance (M^2/dim) I so
-# that E||noise||^2 = M^2 per call; the batch mean is the sum and the division
-# ndarray.mean performs
-def _add_noise(mean, block, scale):
-    noise = np.add.reduce(block, axis=0)
-    noise /= np.array(float(block.shape[0]))  # 0-d: cheaper than dividing by an int
-    noise *= scale
-    return mean + noise
+                return mean + noise
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .core import (
     PenaltyObjective,
     ProblemConstants,
     StochasticOracle,
+    _check_seed,
     _h_lipschitz,
     as_bilevel,
     as_vector,
@@ -316,8 +317,9 @@ def run_f2bsa(problem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
     starting from delta_0 = c_delta * R.  The adaptive budget exists to track
     warm-start error under gradient noise, so it is engaged only when B > 0;
     with B = 0 (full gradients) the planned K is used and the run reproduces
-    the deterministic method exactly, bit for bit.
+    the deterministic method exactly, bit for bit.  ``seed`` must be an int.
     """
+    _check_seed(seed)
     return _run_penalty(problem, plan, x0, y0, seed, timing)
 
 
@@ -346,6 +348,10 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
 
     rows, calls = [], 0
     delta = math.nan if oracle is None else plan.delta0
+    # the delta recursion's constant factors, evaluated as its left-to-right
+    # expression would evaluate them, so with the same bits
+    drift = 8.0 * (c.L_g / c.mu) ** 2
+    floor = plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2
     t_start = time.perf_counter()
     for t in range(plan.T):
         t0 = time.perf_counter() if timing else None
@@ -373,8 +379,7 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
         _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
         if oracle is not None:
             step_sq = float(np.sum((x_new - x) ** 2))
-            delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq
-                     + plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2)
+            delta = 0.5 * delta + drift * step_sq + floor
         x = x_new
     wall_s = time.perf_counter() - t_start
     state = IterateState(t=plan.T, x=x, y=y, z=z, delta=delta, oracle_calls=calls,

@@ -12,9 +12,11 @@ value-function evaluation and by the diagnostics), and a bounded-budget probe
 that detects penalties whose descent runs away (unbounded-below h_sigma).
 
 Hot path: on 1-2 entry vectors numpy's per-call cost dominates, so scale
-factors (tau, sigma, eta, noise scales) are 0-d float64 arrays made once -- a
+factors (tau, sigma, eta, noise scales) are float64 arrays made once -- a
 Python-float operand costs ~0.4 us more per ufunc (numpy 2.4), for the same
 bits -- oracles are called without closures, and trace rows are NamedTuples.
+A stochastic phase announces its draws to the oracle, which reduces the
+noise of all K steps in one pass and serves each draw its row.
 On the chain's q-length vectors allocation costs: a step writes its gradient
 combination and both updates into the three arrays it allocates.
 """
@@ -151,6 +153,8 @@ def inner_descend(
     grad_f, grad_g, draw = prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None)
 
     K, inf = cfg.K, math.inf
+    if batch > 0:  # the phase's draws, announced so their noise is reduced at once
+        oracle._expect(("g_y", "f_y", "g_y"), batch, K)
     for k in range(K):
         if batch == 0:
             gz, fy, gg = grad_g(x, z), grad_f(x, y), grad_g(x, y)

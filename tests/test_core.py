@@ -20,6 +20,7 @@ from bipen import (
     hypergradient_estimate,
     penalized_hyperobjective_value,
 )
+from bipen import core
 from bipen.core import _grid_min, _require_finite, as_vector
 from bipen.errors import ToolkitError
 from bipen.rng import substream
@@ -374,6 +375,11 @@ def _replay(oracle, ops):
             oracle.reset()
             seen.append(("reset", oracle.counter))
             continue
+        if op[0] == "expect":  # an announcement; the reference draws per call
+            expect = getattr(oracle, "_expect", None)
+            if expect is not None:
+                expect(*op[1:])
+            continue
         which, batch, x, y = op
         seen.append(_outcome(lambda: oracle.draw(which, np.array(x), np.array(y), batch)))
         seen.append(oracle.counter)
@@ -406,6 +412,90 @@ def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
     got = _replay(StochasticOracle(prob, 0.1, 0.1, rng_seed=9), ops)
     assert got == _replay(_RefOracle(prob, 0.1, 0.1, rng_seed=9), ops)
     assert got[-1] == 1500 + 1200 + 7
+
+
+# an announced phase: ("expect", parts, batch, count), then the first `taken`
+# of its count * len(parts) draws, in order, at batch `batch` or at another
+# batch; y_1 cycles through the given values, so f_y can turn NaN mid-phase
+_PHASE_PARTS = (("g_y", "f_y", "g_y"), ("f_x", "g_x", "g_x"), ("f_y",), ("g_y", "g_y"))
+
+
+def _phase(parts, batch, count, taken, same_batch, y1s, x=(0.1, 0.2, 0.3)):
+    draw_batch = batch if same_batch else 2
+    ops = [("expect", parts, batch, count)]
+    for j in range(taken):
+        ops.append((parts[j % len(parts)], draw_batch, list(x),
+                    [y1s[j % len(y1s)], 0.5]))
+    return ops
+
+
+_phase_ops = st.builds(
+    _phase, st.sampled_from(_PHASE_PARTS),
+    st.one_of(_batch, _batch, st.sampled_from(_BAD_BATCHES)), st.integers(0, 6),
+    st.integers(0, 20), st.sampled_from([True, True, True, False]),
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    stds=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)]),
+    seed=st.integers(0, 2**40),
+    chunks=st.lists(st.one_of(_draw_op.map(lambda op: [op]), _phase_ops, _phase_ops,
+                              st.just(["reset"])), min_size=1, max_size=6),
+)
+def test_announced_phases_match_the_per_call_reference(stds, seed, chunks):
+    # unequal noise levels use a per-part scale array; batches up to 2500
+    # take phases across refills of the 4096-normal block; a NaN f_y, a bad
+    # batch, a draw off the announcement and a reset all leave the counter
+    # and the later draws where per-call draws would
+    ops = [op for chunk in chunks for op in chunk]
+    prob = _oracle_problem()
+    got = _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops)
+    assert got == _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
+
+
+@pytest.mark.parametrize("interruption", [
+    ("f_x", 4, [0.1, 0.2, 0.3], [0.3, 0.5]),   # another part
+    ("g_y", 5, [0.1, 0.2, 0.3], [0.3, 0.5]),   # the next part at another batch
+    ("f_y", 4, [0.1, 0.2, 0.3], [4.5, 0.5]),   # the next part, NaN: nothing taken
+    "reset",
+])
+def test_a_phase_resumes_with_per_call_bits_after_an_interruption(interruption):
+    # two draws of an announced phase, the interruption, then the phase's
+    # remaining draws: each must have the bits of the stream where it reads
+    ops = _phase(("g_y", "f_y", "g_y"), 4, 3, 9, True, [0.3])
+    ops = ops[:3] + [interruption] + ops[3:]
+    prob = _oracle_problem()
+    got = _replay(StochasticOracle(prob, 0.3, 0.7, rng_seed=6), ops)
+    assert got == _replay(_RefOracle(prob, 0.3, 0.7, rng_seed=6), ops)
+
+
+def test_a_phase_longer_than_the_announcement_cap_draws_the_rest_per_call(
+        monkeypatch):
+    # 100 normals per round under a cap of 250: two rounds are pre-reduced,
+    # the other three are drawn one at a time, with the same bits
+    monkeypatch.setattr(core, "_AHEAD_NORMALS", 250)
+    prob = _oracle_problem()
+    ops = _phase(("g_y", "f_y"), 25, 5, 10, True, [0.3]) + [("f_x", 3, [0.1] * 3,
+                                                             [0.2, 0.5])]
+    oracle = StochasticOracle(prob, 0.3, 0.7, rng_seed=4)
+    got = _replay(oracle, ops[:1])
+    assert len(oracle._ahead[2]) == 4
+    got += _replay(oracle, ops[1:])
+    assert got == _replay(_RefOracle(prob, 0.3, 0.7, rng_seed=4), ops)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_phase_reduction_has_the_bits_of_per_draw_reductions(dim):
+    # the oracle's phase noise relies on this: numpy sums axis 2 of
+    # (K, P, B, dim) with the bits it gives axis 0 of each (B, dim) block
+    for B in list(range(1, 70)) + [100, 128, 129, 200, 1600]:
+        for K, P in ((1, 1), (11, 1), (11, 3), (3, 2)):
+            normals = substream(B, dim, K, P).standard_normal(K * P * B * dim)
+            phase = np.add.reduce(normals.reshape(K, P, B, dim), axis=2)
+            per_draw = [np.add.reduce(block, axis=0)
+                        for block in normals.reshape(K * P, B, dim)]
+            assert phase.tobytes() == np.array(per_draw).tobytes(), (B, K, P)
 
 
 _FINITE_CASES = [
@@ -505,6 +595,28 @@ def test_an_overflowing_draw_is_returned_as_the_default_state_computes_it(
             want = _replay(_RefOracle(prob, std, 0.0, rng_seed=1), ops)
         with np.errstate(over=state):
             assert _replay(StochasticOracle(prob, std, 0.0, rng_seed=1), ops) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_an_overflowing_phase_is_returned_as_the_default_state_computes_it(
+        kernel, state):
+    # the same overflows in announced phases: mean + row, and a block whose
+    # scaling overflows in some rows only, recomputed as a whole
+    huge_mean = dataclasses.replace(
+        kernel.problem, grad_f_y=lambda x, y: np.array([1.79e308, -1.79e308]))
+    ops = (_phase(("g_y", "f_y", "g_y"), 1, 8, 24, True, [0.0], x=[0.1])
+           + _phase(("f_y",), 1, 5, 3, True, [0.0], x=[0.1])
+           + [("f_y", 3, [0.1], [0.0, 0.0])])
+    for prob, stds in ((huge_mean, (1e308, 0.5)), (kernel.problem, (1.79e308, 0.5)),
+                       (kernel.problem, (0.0, 1.79e308))):
+        with np.errstate(over="ignore"):
+            want = _replay(_RefOracle(prob, *stds, rng_seed=1), ops)
+        returned = [np.frombuffer(w[2][2]) for w in want
+                    if isinstance(w, tuple) and w[0] == "returned"]
+        assert any(np.isinf(v).any() for v in returned)  # some draws overflow
+        with np.errstate(over=state):
+            assert _replay(StochasticOracle(prob, *stds, rng_seed=1), ops) == want
 
 
 def test_oracle_counter_is_not_a_constructor_argument(kernel):

@@ -11,6 +11,7 @@ from bipen import (
     NumericError,
     PenaltyObjective,
     ProblemConstants,
+    StochasticOracle,
     build_schedule,
     fit_complexity_slope,
     get_problem,
@@ -173,6 +174,17 @@ class TestStochasticDriver:
         a = run_f2ba(s.problem, plan)
         b = run_f2bsa(s.problem, plan, seed=7)
         assert np.array_equal(a.final_state.x, b.final_state.x)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        # None would run F2BA and drop the plan's B; 1.5 and True would run
+        # seed 1's stream with another seed in the trace header
+        s = get_problem("kernel_pl_fnoise")
+        plan = build_schedule(s.problem.constants, 0.1, Delta=0.5, R=0.25)
+        with pytest.raises(InputError, match="seed must be an int"):
+            run_f2bsa(s.problem, plan, seed=seed)
+        with pytest.raises(InputError, match="seed must be an int"):
+            StochasticOracle(s.problem, 0.1, 0.0, rng_seed=seed)
 
     def test_positive_batch_needs_noise_model(self, kernel):
         plan = kernel_plan(B=4, T=5)

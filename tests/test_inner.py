@@ -24,6 +24,7 @@ from bipen import (
 )
 from bipen.core import as_bilevel, as_vector
 from bipen.inner import DivergenceProbe, _norm
+from test_core import _RefOracle, _oracle_problem
 
 
 def test_config_validation():
@@ -318,6 +319,84 @@ def test_inner_descend_matches_the_reference_loop_bitwise(
     want = _outcome(_ref_inner_descend, name, seed, args, cfg, part, shape)
     got = _outcome(inner_descend, name, seed, args, cfg, part, shape)
     assert got == want
+
+
+# Announced phases: inner_descend announces each phase's draws, and the oracle
+# reduces their noise at once.  A run must leave what the reference loop on
+# the per-call reference oracle leaves: the result or the error, the counter
+# and the draws that follow.
+
+_NOISE_LEVELS = [(0.3, 0.7), (0.3, 0.0), (0.0, 0.7)]
+
+
+def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail):
+    """``lead`` draws, then each phase (x, y0, z0, sigma, cfg), then the
+    estimator's three draws at ``tail``; what each leaves, bitwise."""
+    oracle = oracle_cls(prob, *stds, rng_seed=seed)
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for which, batch, x, y in lead:
+            seen.append(_bits(oracle.draw(which, x, y, batch)))
+        for x, y0, z0, sigma, cfg in phases:
+            try:
+                res = descend(prob, x, y0, z0, sigma, cfg, oracle)
+            except (NumericError, DivergenceError) as exc:
+                seen.append(("raised", type(exc), str(exc), oracle.counter))
+            else:
+                seen.append(("returned", _bits(res.y), _bits(res.z),
+                             _bits(res.grad_norm_y), _bits(res.grad_norm_z),
+                             res.oracle_calls, res.steps, oracle.counter))
+        x, y, batch = tail
+        for which in ("f_x", "g_x", "g_x"):
+            seen.append(_bits(oracle.draw(which, x, y, batch)))
+    seen.append(oracle.counter)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_INNER_PROBLEMS)),
+    stds=st.sampled_from(_NOISE_LEVELS),
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+    sigma=st.floats(0.01, 1.0),
+    Ks=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    batch=st.sampled_from([1, 3, 700]),
+    lead=st.integers(0, 2000),
+    seed=st.integers(0, 3),
+)
+def test_announced_inner_phases_match_the_per_call_reference(
+        name, stds, coords, sigma, Ks, batch, lead, seed):
+    # batch 700 asks 1,400-4,200 normals per step, so phases cross refills of
+    # the 4096-normal block; the lead draw starts them inside one
+    dim_x, dim_y = _INNER_PROBLEMS[name]
+    prob = get_problem(name).problem
+    x = np.array(coords[:dim_x])
+    y0, z0 = np.array(coords[1:1 + dim_y]), np.array(coords[3:3 + dim_y])
+    phases = [(x, y0, z0, sigma, InnerConfig(tau=0.5, K=K, batch=batch)) for K in Ks]
+    args = (prob, stds, seed, [("f_x", lead, x, y0)] if lead else [], phases,
+            (x, y0, batch))
+    assert (_phase_run(inner_descend, StochasticOracle, *args)
+            == _phase_run(_ref_inner_descend, _RefOracle, *args))
+
+
+@pytest.mark.parametrize("stds", _NOISE_LEVELS)
+@pytest.mark.parametrize("batch", [1, 700])
+def test_a_nan_gradient_mid_phase_leaves_the_counter_and_later_draws(stds, batch):
+    # f_y is NaN once y_1 > 4: y_1 climbs from 3.0 towards ~4.4, so an f_y
+    # draw raises in the middle of a six-step phase; a second phase and the
+    # estimator's draws follow
+    prob = _oracle_problem()
+    x = np.array([4.5, 0.0, 0.1])
+    phases = [(x, np.array([3.0, 1.0]), np.array([0.0, 0.0]), 0.01,
+               InnerConfig(tau=0.5, K=6, batch=batch, divergence_radius=math.inf)),
+              (np.zeros(3), np.array([0.5, 0.5]), np.array([0.1, 0.1]), 0.01,
+               InnerConfig(tau=0.5, K=3, batch=batch))]
+    args = (prob, stds, 2, [], phases, (np.zeros(3), np.array([0.5, 0.5]), batch))
+    got = _phase_run(inner_descend, StochasticOracle, *args)
+    assert got[0][:3] == ("raised", NumericError, "non-finite grad f_y encountered")
+    noisy_per_step = (stds[0] > 0) + 2 * (stds[1] > 0)
+    assert 0 < got[0][3] < 6 * noisy_per_step * batch
+    assert got == _phase_run(_ref_inner_descend, _RefOracle, *args)
 
 
 # reference probe: the divergence probe's own descent loop as it stood before
