@@ -232,7 +232,7 @@ def test_c10_degenerate_refusal_is_witnessed(criterion):
 def test_c11_fully_stochastic_complexity_slope(criterion):
     # the third rate: with noise on g's gradients the batch grows as eps^-4
     # and the calls as eps^-6 (c03 gates eps^-2, c04 eps^-4).  The command
-    # below took 6.4-7.3 s on a 2-vCPU Xeon VM; the wall bound leaves ~8x
+    # below took 6-7.5 s on a 2-vCPU Xeon VM; the wall bound leaves ~8x
     # that for slower runners while still catching a per-draw cost that
     # grows by an order of magnitude.
     t0 = time.perf_counter()
