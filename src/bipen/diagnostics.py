@@ -26,6 +26,7 @@ from .core import (
     _GSTAR_TOL,
     PenaltyObjective,
     ProblemMeta,
+    _check_seed,
     _grid_values,
     _h,
     _h_grad,
@@ -208,6 +209,7 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
     the problem's windows; those with gap <= 1e-12 are skipped (0/0
     convention).
     """
+    _check_seed(seed)
     prob = as_bilevel(problem)
     if not 0.0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
@@ -335,6 +337,7 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     ``_FD_CHECK_STEP`` is scaled by the probe magnitude.  Returns the worst
     relative error over all four gradients.
     """
+    _check_seed(seed)
     prob = as_bilevel(problem)
     _require_count(n_probes, "n_probes")
     meta = _windows(prob, "gradient check")
@@ -365,6 +368,7 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
     probed separately against variation in x and in y.  Returns the max
     ratio per (block, argument); callers compare against declarations.
     """
+    _check_seed(seed)
     prob = as_bilevel(problem)
     _require_count(n_pairs, "n_pairs")
     meta = _windows(prob, "smoothness check")
@@ -434,6 +438,7 @@ def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
     Requires the suite's analytic set sampler.  Returns counts and the worst
     ratio distance / bound.
     """
+    _check_seed(seed)
     sampler = getattr(suite, "sample_y_star", None)
     if sampler is None:
         raise CapabilityError("set stability check needs an analytic set sampler")

@@ -250,8 +250,12 @@ class RunTrace:
         return self._min_row("grad_est_norm")[1]
 
     @property
-    def min_grad_true(self) -> float:
-        return self._min_row("grad_true_norm")[0]
+    def mean_grad_true(self) -> float:
+        """Mean analytic ||grad phi|| over the iterates, the norm a uniformly
+        drawn output iterate is judged by; nan without analytic values."""
+        if not self.rows:
+            return math.nan
+        return math.fsum(r.grad_true_norm for r in self.rows) / len(self.rows)
 
     @property
     def final_grad_est(self) -> float:
@@ -259,11 +263,13 @@ class RunTrace:
 
     def summary_line(self) -> str:
         seed = "-" if self.seed is None else self.seed
+        mean = self.mean_grad_true
+        analytic = "" if math.isnan(mean) else f"mean||grad_true||={mean:.4e}, "
         return (
             f"{self.problem_name} {self.algorithm} eps={self.plan.epsilon:g} "
             f"seed={seed}: min||grad_est||={self.min_grad_est:.4e} "
             f"@t={self.argmin_grad_est}, final={self.final_grad_est:.4e}, "
-            f"calls={self.total_oracle_calls}, wall={self.wall_seconds:.2f}s"
+            f"{analytic}calls={self.total_oracle_calls}, wall={self.wall_seconds:.2f}s"
         )
 
 

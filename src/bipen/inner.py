@@ -19,6 +19,34 @@ A stochastic phase announces its draws to the oracle, which reduces the
 noise of all K steps in one pass and serves each draw its row.
 On the chain's q-length vectors allocation costs: a step writes its gradient
 combination and both updates into the three arrays it allocates.
+
+Small dimension: while dim_y <= _FLOAT_STEP_DIM, a step whose three
+gradients are float64 vectors of shape (dim_y,) runs on Python floats.  It
+takes them with tolist(), computes y - tau * (sigma * f + g) and
+z - tau * a per coordinate, in numpy's order and so to the same IEEE
+doubles, and builds the next y and z with one np.array each.  Any other
+gradient hands the rest of the phase to the numpy step, which handles
+broadcasting, float32 oracles and np.errstate(over="raise") as before.
+Median us per step, oracles returning a stored gradient, K = 40, 15
+interleaved repeats (2-vCPU Xeon VM, numpy 2.4.6, Python 3.11):
+
+    dim_y    1     2     3     4     5     6     7     8
+    numpy  10.2   7.2   5.8   5.6   7.3   6.7   6.1   6.9
+    float   3.6   4.0   4.1   3.7   5.4   5.2   4.6   6.1
+
+    dim_y    9    10    11    12    13    14    15    16
+    numpy   7.6   7.2   7.8   7.9   7.6   7.5   7.5   7.5
+    float   7.0   7.5   8.1   8.7   8.7   9.5   9.7   9.4
+
+Guards and reported norms still go through _norm, numpy's own dot: BLAS
+ddot fuses multiply-adds, and v.dot(v) differed in its last bit from
+a*a + b*b on 126,837 of 800,000 standard-normal 2-vectors.  So a float
+step passes the guard only while both iterates' math.hypot lies below the
+radius by a relative 1e-9, which covers either rounding, and below 1e150,
+where ddot cannot overflow; the numpy step redoes any other step, and its
+guard decides.  The last h_sigma-gradient is rebuilt in numpy once per
+phase for the reported norm.  Under np.errstate(under="raise") a float
+step does not raise on a subnormal result, where numpy's would.
 """
 
 from __future__ import annotations
@@ -29,9 +57,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h, _h_grad,
-                   _h_lipschitz, as_bilevel, as_vector)
+from .core import (_FLOAT64, _GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h,
+                   _h_grad, _h_lipschitz, as_bilevel, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
+
+_ndarray = np.ndarray
+# dim_y up to which an inner step runs on Python floats; the float step was
+# faster through dim_y = 9 in every crossover run (module docstring)
+_FLOAT_STEP_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -132,7 +165,8 @@ def inner_descend(
     instances a single spare gradient call would leak information the
     certification harness must account for).  tau and sigma are applied as
     0-d float64 arrays, which numpy 2 does not treat as weak scalars: a
-    float32 oracle output is scaled in float64.
+    float32 oracle output is scaled in float64.  Up to ``_FLOAT_STEP_DIM``
+    entries a step runs on Python floats, to the same bits.
     """
     prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
@@ -153,6 +187,14 @@ def inner_descend(
     grad_f, grad_g, draw = prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None)
 
     K, inf = cfg.K, math.inf
+    # small dimension: steps on Python floats (module docstring)
+    small = prob.dim_y <= _FLOAT_STEP_DIM
+    if small:
+        t, s = float(cfg.tau), float(sigma)
+        shape, coords = (prob.dim_y,), range(prob.dim_y)
+        r_pass = min(radius, 1e150) * (1.0 - 1e-9)
+        zl, yl = z.tolist(), y.tolist()
+    gy = None  # the last h_sigma-gradient, when a numpy step made it
     if batch > 0:  # the phase's draws, announced so their noise is reduced at once
         oracle._expect(("g_y", "f_y", "g_y"), batch, K)
     for k in range(K):
@@ -161,6 +203,20 @@ def inner_descend(
         else:
             gz, fy, gg = (draw("g_y", x, z, batch), draw("f_y", x, y, batch),
                           draw("g_y", x, y, batch))
+        if small:
+            if (type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
+                    and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64
+                    and gg.dtype is _FLOAT64 and gz.shape == shape
+                    and fy.shape == shape and gg.shape == shape):
+                a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
+                for i in coords:
+                    zl[i] -= t * a[i]
+                    yl[i] -= t * (s * b[i] + c[i])
+                if math.hypot(*zl) < r_pass and math.hypot(*yl) < r_pass:
+                    z, y, gy = np.array(zl), np.array(yl), None
+                    continue
+            else:
+                small = False
         # _guard's fast test, inlined; _guard classifies what fails it
         try:
             try:
@@ -184,7 +240,11 @@ def inner_descend(
         if not (n_z <= radius and n_y <= radius and n_z < inf and n_y < inf):
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
+        if small:
+            zl, yl = z.tolist(), y.tolist()
 
+    if K and gy is None:  # a float step: the same bits in numpy
+        gy = sig * fy + gg
     ny, nz = (_norm(gy), _norm(gz)) if K else (math.nan, math.nan)
     # fused units: one h_sigma-gradient + one g-gradient per step
     return InnerResult(y, z, ny, nz, 2 * max(batch, 1) * K, K)

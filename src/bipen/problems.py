@@ -229,10 +229,12 @@ def _sin_sq_d2(u):
 
 def certify_sin_sq_mu(lo: float = -10.0, hi: float = 10.0, n: int = 4001,
                       safety: float = 0.95) -> float:
-    """Grid lower bound on the PL ratio |G'(u)|^2 / (2 G(u)) of u^2+3sin^2 u.
+    """Grid estimate, with a safety factor, of the PL constant of u^2+3sin^2 u.
 
-    The returned value is ``safety`` times the grid minimum, so any coarser
-    sub-grid of the same range certifies at least the declared constant.
+    Returns ``safety`` times the minimum of the PL ratio |G'(u)|^2 / (2 G(u))
+    over ``n`` grid points of [lo, hi].  A grid minimum can only over-state
+    the infimum over the range, so this bounds nothing: the factor is a
+    margin for what the grid misses, not a proof.
     """
     u = np.linspace(lo, hi, n)
     u = u[np.abs(u) > 1e-9]
@@ -244,7 +246,7 @@ def make_sin_sq_pl() -> SuiteProblem:
     """f = (y-1)^2/2 + x^2/2,  g = (y-x)^2 + 3 sin^2(y-x)  (scalar y).
 
     The lower level is nonconvex (its curvature reaches -4) yet PL; the PL
-    constant is certified numerically on y - x in [-10, 10] at construction.
+    constant is estimated on a grid of y - x in [-10, 10] at construction.
     Y*(x) = {x}, so phi(x) = (x-1)^2/2 + x^2/2 as in the strongly convex
     reference, reached through a much rougher landscape.
     """

@@ -446,6 +446,17 @@ def test_every_sampling_check_refuses_fewer_than_one_probe(kernel, n):
             check()
 
 
+@pytest.mark.parametrize("seed", [1.5, True, None])
+@pytest.mark.parametrize("check", [pl_ratio_certificate, check_gradients,
+                                   check_smoothness_constants, set_lipschitz_check])
+def test_every_sampling_check_refuses_a_seed_that_is_not_an_int(kernel, check, seed):
+    # int() used to turn 1.5 and True into seed 1's stream, and None into a
+    # bare TypeError
+    target = kernel if check is set_lipschitz_check else kernel.problem
+    with pytest.raises(InputError, match="seed must be an int"):
+        check(target, seed=seed)
+
+
 def test_every_window_reading_check_refuses_a_windowless_problem(kernel, sin_sq):
     # meta=None must be refused by name, not surface as an AttributeError
     def bare(suite):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import statistics
 import warnings
 
 import numpy as np
@@ -98,8 +100,21 @@ class TestDeterministicDriver:
         plan = build_schedule(s.problem.constants, 0.05, Delta=0.25, R=2.0)
         tr = run_f2ba(s.problem, plan)
         assert len(tr.rows) == plan.T
-        assert tr.min_grad_true <= 0.05
+        assert tr.mean_grad_true <= 0.05
         assert tr.final_state.t == plan.T
+
+    def test_mean_analytic_norm_is_the_mean_over_iterates(self, kernel):
+        tr = run_f2ba(kernel, kernel_plan(T=20))
+        mean = statistics.fmean(r.grad_true_norm for r in tr.rows)
+        assert tr.mean_grad_true == mean
+        assert f"mean||grad_true||={mean:.4e}, " in tr.summary_line()
+        # no analytic gradient: nan, and the summary leaves it out
+        boxed = get_problem("degenerate_penalty_boxed")
+        plan = build_schedule(boxed.problem.constants, 0.1, Delta=0.5, R=0.25,
+                              overrides={"T": 6})
+        tr = run_f2ba(boxed, plan)
+        assert math.isnan(tr.mean_grad_true)
+        assert "grad_true" not in tr.summary_line()
 
     def test_rows_record_pre_update_x_and_cumulative_calls(self, kernel):
         plan = kernel_plan(T=5)

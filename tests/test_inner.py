@@ -22,8 +22,8 @@ from bipen import (
     inner_descend,
     probe_penalty_divergence,
 )
-from bipen.core import as_bilevel, as_vector
-from bipen.inner import DivergenceProbe, _norm
+from bipen.core import BilevelProblem, ProblemConstants, as_bilevel, as_vector
+from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm
 from test_core import _RefOracle, _oracle_problem
 
 
@@ -275,9 +275,45 @@ _SHAPES = {
 }
 
 
+def _quadratic(dim_y):
+    """f = ||y - 1||^2 / 2 + x^2 / 2, g = sum_i a_i (y_i - x)^2 / 2 with a_i
+    in [1, 2]: a lower level of any dimension, for the inner loop's choice
+    between Python-float and numpy steps."""
+    a = np.linspace(1.0, 2.0, dim_y)
+    return BilevelProblem(
+        dim_x=1, dim_y=dim_y,
+        f=lambda x, y: 0.5 * float((y - 1.0).dot(y - 1.0)) + 0.5 * x[0] ** 2,
+        grad_f_x=lambda x, y: x.copy(),
+        grad_f_y=lambda x, y: y - 1.0,
+        g=lambda x, y: 0.5 * float((a * (y - x[0])).dot(y - x[0])),
+        grad_g_x=lambda x, y: np.array([-(a * (y - x[0])).sum()]),
+        grad_g_y=lambda x, y: a * (y - x[0]),
+        constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=2.0, rho_f=0.0, rho_g=0.0,
+                                   mu=1.0, sigma_bar=1.0),
+    )
+
+
+# the suite's small problems, and quadratics on both sides of the dimension
+# up to which inner steps run on Python floats
+_INNER_PROBLEMS = {"kernel_pl": (1, 2), "quadratic_sc": (1, 2), "sin_sq_pl": (1, 1),
+                   "float steps": (1, _FLOAT_STEP_DIM),
+                   "numpy steps": (1, _FLOAT_STEP_DIM + 1)}
+
+
+def _inner_problem(name):
+    if name in ("float steps", "numpy steps"):
+        return _quadratic(_INNER_PROBLEMS[name][1])
+    return get_problem(name).problem
+
+
+# x, y0 and z0 are read from one list of coordinates, as x = c[:dim_x],
+# y0 = c[1:1 + dim_y] and z0 = c[3:3 + dim_y]
+_COORDS = 3 + max(dim_y for _, dim_y in _INNER_PROBLEMS.values())
+
+
 def _outcome(fn, name, seed, args, cfg, part, shape):
     # the oracle exists even when batch = 0 and goes unused, as in a run
-    prob = get_problem(name).problem
+    prob = _inner_problem(name)
     prob = dataclasses.replace(prob, **{part: _SHAPES[shape](getattr(prob, part))})
     oracle = StochasticOracle(prob, 0.1, 0.1, rng_seed=seed)
     try:
@@ -292,13 +328,10 @@ def _outcome(fn, name, seed, args, cfg, part, shape):
             _bits(res.grad_norm_z), res.oracle_calls, res.steps, oracle.counter)
 
 
-_INNER_PROBLEMS = {"kernel_pl": (1, 2), "quadratic_sc": (1, 2), "sin_sq_pl": (1, 1)}
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     name=st.sampled_from(sorted(_INNER_PROBLEMS)),
-    coords=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=_COORDS, max_size=_COORDS),
     sigma=st.floats(0.01, 1.0),
     tau=st.one_of(st.floats(1e-3, 25.0), st.sampled_from([1e3, 1e160, 1e300])),
     K=st.integers(0, 12),
@@ -357,7 +390,7 @@ def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail):
 @given(
     name=st.sampled_from(sorted(_INNER_PROBLEMS)),
     stds=st.sampled_from(_NOISE_LEVELS),
-    coords=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=_COORDS, max_size=_COORDS),
     sigma=st.floats(0.01, 1.0),
     Ks=st.lists(st.integers(0, 6), min_size=1, max_size=3),
     batch=st.sampled_from([1, 3, 700]),
@@ -369,7 +402,7 @@ def test_announced_inner_phases_match_the_per_call_reference(
     # batch 700 asks 1,400-4,200 normals per step, so phases cross refills of
     # the 4096-normal block; the lead draw starts them inside one
     dim_x, dim_y = _INNER_PROBLEMS[name]
-    prob = get_problem(name).problem
+    prob = _inner_problem(name)
     x = np.array(coords[:dim_x])
     y0, z0 = np.array(coords[1:1 + dim_y]), np.array(coords[3:3 + dim_y])
     phases = [(x, y0, z0, sigma, InnerConfig(tau=0.5, K=K, batch=batch)) for K in Ks]
