@@ -53,6 +53,7 @@ _GRAD = Callable[[Array, Array], Array]
 
 
 _FLOAT64 = np.dtype(float)
+_ndarray = np.ndarray
 
 
 def as_vector(v, dim: int, name: str) -> Array:
@@ -85,11 +86,25 @@ def _require_finite(value, x: Array, y, what: str):
                 return value
         except FloatingPointError:
             pass
+    return _entrywise_finite(value, x, y, what)
+
+
+def _entrywise_finite(value, x: Array, y, what: str):
+    """``_require_finite``'s test of every entry, for what fails its fast test."""
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
         raise NumericError(f"non-finite {what} encountered", point=pt)
     return arr
+
+
+def _int_field(obj, name: str, label: str):
+    """Store field ``name`` of a frozen dataclass as an int; refuse bool, float
+    and every other non-integer with ConfigError (int and np.integer pass)."""
+    v = getattr(obj, name)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ConfigError(f"{label} must be an integer, got {v!r}")
+    object.__setattr__(obj, name, int(v))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +207,18 @@ class BilevelProblem:
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise ConfigError("dim_x and dim_y must be at least 1")
+        # the shapes check_point's fast test compares with, made once
+        object.__setattr__(self, "_shape_x", (self.dim_x,))
+        object.__setattr__(self, "_shape_y", (self.dim_y,))
 
     def check_point(self, x, y=None):
+        """``as_vector`` of x (and y); float64 ndarrays of the problem's
+        shapes come back as they are, as ``as_vector`` returns them, without
+        its call."""
+        if (type(x) is _ndarray and type(y) is _ndarray and x.dtype is _FLOAT64
+                and y.dtype is _FLOAT64 and x.shape == self._shape_x
+                and y.shape == self._shape_y):
+            return x, y
         x = as_vector(x, self.dim_x, "x")
         if y is None:
             return x
@@ -369,7 +394,16 @@ class StochasticOracle:
     any other draw drops the announcement.  Such a phase holds its
     K * P * B * dim_y normals at once (P noisy parts per step; ~64,000 on
     kernel_pl_gnoise at eps = 0.05, B = 1,600), at most ``_AHEAD_NORMALS``.
-    The read position and ``counter`` still advance one draw at a time.
+    The read position and ``counter`` still advance one draw at a time.  The
+    noisy parts, dimension and (P, 1) scales of each announced parts tuple
+    are worked out once per oracle.
+
+    Every draw tests its point and its base gradient, taking the fast test of
+    each without a call: float64 vectors of the problem's shapes pass
+    ``check_point`` as they are, and a 1-D float64 gradient with a finite
+    squared norm is used as it is.  Any other point goes through
+    ``as_vector``, and any other gradient through ``_require_finite``'s
+    entrywise test, with the same errors.
     """
 
     base: BilevelProblem
@@ -387,6 +421,7 @@ class StochasticOracle:
         self._gen = substream(self.rng_seed, "oracle")
         self._buf, self._pos = np.empty(0), 0  # the noise block and its read position
         self._ahead, self._next = None, 0  # announced (parts, batch, rows), next row
+        self._phases = {}  # announced parts -> (noisy parts, dim, their scales)
         base = self.base
         self._table = {
             which: (fn, std, dim, np.full((1, 1), std / math.sqrt(dim)), f"grad {which}")
@@ -411,14 +446,20 @@ class StochasticOracle:
         in one pass; rounds past the first ``_AHEAD_NORMALS`` normals are drawn
         one at a time."""
         self._ahead = None
-        noisy = [which for which in parts if self._table[which][1] != 0.0]
+        phase = self._phases.get(parts)
+        if phase is None:
+            noisy = tuple(which for which in parts if self._table[which][1] != 0.0)
+            phase = (noisy, 0, None)
+            if noisy:
+                phase = (noisy, self._table[noisy[0]][2],
+                         np.concatenate([self._table[which][3] for which in noisy]))
+            self._phases[parts] = phase
+        noisy, dim, scales = phase
         if not noisy or count < 1 or type(batch) is not int or batch < 1:
             return  # draw validates, and draws one at a time, every other batch
-        dim = self._table[noisy[0]][2]
         count = min(count, max(1, _AHEAD_NORMALS // (len(noisy) * batch * dim)))
-        scales = np.concatenate([self._table[which][3] for which in noisy])
         rows = self._noise(scales, batch, dim, count).reshape(-1, dim)
-        self._ahead, self._next = (tuple(noisy) * count, batch, rows), 0
+        self._ahead, self._next = (noisy * count, batch, rows), 0
 
     def _noise(self, scales, batch, dim, count):
         """Noise of the next ``count`` rounds of ``len(scales)`` draws in the
@@ -453,7 +494,14 @@ class StochasticOracle:
                              f"expected one of {_ORACLE_PARTS}")
         fn, std, dim, scale, what = part
         x, y = self.base.check_point(x, y)
-        mean = _require_finite(fn(x, y), x, y, what)
+        mean = fn(x, y)
+        try:  # _require_finite's fast test, inlined
+            fast = (type(mean) is _ndarray and mean.dtype is _FLOAT64 and mean.ndim == 1
+                    and math.isfinite(mean.dot(mean)))
+        except FloatingPointError:  # overflow under np.errstate(over="raise")
+            fast = False
+        if not fast:  # the rest of _require_finite, without a second dot
+            mean = _entrywise_finite(mean, x, y, what)
         if std == 0.0:
             return mean
         ahead, i = self._ahead, self._next

@@ -40,6 +40,7 @@ from .core import (
     StochasticOracle,
     _check_seed,
     _h_lipschitz,
+    _int_field,
     as_bilevel,
     as_vector,
     hypergradient_estimate,
@@ -82,6 +83,8 @@ class SchedulePlan:
             raise ConfigError(
                 f"plan sigma={self.sigma} exceeds sigma_bar={self.constants.sigma_bar}"
             )
+        for name in ("K", "T", "B"):
+            _int_field(self, name, f"plan {name}")
         if self.K < 1:
             raise ConfigError(f"plan K must be >= 1, got {self.K}")
         if self.T < 0:
@@ -160,17 +163,17 @@ def build_schedule(
     tau = float(ov.pop("tau")) if "tau" in ov else 1.0 / _h_lipschitz(c, sigma)
     eta = float(ov.pop("eta")) if "eta" in ov else cs["c_eta"] / (ell * kap ** 3)
     if "K" in ov:
-        K = int(ov.pop("K"))
+        K = ov.pop("K")
     else:
         K = max(1, math.ceil(cs["c_K"] * (c.L_g / c.mu)
                              * max(1.0, math.log(c.L_g / (c.mu * sigma)))))
     delta0 = float(ov.pop("delta0")) if "delta0" in ov else cs["c_delta"] * R
     if "T" in ov:
-        T = int(ov.pop("T"))
+        T = ov.pop("T")
     else:
         T = max(1, math.ceil(2.0 * (Delta + delta0) / (eta * epsilon ** 2)))
     if "B" in ov:
-        B = int(ov.pop("B"))
+        B = ov.pop("B")
     elif not c.stochastic:
         B = 0
     else:
@@ -384,7 +387,8 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
             x_new = _overflowed_step(x, eta, est)
         _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
         if oracle is not None:
-            step_sq = float(np.sum((x_new - x) ** 2))
+            d = x_new - x  # np.sum(d ** 2)'s squares and reduction, minus its wrapper
+            step_sq = float(np.add.reduce(d * d))
             delta = 0.5 * delta + drift * step_sq + floor
         x = x_new
     wall_s = time.perf_counter() - t_start

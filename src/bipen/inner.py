@@ -58,7 +58,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (_FLOAT64, _GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h,
-                   _h_grad, _h_lipschitz, as_bilevel, as_vector)
+                   _h_grad, _h_lipschitz, _int_field, as_bilevel, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
@@ -84,6 +84,8 @@ class InnerConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"inner step size tau must be > 0, got {self.tau}")
+        _int_field(self, "K", "inner step count K")
+        _int_field(self, "batch", "batch")
         if self.K < 0:
             raise ConfigError(f"inner step count K must be >= 0, got {self.K}")
         if self.batch < 0:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,9 +262,18 @@ def test_problem_rejects_nonpositive_dims(kernel):
 
 
 # ---------------------------------------------------------------------------
-# reference oracle: the finiteness check and the oracle as they stood before
-# noise came from a pre-drawn block, kept verbatim; the package's versions
-# must match them bit for bit, failures included.
+# reference oracle: the point and finiteness checks and the oracle as they
+# stood before noise came from a pre-drawn block, kept verbatim; the
+# package's versions must match them bit for bit, failures included.
+
+
+def _ref_as_vector(v, dim: int, name: str):
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.ndim != 1 or arr.shape[0] != dim:
+        raise InputError(
+            f"{name} must be a vector of length {dim}, got shape {arr.shape}"
+        )
+    return arr
 
 
 def _ref_require_finite(value, x, y, what: str):
@@ -311,7 +321,8 @@ class _RefOracle:
             raise InputError(f"unknown gradient selector {which!r}; "
                              f"expected one of {_ORACLE_PARTS}")
         fn, std, dim = part
-        x, y = self.base.check_point(x, y)
+        x = _ref_as_vector(x, self.base.dim_x, "x")
+        y = _ref_as_vector(y, self.base.dim_y, "y")
         mean = _ref_require_finite(fn(x, y), x, y, f"grad {which}")
         if std == 0.0:
             return mean
@@ -341,28 +352,55 @@ def _outcome(call):
 
 
 def _oracle_problem():
-    """dim_x = 3, dim_y = 2; f_y is NaN for y_1 > 4, g_x is inf for x_1 > 4,
-    and g_y comes back as a list."""
+    """dim_x = 3, dim_y = 2; f_y is NaN for y_1 > 4 and finite with a squared
+    norm that overflows for y_2 < -4, g_x is inf for x_1 > 4, f_x is float32
+    for x_2 > 3, g_x has shape (1, 3) for x_3 < -3, and g_y comes back as a
+    list: each but the plain vectors misses the oracle's fast test."""
+    def grad_f_x(x, y):
+        v = np.sin(x) * y.sum()
+        return v.astype(np.float32) if x[1] > 3.0 else v
+
+    def grad_g_x(x, y):
+        v = np.cos(x) - (math.inf if x[0] > 4.0 else 0.0)
+        return v[None, :] if x[2] < -3.0 else v
+
     return BilevelProblem(
         dim_x=3, dim_y=2,
         f=lambda x, y: 0.0,
-        grad_f_x=lambda x, y: np.sin(x) * y.sum(),
-        grad_f_y=lambda x, y: y * (math.nan if y[0] > 4.0 else 1.5),
+        grad_f_x=grad_f_x,
+        grad_f_y=lambda x, y: y * (math.nan if y[0] > 4.0 else
+                                   1e200 if y[1] < -4.0 else 1.5),
         g=lambda x, y: 0.0,
-        grad_g_x=lambda x, y: np.cos(x) - (math.inf if x[0] > 4.0 else 0.0),
+        grad_g_x=grad_g_x,
         grad_g_y=lambda x, y: list(y - x[:2]),
         constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0,
                                    mu=1.0, sigma_bar=1.0),
     )
 
 
+# how a draw's x and y are passed: the exact float64 vectors of the fast
+# test, or another input, which as_vector coerces or refuses
+_POINT_KINDS = {
+    "array": np.array,
+    "list": list,
+    "float32": lambda v: np.array(v, dtype=np.float32),
+    "tagged": lambda v: np.array(v).view(_Tagged),
+    "short": lambda v: np.array(v[:-1]),
+    "long": lambda v: np.array(v + [0.0]),
+    "0-d": lambda v: np.array(v[0]),
+    "2-d": lambda v: np.array([v]),
+}
+
+
 _BAD_BATCHES = (0, -3, 1.5, True, np.float64(2.0))
 _point = st.floats(-5.0, 5.0)
 _batch = st.tuples(st.integers(1, 2500), st.booleans()).map(
     lambda b: np.int64(b[0]) if b[1] else b[0])
+_kind = st.sampled_from(("array",) * 6 + tuple(_POINT_KINDS))
 _draw_op = st.tuples(
     st.sampled_from(_ORACLE_PARTS), _batch,
-    st.lists(_point, min_size=3, max_size=3), st.lists(_point, min_size=2, max_size=2))
+    st.lists(_point, min_size=3, max_size=3), st.lists(_point, min_size=2, max_size=2),
+    _kind, _kind)
 _bad_op = st.tuples(
     st.sampled_from(_ORACLE_PARTS + ("f_q",)), st.sampled_from(_BAD_BATCHES),
     st.just([0.1, 0.2, 0.3]), st.just([0.4, 0.5]))
@@ -380,12 +418,20 @@ def _replay(oracle, ops):
             if expect is not None:
                 expect(*op[1:])
             continue
-        which, batch, x, y = op
-        seen.append(_outcome(lambda: oracle.draw(which, np.array(x), np.array(y), batch)))
+        which, batch, x, y, *kinds = op  # x's and y's kinds, "array" if not given
+        as_x, as_y = (_POINT_KINDS[k] for k in (kinds or ("array", "array")))
+        seen.append(_outcome(lambda: oracle.draw(which, as_x(x), as_y(y), batch)))
         seen.append(oracle.counter)
     return seen
 
 
+# numpy's default error state, and overflow raised: the fast tests' dot
+# product raises FloatingPointError on a squared norm that overflows
+_OVER_STATES = [{}, {"over": "raise"}]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("state", _OVER_STATES, ids=["default", "over-raise"])
 @settings(max_examples=300, deadline=None)
 @given(
     stds=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)]),
@@ -393,12 +439,61 @@ def _replay(oracle, ops):
     ops=st.lists(st.one_of(_draw_op, _draw_op, _draw_op, _bad_op, st.just("reset")),
                  min_size=1, max_size=14),
 )
-def test_oracle_draws_match_the_per_call_reference(stds, seed, ops):
+def test_oracle_draws_match_the_per_call_reference(state, stds, seed, ops):
     # batches up to 2500 on dim_x = 3 ask for more than a block (4096), so
-    # refills happen mid-sequence, with and without an unused tail
+    # refills happen mid-sequence, with and without an unused tail; points
+    # and gradients that miss the fast tests take the reference's checks
     prob = _oracle_problem()
-    got = _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops)
-    assert got == _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
+    want = _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
+    with np.errstate(**state):
+        assert _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops) == want
+
+
+def _checked(check, x, y):
+    """check(x, y)'s vectors bitwise, or its InputError's message."""
+    try:
+        out = check(x, y)
+    except InputError as err:
+        return str(err)
+    return [_bits(v) for v in (out if y is not None else (out,))]
+
+
+def test_check_point_returns_exact_float64_vectors_as_they_are(kernel):
+    # the fast test hands back the objects it was given; every other point
+    # is as_vector's, coerced or refused, x before y
+    for prob in (_oracle_problem(), kernel.problem):
+        x, y = np.arange(1.0, prob.dim_x + 1), np.arange(prob.dim_y) - 0.5
+        got = prob.check_point(x, y)
+        assert got[0] is x and got[1] is y
+        assert prob.check_point(x) is x
+
+        def ref(a, b):
+            a = _ref_as_vector(a, prob.dim_x, "x")
+            return a if b is None else (a, _ref_as_vector(b, prob.dim_y, "y"))
+
+        for kx in _POINT_KINDS:
+            for ky in list(_POINT_KINDS) + [None]:
+                xv = _POINT_KINDS[kx](x.tolist())
+                yv = None if ky is None else _POINT_KINDS[ky](y.tolist())
+                assert (_checked(prob.check_point, xv, yv)
+                        == _checked(ref, xv, yv)), (kx, ky)
+
+
+@pytest.mark.parametrize("state", _OVER_STATES, ids=["default", "over-raise"])
+def test_a_draw_warns_of_an_overflowing_norm_as_require_finite_does(state):
+    # the draw's inlined dot is the only one: a gradient that fails it takes
+    # the entrywise test without a second dot, so a second warning
+    prob = _oracle_problem()
+    x, y = np.array([0.1, 0.2, 0.3]), np.array([0.3, -4.5])
+    with warnings.catch_warnings(record=True) as want, np.errstate(**state):
+        warnings.simplefilter("always")
+        ref = _require_finite(prob.grad_f_y(x, y), x, y, "grad f_y")
+    with warnings.catch_warnings(record=True) as got, np.errstate(**state):
+        warnings.simplefilter("always")
+        out = StochasticOracle(prob, 0.0, 0.0, rng_seed=0).draw("f_y", x, y)
+    assert _bits(out) == _bits(ref) and np.abs(out).max() > 1e200
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert len(got) == (0 if state else 1)
 
 
 def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
@@ -420,12 +515,12 @@ def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
 _PHASE_PARTS = (("g_y", "f_y", "g_y"), ("f_x", "g_x", "g_x"), ("f_y",), ("g_y", "g_y"))
 
 
-def _phase(parts, batch, count, taken, same_batch, y1s, x=(0.1, 0.2, 0.3)):
+def _phase(parts, batch, count, taken, same_batch, y1s, x=(0.1, 0.2, 0.3), y2=0.5):
     draw_batch = batch if same_batch else 2
     ops = [("expect", parts, batch, count)]
     for j in range(taken):
         ops.append((parts[j % len(parts)], draw_batch, list(x),
-                    [y1s[j % len(y1s)], 0.5]))
+                    [y1s[j % len(y1s)], y2]))
     return ops
 
 
@@ -433,9 +528,14 @@ _phase_ops = st.builds(
     _phase, st.sampled_from(_PHASE_PARTS),
     st.one_of(_batch, _batch, st.sampled_from(_BAD_BATCHES)), st.integers(0, 6),
     st.integers(0, 20), st.sampled_from([True, True, True, False]),
-    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    # plain gradients, then float32 f_x, (1, 3) g_x, an overflowing norm of f_y
+    st.sampled_from([(0.1, 0.2, 0.3)] * 3 + [(0.1, 3.5, 0.3), (0.1, 0.2, -3.5)]),
+    st.sampled_from([0.5, 0.5, 0.5, -4.5]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("state", _OVER_STATES, ids=["default", "over-raise"])
 @settings(max_examples=250, deadline=None)
 @given(
     stds=st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)]),
@@ -443,15 +543,16 @@ _phase_ops = st.builds(
     chunks=st.lists(st.one_of(_draw_op.map(lambda op: [op]), _phase_ops, _phase_ops,
                               st.just(["reset"])), min_size=1, max_size=6),
 )
-def test_announced_phases_match_the_per_call_reference(stds, seed, chunks):
+def test_announced_phases_match_the_per_call_reference(state, stds, seed, chunks):
     # unequal noise levels use a per-part scale array; batches up to 2500
     # take phases across refills of the 4096-normal block; a NaN f_y, a bad
-    # batch, a draw off the announcement and a reset all leave the counter
-    # and the later draws where per-call draws would
+    # batch, a bad point, a draw off the announcement and a reset all leave
+    # the counter and the later draws where per-call draws would
     ops = [op for chunk in chunks for op in chunk]
     prob = _oracle_problem()
-    got = _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops)
-    assert got == _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
+    want = _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
+    with np.errstate(**state):
+        assert _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops) == want
 
 
 @pytest.mark.parametrize("interruption", [

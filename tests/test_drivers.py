@@ -9,6 +9,7 @@ import pytest
 from bipen import (
     ConfigError,
     DivergenceError,
+    InnerConfig,
     InputError,
     NumericError,
     PenaltyObjective,
@@ -80,6 +81,28 @@ class TestBuildSchedule:
             kernel_plan(sigma=-0.1)
         with pytest.raises(ConfigError):
             kernel_plan(sigma=5.0)  # above sigma_bar
+
+    @pytest.mark.parametrize("value", [
+        2.5, 1.9, 2.0, np.float64(2.0), True, False, "3", None,
+        3, np.int64(3), np.int32(2), np.uint8(4)])
+    def test_integer_fields_take_integers_only(self, value):
+        # K, T and B of a plan and K and batch of an inner config: int and
+        # np.integer are stored as int; bool, float and every other value are
+        # refused, where int() once truncated 2.5 to 2 and True to 1
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            stored = [kernel_plan(K=value).K, kernel_plan(T=value).T,
+                      kernel_plan(B=value).B, InnerConfig(tau=0.1, K=value).K,
+                      InnerConfig(tau=0.1, K=3, batch=value).batch]
+            assert stored == [int(value)] * 5
+            assert all(type(v) is int for v in stored)
+            return
+        for name in ("K", "T", "B"):
+            with pytest.raises(ConfigError, match=f"plan {name} must be an integer"):
+                kernel_plan(**{name: value})
+        with pytest.raises(ConfigError, match="inner step count K must be an integer"):
+            InnerConfig(tau=0.1, K=value)
+        with pytest.raises(ConfigError, match="batch must be an integer"):
+            InnerConfig(tau=0.1, K=3, batch=value)
 
     def test_header_items_cover_plan_constants_and_provenance(self):
         s = get_problem("kernel_pl")
