@@ -186,7 +186,10 @@ class BilevelProblem:
     All callables take ``(x, y)`` as float64 vectors of lengths ``dim_x`` and
     ``dim_y``.  Hessian blocks of g and the analytic hyper-objective are
     optional; they unlock the pseudoinverse/stationarity diagnostics and the
-    analytic trace columns respectively.
+    analytic trace columns respectively.  The analytic references
+    (``analytic_phi``, ``analytic_grad_phi``) are taken to be pure functions
+    of x: the penalty loop evaluates them only when x changes from one outer
+    step to the next, and trace rows that repeat x share their values.
     """
 
     dim_x: int

@@ -404,7 +404,10 @@ _TIE_TOL = 1e-9  # relative gap in g within which grid points tie for argmin
 
 def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     """Brute-force phi(x): grid-minimize g, then minimize f over the tie set
-    (the points within ``_TIE_TOL`` of the grid minimum, relative to 1 + |min|).
+    (the points within ``_TIE_TOL`` of the grid minimum, relative to
+    1 + |min|, or to the largest |g| on the grid where that is smaller: a g
+    of scale |x| << 1, as the bilinear g = x*y near x = 0, cannot resolve an
+    absolute slack of 1e-9).
 
     One-dimensional lower levels only; the grid covers the declared box (when
     present) or probe window, including the endpoints exactly.
@@ -417,7 +420,9 @@ def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
     ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
     gv = _grid_values(_h(prob, x, 0.0), ys)
-    ties = gv <= gv.min() + _TIE_TOL * (1.0 + abs(float(gv.min())))
+    g_min = gv.min()
+    scale = min(1.0 + abs(float(g_min)), float(np.abs(gv).max()))
+    ties = gv <= g_min + _TIE_TOL * scale
     fv = _grid_values(functools.partial(prob.f, x), ys[ties])
     return float(fv.min())
 

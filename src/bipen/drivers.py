@@ -237,12 +237,15 @@ class RunTrace:
         return self.rows[-1].oracle_calls if self.rows else 0
 
     def _min_row(self, attr):
-        vals = [getattr(r, attr) for r in self.rows]
-        finite = [(v, i) for i, v in enumerate(vals) if np.isfinite(v)]
-        if not finite:
-            return math.nan, None
-        v, i = min(finite)
-        return v, self.rows[i].t
+        """(smallest finite value of ``attr``, its row's t), the first row on
+        ties; (nan, None) when no row has a finite value.  One pass."""
+        best, at = math.nan, None
+        isfinite = math.isfinite
+        for r in self.rows:
+            v = getattr(r, attr)
+            if isfinite(v) and (at is None or v < best):
+                best, at = v, r.t
+        return best, at
 
     @property
     def min_grad_est(self) -> float:
@@ -268,10 +271,11 @@ class RunTrace:
         seed = "-" if self.seed is None else self.seed
         mean = self.mean_grad_true
         analytic = "" if math.isnan(mean) else f"mean||grad_true||={mean:.4e}, "
+        low, at = self._min_row("grad_est_norm")
         return (
             f"{self.problem_name} {self.algorithm} eps={self.plan.epsilon:g} "
-            f"seed={seed}: min||grad_est||={self.min_grad_est:.4e} "
-            f"@t={self.argmin_grad_est}, final={self.final_grad_est:.4e}, "
+            f"seed={seed}: min||grad_est||={low:.4e} "
+            f"@t={at}, final={self.final_grad_est:.4e}, "
             f"{analytic}calls={self.total_oracle_calls}, wall={self.wall_seconds:.2f}s"
         )
 
@@ -339,12 +343,20 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     One divergence radius, 1e6 (1 + the largest start norm), bounds x and both
     inner sequences for the whole run; a non-finite or runaway iterate raises
     NumericError or DivergenceError with the outer step in its message.
+
+    A step that leaves x's bytes unchanged keeps the x object, and rows of
+    one x object share its analytic columns and its tuple: a converged run
+    repeats x for most of its worst-case budget.  Every x the loop holds has
+    passed the guard once, x0 before outer step 0.
     """
     prob = as_bilevel(problem)
     pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
     c = prob.constants
     x, y = _resolve_starts(prob, x0, y0)
     z = y.copy()
+    # x0 is guarded here, within any radius it yields: a NaN x0 would make the
+    # radius NaN; each later x is guarded when it changes
+    _guard(x, "x", 0, math.inf, "outer")
     radius = 1e6 * (1.0 + max(_norm(x), _norm(y)))
     name = getattr(problem, "name", type(prob).__name__)
     oracle = None if seed is None else StochasticOracle(prob, c.M_f, c.M_g, rng_seed=seed)
@@ -356,6 +368,7 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     eta = np.array(plan.eta, dtype=float)  # 0-d: cheaper than a float per step
 
     rows, calls = [], 0
+    x_row = None  # the x object of the last row
     delta = math.nan if oracle is None else plan.delta0
     # the delta recursion's constant factors, evaluated as its left-to-right
     # expression would evaluate them, so with the same bits
@@ -377,15 +390,19 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
             raise
         y, z = res.y, res.z
         calls += res.oracle_calls + 3 * max(B, 1)
-        gt, pt = _analytic_columns(prob, x)
+        if x is not x_row:  # rows of one x share its columns and tuple
+            x_row, (gt, pt), x_tuple = x, _analytic_columns(prob, x), tuple(x)
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
         rows.append(TraceRow(t, _norm(est), gt, pt, res.steps, delta, res.grad_norm_y,
-                             res.grad_norm_z, calls, tuple(x), wall))
+                             res.grad_norm_z, calls, x_tuple, wall))
         try:
             x_new = x - eta * est
         except FloatingPointError:  # overflow under np.errstate(over="raise")
             x_new = _overflowed_step(x, eta, est)
-        _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
+        if x_new.tobytes() == x.tobytes():  # a fixed point: keep x, guarded already
+            x_new = x
+        else:
+            _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
         if oracle is not None:
             d = x_new - x  # np.sum(d ** 2)'s squares and reduction, minus its wrapper
             step_sq = float(np.add.reduce(d * d))

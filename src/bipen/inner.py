@@ -47,11 +47,19 @@ where ddot cannot overflow; the numpy step redoes any other step, and its
 guard decides.  The last h_sigma-gradient is rebuilt in numpy once per
 phase for the reported norm.  Under np.errstate(under="raise") a float
 step does not raise on a subnormal result, where numpy's would.
+
+A float step that leaves both iterates unchanged, bit for bit, keeps the
+current y and z arrays.  Unchanged is tested as == per coordinate while the
+step is computed, then, since == does not tell 0.0 from -0.0, as equal
+float64 bytes.  Its hypot test is skipped only for iterates that passed it
+earlier in the same phase, so the first step of a phase is always tested.
+On kernel_pl at eps = 0.01, 74,966 of the 75,000 inner steps are such steps.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -65,6 +73,8 @@ _ndarray = np.ndarray
 # dim_y up to which an inner step runs on Python floats; the float step was
 # faster through dim_y = 9 in every crossover run (module docstring)
 _FLOAT_STEP_DIM = 8
+# native float64 bytes of a float list, as ndarray.tobytes gives an array's
+_PACK = [struct.Struct(f"{n}d").pack for n in range(_FLOAT_STEP_DIM + 1)]
 
 
 @dataclass(frozen=True)
@@ -196,6 +206,7 @@ def inner_descend(
         shape, coords = (prob.dim_y,), range(prob.dim_y)
         r_pass = min(radius, 1e150) * (1.0 - 1e-9)
         zl, yl = z.tolist(), y.tolist()
+        pack, passed = _PACK[prob.dim_y], False  # passed: z, y passed hypot here
     gy = None  # the last h_sigma-gradient, when a numpy step made it
     if batch > 0:  # the phase's draws, announced so their noise is reduced at once
         oracle._expect(("g_y", "f_y", "g_y"), batch, K)
@@ -211,11 +222,19 @@ def inner_descend(
                     and gg.dtype is _FLOAT64 and gz.shape == shape
                     and fy.shape == shape and gg.shape == shape):
                 a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
+                same = True
                 for i in coords:
-                    zl[i] -= t * a[i]
-                    yl[i] -= t * (s * b[i] + c[i])
-                if math.hypot(*zl) < r_pass and math.hypot(*yl) < r_pass:
-                    z, y, gy = np.array(zl), np.array(yl), None
+                    zi, yi = zl[i] - t * a[i], yl[i] - t * (s * b[i] + c[i])
+                    if same and (zi != zl[i] or yi != yl[i]):
+                        same = False
+                    zl[i], yl[i] = zi, yi
+                # a fixed point: equal floats, and bytes for the signs of zeros
+                keep = same and pack(*zl) == z.tobytes() and pack(*yl) == y.tobytes()
+                if (keep and passed) or (math.hypot(*zl) < r_pass
+                                         and math.hypot(*yl) < r_pass):
+                    if not keep:
+                        z, y = np.array(zl), np.array(yl)
+                    gy, passed = None, True
                     continue
             else:
                 small = False
@@ -243,7 +262,7 @@ def inner_descend(
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
         if small:
-            zl, yl = z.tolist(), y.tolist()
+            zl, yl, passed = z.tolist(), y.tolist(), False
 
     if K and gy is None:  # a float step: the same bits in numpy
         gy = sig * fy + gg

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,6 +249,26 @@ def test_csv_rows_match_the_per_field_formatter(rows):
     trace = SimpleNamespace(
         problem_name="p", algorithm="f2ba", seed=None, plan=plan,
         rows=[TraceRow(*r[:9], (0.5, -0.0), r[9]) for r in rows])
+    assert render_trace_csv(trace) == _render_by_fmt(trace)
+
+
+# values that repeat from row to row, as in a converged run, with zeros of
+# both signs and equal values of other types
+_CSV_REPEATS = st.sampled_from([0.0, -0.0, 0.1, 1.0, 1, True, math.nan, np.float64(0.1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_CSV_REPEATS, _CSV_REPEATS, _CSV_REPEATS, _CSV_REPEATS),
+                max_size=12))
+def test_csv_rows_with_repeated_values_match_the_per_field_formatter(cols):
+    from bipen.cli import render_trace_csv
+    from bipen.drivers import TraceRow
+
+    plan = SimpleNamespace(header_items=lambda: [])
+    trace = SimpleNamespace(
+        problem_name="p", algorithm="f2ba", seed=None, plan=plan,
+        rows=[TraceRow(t, a, b, c, 3, d, 0.5, 0.5, t, (0.5,)) for t, (a, b, c, d)
+              in enumerate(cols)])
     assert render_trace_csv(trace) == _render_by_fmt(trace)
 
 

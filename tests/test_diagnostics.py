@@ -264,6 +264,15 @@ class TestGridHyperObjective:
         assert hi - lo == pytest.approx(1.0, abs=1e-5)
         assert grid_hyper_objective(prob, [0.0]) == 0.0
 
+    @pytest.mark.parametrize("x", [-8.259648357489269e-07, -2e-6])
+    def test_a_g_of_scale_x_ties_on_its_own_scale(self, x):
+        # g = x*y moves by |x| over the box: an absolute slack of 1e-9 tied
+        # y down to 1 - 1e-9/|x| and read f = x^2 + y^2 there (0.9976 at the
+        # first x, against phi = 1 + x^2)
+        prob = get_problem("discontinuous").problem
+        got = grid_hyper_objective(prob, [x])
+        assert got == pytest.approx(prob.analytic_phi([x]), abs=1e-3)
+
     def test_smoothed_variant_approaches_analytic_value(self):
         s = get_problem("discontinuous_smoothed")
         for x in (-0.3, 0.2):

@@ -354,6 +354,53 @@ def test_inner_descend_matches_the_reference_loop_bitwise(
     assert got == want
 
 
+# Fixed points: a float step that leaves both iterates unchanged, bit for
+# bit, keeps the arrays it has.  From a fixed-point start every phase must
+# still give the reference loop's bits, zero signs and errors.
+
+
+def _signed_free_coordinate(prob):
+    """kernel_pl with free-coordinate gradients 0.0 * y_2, which are -0.0 at
+    y_2 = -0.0: a step turns -0.0 into 0.0, a change == does not see."""
+    return dataclasses.replace(
+        prob, grad_f_y=lambda x, y: np.array([y[0] - 1.0, 0.0 * y[1]]),
+        grad_g_y=lambda x, y: np.array([y[0] - x[0], 0.0 * y[1]]))
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("free", [0.0, -0.0, 0.7])
+@pytest.mark.parametrize("radius", [None, 0.5, 1.0000000001, math.inf])
+def test_fixed_point_phases_match_the_reference_loop_bitwise(kernel, signed, free,
+                                                             radius):
+    # x = 1, y = z = (1, free) is a fixed point; at radius 1.0000000001 the
+    # norm 1 fails the float step's hypot test and passes numpy's guard
+    prob = _signed_free_coordinate(kernel.problem) if signed else kernel.problem
+    start = np.array([1.0, free])
+    cfg = InnerConfig(tau=0.5, K=4, divergence_radius=radius)
+    outcomes = []
+    for fn in (_ref_inner_descend, inner_descend):
+        try:
+            res = fn(prob, [1.0], start, start, 0.1, cfg)
+        except DivergenceError as exc:
+            outcomes.append(("raised", str(exc), exc.step, exc.sequence))
+        else:
+            assert res.y is not start and res.z is not start and res.y is not res.z
+            outcomes.append(("returned", _bits(res.y), _bits(res.z),
+                             _bits(res.grad_norm_y), _bits(res.grad_norm_z)))
+    assert outcomes[0] == outcomes[1]
+    if signed and radius != 0.5 and free != 0.7:  # -0.0 has turned into 0.0
+        assert outcomes[1][1] == outcomes[1][2] == _bits(np.array([1.0, 0.0]))
+
+
+def test_a_radius_below_a_fixed_point_start_raises_at_inner_step_0(kernel):
+    # the start passed no guard in this phase: its first step is tested
+    start = np.array([1.0, 0.0])
+    with pytest.raises(DivergenceError, match="at inner step 0") as err:
+        inner_descend(kernel.problem, [1.0], start, start, 0.1,
+                      InnerConfig(tau=0.5, K=3, divergence_radius=0.5))
+    assert err.value.step == 0 and err.value.sequence == "z"
+
+
 # Announced phases: inner_descend announces each phase's draws, and the oracle
 # reduces their noise at once.  A run must leave what the reference loop on
 # the per-call reference oracle leaves: the result or the error, the counter
