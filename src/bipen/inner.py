@@ -53,7 +53,7 @@ current y and z arrays.  Unchanged is tested as == per coordinate while the
 step is computed, then, since == does not tell 0.0 from -0.0, as equal
 float64 bytes.  Its hypot test is skipped only for iterates that passed it
 earlier in the same phase, so the first step of a phase is always tested.
-On kernel_pl at eps = 0.01, 74,966 of the 75,000 inner steps are such steps.
+On kernel_pl at eps = 0.01, 74,961 of the 75,000 inner steps are such steps.
 """
 
 from __future__ import annotations
