@@ -251,6 +251,9 @@ def _cmd_sweep_slope(args) -> int:
     if len(epsilons) < 3:
         raise ConfigError(f"slope estimation needs at least 3 epsilons, "
                           f"got {len(epsilons)}")
+    if len(set(epsilons)) < 2:
+        raise ConfigError(f"slope estimation needs at least 2 distinct epsilons, "
+                          f"got {args.epsilons!r}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     suite = get_problem(args.problem)

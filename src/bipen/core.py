@@ -367,8 +367,7 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
 
 
 _ORACLE_PARTS = ("f_x", "f_y", "g_x", "g_y")
-_NOISE_BLOCK = 4096  # standard normals drawn per refill of an oracle's noise block
-_AHEAD_NORMALS = 1 << 20  # most standard normals one announcement pre-reduces (8 MiB)
+_NOISE_BLOCK = 4096  # least standard normals drawn per refill of an oracle's noise block
 
 
 def _check_seed(seed):
@@ -382,24 +381,23 @@ def _check_seed(seed):
 class StochasticOracle:
     """Unbiased noisy gradient oracle over a deterministic base problem.
 
-    Each draw returns the true gradient plus isotropic Gaussian noise with
-    total variance M^2 (M = ``noise_std_f`` for f-gradients, ``noise_std_g``
-    for g-gradients), so a batch-B average has variance M^2 / B.  Draws come
-    from a counter-based stream: resetting the counter replays the exact
-    noise sequence.  Noise is served from a block of standard normals drawn
-    ahead from that stream; the stream does not depend on how it is chunked,
-    so every draw has the bits a fresh ``standard_normal((batch, dim))``
-    call would give.  The base gradients, noise levels and scales are looked
-    up once, at construction; each scale is a float64 array of shape (1, 1).
+    Each call returns the true gradient plus isotropic Gaussian noise with
+    covariance (M^2 / dim) I, so total variance M^2 (M = ``noise_std_f`` for
+    f-gradients, ``noise_std_g`` for g-gradients).  A batch-B draw stands
+    for B such calls and returns their mean, which is exactly
+    N(gradient, (M^2 / dim) I / B) in law: it is taken from dim standard
+    normals z as gradient + (z * M / sqrt(dim)) * (1 / sqrt(B)), and
+    ``counter`` advances by B.  That identity holds because the noise is
+    Gaussian; a non-Gaussian noise model would have to average B calls.
+    At B = 1 the second factor is 1.0: the draw is gradient + z * M / sqrt(dim).
 
-    An inner phase announces its draws with ``_expect``, and each draw that
-    matches the announcement takes its pre-computed row, with the same bits;
-    any other draw drops the announcement.  Such a phase holds its
-    K * P * B * dim_y normals at once (P noisy parts per step; ~64,000 on
-    kernel_pl_gnoise at eps = 0.05, B = 1,600), at most ``_AHEAD_NORMALS``.
-    The read position and ``counter`` still advance one draw at a time.  The
-    noisy parts, dimension and (P, 1) scales of each announced parts tuple
-    are worked out once per oracle.
+    Draws come from a counter-based stream: resetting the counter replays
+    the exact noise sequence.  Normals are served from a block drawn ahead
+    from that stream, at least ``_NOISE_BLOCK`` and at least dim at a time,
+    keeping the unused tail across a refill; the stream does not depend on
+    how it is chunked, so every draw has the bits a per-call
+    ``standard_normal(dim)`` would give.  The base gradients, noise levels
+    and scales (0-d float64 arrays) are looked up once, at construction.
 
     Every draw tests its point and its base gradient, taking the fast test of
     each without a call: float64 vectors of the problem's shapes pass
@@ -423,11 +421,9 @@ class StochasticOracle:
         _check_seed(self.rng_seed)
         self._gen = substream(self.rng_seed, "oracle")
         self._buf, self._pos = np.empty(0), 0  # the noise block and its read position
-        self._ahead, self._next = None, 0  # announced (parts, batch, rows), next row
-        self._phases = {}  # announced parts -> (noisy parts, dim, their scales)
         base = self.base
         self._table = {
-            which: (fn, std, dim, np.full((1, 1), std / math.sqrt(dim)), f"grad {which}")
+            which: (fn, std, dim, np.array(std / math.sqrt(dim)), f"grad {which}")
             for which, fn, std, dim in (
                 ("f_x", base.grad_f_x, self.noise_std_f, base.dim_x),
                 ("f_y", base.grad_f_y, self.noise_std_f, base.dim_y),
@@ -441,49 +437,6 @@ class StochasticOracle:
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
         self._buf, self._pos = np.empty(0), 0
-        self._ahead = None
-
-    def _expect(self, parts, batch, count: int):
-        """Announce ``count`` rounds of draws of ``parts`` (selectors of one
-        dimension, in draw order) at ``batch``, and compute their noise rows
-        in one pass; rounds past the first ``_AHEAD_NORMALS`` normals are drawn
-        one at a time."""
-        self._ahead = None
-        phase = self._phases.get(parts)
-        if phase is None:
-            noisy = tuple(which for which in parts if self._table[which][1] != 0.0)
-            phase = (noisy, 0, None)
-            if noisy:
-                phase = (noisy, self._table[noisy[0]][2],
-                         np.concatenate([self._table[which][3] for which in noisy]))
-            self._phases[parts] = phase
-        noisy, dim, scales = phase
-        if not noisy or count < 1 or type(batch) is not int or batch < 1:
-            return  # draw validates, and draws one at a time, every other batch
-        count = min(count, max(1, _AHEAD_NORMALS // (len(noisy) * batch * dim)))
-        rows = self._noise(scales, batch, dim, count).reshape(-1, dim)
-        self._ahead, self._next = (noisy * count, batch, rows), 0
-
-    def _noise(self, scales, batch, dim, count):
-        """Noise of the next ``count`` rounds of ``len(scales)`` draws in the
-        stream, shape (count, len(scales), dim), without moving the read
-        position: per-draw covariance (M^2/dim) I, so E||noise||^2 = M^2 per
-        call.  A batch mean is the sum and the division ndarray.mean performs;
-        numpy sums axis 2 of (count, P, batch, dim) with the bits of axis 0 of
-        each (batch, dim) block."""
-        n = count * scales.shape[0] * batch * dim
-        buf, pos = self._buf, self._pos
-        if pos + n > buf.shape[0]:
-            buf = self._buf = np.concatenate(
-                (buf[pos:], self._gen.standard_normal(max(n, _NOISE_BLOCK))))
-            pos = self._pos = 0
-        noise = np.add.reduce(buf[pos:pos + n].reshape(count, -1, batch, dim), axis=2)
-        noise /= np.array(float(batch))  # 0-d: cheaper than dividing by an int
-        try:
-            return noise * scales
-        except FloatingPointError:  # overflow under np.errstate(over="raise")
-            with np.errstate(over="ignore"):
-                return noise * scales
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
         # an exact int skips the isinstance tests, which refuse bool and float
@@ -507,21 +460,19 @@ class StochasticOracle:
             mean = _entrywise_finite(mean, x, y, what)
         if std == 0.0:
             return mean
-        ahead, i = self._ahead, self._next
-        if ahead is not None and i < len(ahead[0]) and ahead[0][i] == which \
-                and ahead[1] == batch:
-            noise = ahead[2][i]
-            self._next = i + 1
-        else:
-            self._ahead = None
-            noise = self._noise(scale, batch, dim, 1)[0, 0]
-        self._pos += batch * dim
+        buf, pos = self._buf, self._pos
+        if pos + dim > buf.shape[0]:  # refill, keeping the unused tail
+            buf = self._buf = np.concatenate(
+                (buf[pos:], self._gen.standard_normal(max(dim, _NOISE_BLOCK))))
+            pos = 0
+        self._pos = pos + dim
         self.counter += batch
+        z, shrink = buf[pos:pos + dim], 1.0 / math.sqrt(batch)  # shrink 1.0 at B = 1
         try:
-            return mean + noise
+            return mean + z * scale * shrink
         except FloatingPointError:  # overflow under np.errstate(over="raise")
             with np.errstate(over="ignore"):
-                return mean + noise
+                return mean + z * scale * shrink
 
 
 # ---------------------------------------------------------------------------

@@ -421,12 +421,14 @@ def fit_complexity_slope(points) -> float:
     """Least-squares slope of log(total calls) against log(1/epsilon).
 
     ``points`` is an iterable of (epsilon, total_oracle_calls) pairs; at
-    least three are required (spanning a decade or more of epsilon gives a
-    meaningful exponent).
+    least three are required, at two or more distinct epsilons (spanning a
+    decade or more of epsilon gives a meaningful exponent).
     """
     pts = [(float(e), float(n)) for e, n in points]
     if len(pts) < 3:
         raise InputError(f"need at least 3 (epsilon, calls) points, got {len(pts)}")
+    if len({e for e, _ in pts}) < 2:
+        raise InputError(f"need at least 2 distinct epsilons, got {pts[0][0]:g} only")
     for e, n in pts:
         if not (e > 0 and n > 0):
             raise InputError(f"epsilon and call counts must be positive, got {(e, n)}")

@@ -232,9 +232,8 @@ def test_c10_degenerate_refusal_is_witnessed(criterion):
 def test_c11_fully_stochastic_complexity_slope(criterion):
     # the third rate: with noise on g's gradients the batch grows as eps^-4
     # and the calls as eps^-6 (c03 gates eps^-2, c04 eps^-4).  The command
-    # below took 6-7.5 s on a 2-vCPU Xeon VM; the wall bound leaves ~8x
-    # that for slower runners while still catching a per-draw cost that
-    # grows by an order of magnitude.
+    # below took 1.2-1.4 s on a 2-vCPU Xeon VM (6-7.5 s when each draw
+    # summed B*dim normals); the wall bound, unchanged, leaves ~45x that.
     t0 = time.perf_counter()
     r = run_cli("sweep-slope", "--problem", "kernel_pl_gnoise", "--algorithm", "f2bsa",
                 "--epsilons", "0.1,0.07,0.05", "--seeds", "3")

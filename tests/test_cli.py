@@ -154,6 +154,14 @@ def test_sweep_slope_needs_three_epsilons():
     assert r.returncode == 2
 
 
+def test_sweep_slope_refuses_a_single_epsilon_before_any_run():
+    # a fit through one epsilon used to print "slope ... 1.5652" and exit 0
+    r = run_cli("sweep-slope", "--problem", "kernel_pl",
+                "--epsilons", "0.1,0.1,0.1", "--expect-slope", "1.5")
+    assert r.returncode == 2 and "distinct epsilons" in r.stderr
+    assert r.stdout == ""
+
+
 def test_sweep_slope_rejects_zero_seeds():
     r = run_cli("sweep-slope", "--problem", "kernel_pl",
                 "--epsilons", "0.5,0.4,0.3", "--seeds", "0")

@@ -244,7 +244,7 @@ class TestStochasticDriver:
                               overrides={"tau": 2.5, "T": 20, "B": 2})
         with pytest.raises(DivergenceError) as err:
             run_f2bsa(s.problem, plan, seed=0)
-        assert err.value.sequence == "y" and err.value.step == 16
+        assert err.value.sequence == "y" and err.value.step == 15
         assert str(err.value).startswith(
             "outer step 1: y-sequence left the divergence radius 1.5e+06 ")
 
@@ -296,6 +296,9 @@ class TestSlopeFit:
             fit_complexity_slope([(0.1, 10.0), (0.05, 20.0)])
         with pytest.raises(InputError):
             fit_complexity_slope([(0.1, 10.0), (0.05, 20.0), (-0.01, 5.0)])
+        # one epsilon: polyfit's rank-deficient fit returned 1.13 with a warning
+        with pytest.raises(InputError, match="distinct epsilons"):
+            fit_complexity_slope([(0.1, 100.0), (0.1, 200.0), (0.1, 300.0)])
 
 
 def _ref_min_row(rows, attr):

@@ -3,6 +3,7 @@ import math
 import struct
 import warnings
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bipen import (
     inner_descend,
     probe_penalty_divergence,
 )
+from bipen import core
 from bipen.core import BilevelProblem, ProblemConstants, as_bilevel, as_vector
 from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm
 from test_core import _RefOracle, _oracle_problem
@@ -401,10 +403,9 @@ def test_a_radius_below_a_fixed_point_start_raises_at_inner_step_0(kernel):
     assert err.value.step == 0 and err.value.sequence == "z"
 
 
-# Announced phases: inner_descend announces each phase's draws, and the oracle
-# reduces their noise at once.  A run must leave what the reference loop on
-# the per-call reference oracle leaves: the result or the error, the counter
-# and the draws that follow.
+# Stochastic phases: a run must leave what the reference loop on the per-call
+# reference oracle leaves: the result or the error, the counter and the
+# draws that follow.
 
 _NOISE_LEVELS = [(0.3, 0.7), (0.3, 0.0), (0.0, 0.7)]
 
@@ -441,22 +442,23 @@ def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail):
     sigma=st.floats(0.01, 1.0),
     Ks=st.lists(st.integers(0, 6), min_size=1, max_size=3),
     batch=st.sampled_from([1, 3, 700]),
-    lead=st.integers(0, 2000),
+    lead=st.integers(0, 5),
     seed=st.integers(0, 3),
+    block=st.sampled_from([1, 3, 7, 4096]),
 )
-def test_announced_inner_phases_match_the_per_call_reference(
-        name, stds, coords, sigma, Ks, batch, lead, seed):
-    # batch 700 asks 1,400-4,200 normals per step, so phases cross refills of
-    # the 4096-normal block; the lead draw starts them inside one
+def test_stochastic_inner_phases_match_the_per_call_reference(
+        name, stds, coords, sigma, Ks, batch, lead, seed, block):
+    # blocks of 1-7 normals make phases cross refills, and up to 5 lead
+    # draws start them at every offset inside a block
     dim_x, dim_y = _INNER_PROBLEMS[name]
     prob = _inner_problem(name)
     x = np.array(coords[:dim_x])
     y0, z0 = np.array(coords[1:1 + dim_y]), np.array(coords[3:3 + dim_y])
     phases = [(x, y0, z0, sigma, InnerConfig(tau=0.5, K=K, batch=batch)) for K in Ks]
-    args = (prob, stds, seed, [("f_x", lead, x, y0)] if lead else [], phases,
-            (x, y0, batch))
-    assert (_phase_run(inner_descend, StochasticOracle, *args)
-            == _phase_run(_ref_inner_descend, _RefOracle, *args))
+    args = (prob, stds, seed, [("f_x", 2, x, y0)] * lead, phases, (x, y0, batch))
+    with mock.patch.object(core, "_NOISE_BLOCK", block):
+        got = _phase_run(inner_descend, StochasticOracle, *args)
+    assert got == _phase_run(_ref_inner_descend, _RefOracle, *args)
 
 
 @pytest.mark.parametrize("stds", _NOISE_LEVELS)
