@@ -132,13 +132,12 @@ def test_oracle_noiseless_draw_is_exact_and_free():
     assert oracle.counter == 0  # no stream consumed without noise
 
 
-@pytest.mark.parametrize("B", [1, 4, 16, 1600])
-def test_oracle_noise_mean_and_variance(B):
-    # A batch-B draw's noise is N(0, s^2 I) with s^2 = M^2 / (dim B) per
-    # coordinate.  Over n = 10,000 draws, seed 11, each coordinate's sample
-    # mean has standard deviation s / sqrt(n) and is held within 4 of them;
-    # its sample variance has relative standard deviation sqrt(2 / (n - 1))
-    # = 1.41% and is held within 5 of them, 7.07%.
+def _assert_noise_law(B):
+    """A batch-B draw's noise is N(0, s^2 I) with s^2 = M^2 / (dim B) per
+    coordinate.  Over n = 10,000 draws, seed 11, each coordinate's sample
+    mean has standard deviation s / sqrt(n) and is held within 4 of them;
+    its sample variance has relative standard deviation sqrt(2 / (n - 1))
+    = 1.41% and is held within 5 of them, 7.07%."""
     s = get_problem("kernel_pl_fnoise")
     M, dim = s.problem.constants.M_f, s.problem.dim_y
     oracle = StochasticOracle(s.problem, M, 0.0, rng_seed=11)
@@ -151,6 +150,17 @@ def test_oracle_noise_mean_and_variance(B):
     assert np.all(np.abs(noise.var(axis=0, ddof=1) / var - 1.0)
                   <= 5.0 * math.sqrt(2.0 / (n - 1)))
     assert oracle.counter == n * B
+
+
+def test_oracle_noise_mean_and_variance():
+    # one call: covariance (M^2 / dim) I, so total variance M^2
+    _assert_noise_law(1)
+
+
+@pytest.mark.parametrize("B", [4, 16, 1600])
+def test_oracle_batch_noise_mean_and_variance(B):
+    # the mean of B calls: covariance (M^2 / dim) I / B
+    _assert_noise_law(B)
 
 
 def test_oracle_batching_reduces_variance():
@@ -514,6 +524,33 @@ def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
     assert got[-1] == 7 + 1
 
 
+# a phase: the draws of `count` inner steps in the order inner_descend takes
+# them, g_y, f_y, g_y, at batch `batch`; y_1 cycles through the given values,
+# so f_y can turn NaN mid-phase
+def _phase(count, batch, y1s, x=(0.1, 0.2, 0.3), y2=0.5):
+    parts = ("g_y", "f_y", "g_y")
+    return [(parts[j % 3], batch, list(x), [y1s[j % len(y1s)], y2])
+            for j in range(3 * count)]
+
+
+@pytest.mark.parametrize("interruption", [
+    ("f_x", 4, [0.1, 0.2, 0.3], [0.3, 0.5]),   # another part
+    ("g_y", 5, [0.1, 0.2, 0.3], [0.3, 0.5]),   # the next part at another batch
+    ("f_y", 4, [0.1, 0.2, 0.3], [4.5, 0.5]),   # the next part, NaN: nothing taken
+    "reset",
+])
+def test_a_phase_resumes_with_per_call_bits_after_an_interruption(interruption):
+    # two draws of a phase, the interruption, then the phase's remaining
+    # draws: each must have the bits of the stream where it reads; blocks of
+    # 5 normals make the phase cross refills with a tail left over
+    ops = _phase(3, 4, [0.3])
+    ops = ops[:2] + [interruption] + ops[2:]
+    prob = _oracle_problem()
+    with mock.patch.object(core, "_NOISE_BLOCK", 5):
+        got = _replay(StochasticOracle(prob, 0.3, 0.7, rng_seed=6), ops)
+    assert got == _replay(_RefOracle(prob, 0.3, 0.7, rng_seed=6), ops)
+
+
 def _wide_problem(dim_y: int):
     """dim_x = 1 and dim_y = ``dim_y``, with plain linear gradients."""
     return BilevelProblem(
@@ -540,6 +577,27 @@ def test_a_draw_wider_than_the_block_matches_the_per_call_reference():
     got = _replay(StochasticOracle(prob, 0.3, 0.7, rng_seed=12), ops)
     assert got == _replay(_RefOracle(prob, 0.3, 0.7, rng_seed=12), ops)
     assert [v for v in got if isinstance(v, tuple)][0][2][1] == (5000,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_batch_draw_takes_the_normals_of_one_call(dim):
+    # a batch-B draw takes the dim normals one call takes and scales them by
+    # 1 / sqrt(B): where the gradients vanish its value is the one call's
+    # times that factor, bit for bit, and the draws after it read the stream
+    # where single calls would, across refills of 5-normal blocks
+    prob = _wide_problem(dim)
+    x, y = np.ones(1), np.ones(dim)  # grad_f_y, grad_g_x and grad_g_y vanish
+    parts = ("g_y", "f_y", "g_y", "g_x") * 3
+    batches = (1, 7, 1600, 2, 1, 25_600, 3, 1, 9, 4, 1, 5)
+    with mock.patch.object(core, "_NOISE_BLOCK", 5):
+        batched = StochasticOracle(prob, 0.3, 0.7, rng_seed=dim)
+        single = StochasticOracle(prob, 0.3, 0.7, rng_seed=dim)
+        for which, B in zip(parts, batches):
+            one = single.draw(which, x, y)
+            assert np.all(one != 0.0)
+            want = (one * (1.0 / math.sqrt(B))).tobytes()
+            assert batched.draw(which, x, y, B).tobytes() == want, (which, B)
+    assert (batched.counter, single.counter) == (sum(batches), len(batches))
 
 
 _FINITE_CASES = [
@@ -632,8 +690,24 @@ def test_an_overflowing_draw_is_returned_as_the_default_state_computes_it(
         first = StochasticOracle(huge_mean, 1e308, 0.0, rng_seed=1).draw(
             "f_y", [0.1], [0.0, 0.0])
     assert first.tolist() == [math.inf, -math.inf]  # mean + noise overflows
-    # on the plain kernel z * scale overflows instead, in some draws only, on
-    # f's parts or g's; inner-loop order, then the estimator's draws
+    # on the plain kernel z * scale overflows instead, in some draws only
+    ops = [("f_y", batch, [0.1], [0.0, 0.0]) for batch in (1, 1, 3, 1, 2)]
+    for prob, std in ((huge_mean, 1e308), (kernel.problem, 1.79e308)):
+        with np.errstate(over="ignore"):
+            want = _replay(_RefOracle(prob, std, 0.0, rng_seed=1), ops)
+        with np.errstate(over=state):
+            assert _replay(StochasticOracle(prob, std, 0.0, rng_seed=1), ops) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_an_overflowing_phase_is_returned_as_the_default_state_computes_it(
+        kernel, state):
+    # the same overflows in phases, on f's parts or g's: inner-loop order at
+    # batches 1-3, then the estimator's draws, across refills of 5-normal
+    # blocks
+    huge_mean = dataclasses.replace(
+        kernel.problem, grad_f_y=lambda x, y: np.array([1.79e308, -1.79e308]))
     ops = [(which, batch, [0.1], [0.0, 0.0]) for batch in (1, 1, 3, 1, 2)
            for which in ("g_y", "f_y", "g_y")]
     ops += [(which, 3, [0.1], [0.0, 0.0]) for which in ("f_x", "g_x", "g_x")]
@@ -647,7 +721,7 @@ def test_an_overflowing_draw_is_returned_as_the_default_state_computes_it(
                     if isinstance(w, tuple) and w[0] == "returned"]
         assert any(np.isinf(v).any() for v in returned)  # some draws overflow
         assert any(np.isfinite(v).all() for v in returned)  # and some do not
-        with np.errstate(over=state):
+        with np.errstate(over=state), mock.patch.object(core, "_NOISE_BLOCK", 5):
             assert _replay(StochasticOracle(prob, *stds, rng_seed=1), ops) == want
 
 
