@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
+    _FLOAT64,
     PenaltyObjective,
     ProblemConstants,
     StochasticOracle,
@@ -46,7 +47,8 @@ from .core import (
     hypergradient_estimate,
 )
 from .errors import ConfigError, DivergenceError, InputError, NumericError
-from .inner import InnerConfig, _guard, _norm, _overflowed_step, inner_descend
+from .inner import (InnerConfig, _guard, _norm, _overflowed_step, _prepare_phase,
+                    inner_descend)
 
 _PLAN_OVERRIDE_KEYS = ("eta", "sigma", "tau", "K", "T", "B", "delta0")
 _PLAN_CONSTANT_KEYS = ("c_eta", "c_sigma", "c_K", "c_B", "c_delta")
@@ -347,7 +349,10 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     A step that leaves x's bytes unchanged keeps the x object, and rows of
     one x object share its analytic columns and its tuple: a converged run
     repeats x for most of its worst-case budget.  Every x the loop holds has
-    passed the guard once, x0 before outer step 0.
+    passed the guard once, x0 before outer step 0.  The inner phase is
+    prepared once per run and K_t; an estimate with the bytes of the last
+    one (float64, x's shape) reuses its norm and, from the x that the last
+    step kept, the kept x: the same bits from the same inputs.
     """
     prob = as_bilevel(problem)
     pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
@@ -364,11 +369,12 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     if B > 0 and not c.stochastic:
         raise ConfigError("plan requests mini-batches but the problem declares "
                           "M_f = M_g = 0; use B = 0 for full gradients")
-    cfgs = {}  # one inner config per distinct K_t
+    cfgs = {}  # one prepared inner phase per distinct K_t
     eta = np.array(plan.eta, dtype=float)  # 0-d: cheaper than a float per step
 
     rows, calls = [], 0
     x_row = None  # the x object of the last row
+    est_bytes = x_kept = None  # the last float64 estimate's bytes; x if it kept x
     delta = math.nan if oracle is None else plan.delta0
     # the delta recursion's constant factors, evaluated as its left-to-right
     # expression would evaluate them, so with the same bits
@@ -378,12 +384,12 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     for t in range(plan.T):
         t0 = time.perf_counter() if timing else None
         k_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
-        cfg = cfgs.get(k_t)
-        if cfg is None:
-            cfg = cfgs[k_t] = InnerConfig(tau=plan.tau, K=k_t, batch=B,
-                                          divergence_radius=radius)
+        phase = cfgs.get(k_t)
+        if phase is None:
+            phase = cfgs[k_t] = _prepare_phase(
+                prob, plan.sigma, InnerConfig(tau=plan.tau, K=k_t, batch=B), oracle, radius)
         try:
-            res = inner_descend(prob, x, y, z, plan.sigma, cfg, oracle)
+            res = inner_descend(prob, x, y, z, plan.sigma, phase, oracle)
             est = hypergradient_estimate(pen, x, res.y, res.z, oracle, B)
         except (DivergenceError, NumericError) as exc:
             exc.args = (f"outer step {t}: {exc}",)
@@ -392,17 +398,27 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
         calls += res.oracle_calls + 3 * max(B, 1)
         if x is not x_row:  # rows of one x share its columns and tuple
             x_row, (gt, pt), x_tuple = x, _analytic_columns(prob, x), tuple(x)
+        b = est.tobytes() if est.dtype is _FLOAT64 and est.shape == x.shape else None
+        repeat = b is not None and b == est_bytes
+        if not repeat:
+            est_bytes, est_norm = b, _norm(est)
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
-        rows.append(TraceRow(t, _norm(est), gt, pt, res.steps, delta, res.grad_norm_y,
+        rows.append(TraceRow(t, est_norm, gt, pt, res.steps, delta, res.grad_norm_y,
                              res.grad_norm_z, calls, x_tuple, wall))
-        try:
-            x_new = x - eta * est
-        except FloatingPointError:  # overflow under np.errstate(over="raise")
-            x_new = _overflowed_step(x, eta, est)
-        if x_new.tobytes() == x.tobytes():  # a fixed point: keep x, guarded already
+        if repeat and x is x_kept:  # x - eta * est has x's bytes again
             x_new = x
         else:
-            _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
+            try:
+                x_new = x - eta * est
+            except FloatingPointError:  # overflow under np.errstate(over="raise")
+                x_new = _overflowed_step(x, eta, est)
+            if x_new.tobytes() == x.tobytes():  # a fixed point: keep x, guarded already
+                x_new = x_kept = x
+            else:
+                x_kept = None
+                _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
+                # a malformed estimate's shape: InputError before any oracle sees it
+                x_new = as_vector(x_new, prob.dim_x, "x")
         if oracle is not None:
             d = x_new - x  # np.sum(d ** 2)'s squares and reduction, minus its wrapper
             step_sq = float(np.add.reduce(d * d))

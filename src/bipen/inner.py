@@ -25,33 +25,29 @@ z - tau * a per coordinate, in numpy's order and so to the same IEEE
 doubles, and builds the next y and z with one np.array each.  Any other
 gradient hands the rest of the phase to the numpy step, which handles
 broadcasting, float32 oracles and np.errstate(over="raise") as before.
-Median us per step, oracles returning a stored gradient, K = 40, 15
-interleaved repeats (2-vCPU Xeon VM, numpy 2.4.6, Python 3.11):
-
-    dim_y    1     2     3     4     5     6     7     8
-    numpy  10.2   7.2   5.8   5.6   7.3   6.7   6.1   6.9
-    float   3.6   4.0   4.1   3.7   5.4   5.2   4.6   6.1
-
-    dim_y    9    10    11    12    13    14    15    16
-    numpy   7.6   7.2   7.8   7.9   7.6   7.5   7.5   7.5
-    float   7.0   7.5   8.1   8.7   8.7   9.5   9.7   9.4
+The README's Hot path section gives the measured crossover.
 
 Guards and reported norms still go through _norm, numpy's own dot: BLAS
-ddot fuses multiply-adds, and v.dot(v) differed in its last bit from
-a*a + b*b on 126,837 of 800,000 standard-normal 2-vectors.  So a float
-step passes the guard only while both iterates' math.hypot lies below the
-radius by a relative 1e-9, which covers either rounding, and below 1e150,
-where ddot cannot overflow; the numpy step redoes any other step, and its
-guard decides.  The last h_sigma-gradient is rebuilt in numpy once per
-phase for the reported norm.  Under np.errstate(under="raise") a float
-step does not raise on a subnormal result, where numpy's would.
+ddot fuses multiply-adds, so v.dot(v) can differ in its last bit from
+a*a + b*b.  So a float step passes the guard only while both iterates'
+math.hypot lies below the radius by a relative 1e-9, which covers either
+rounding, and below 1e150, where ddot cannot overflow; the numpy step redoes
+any other step, and its guard decides.  The last h_sigma-gradient is rebuilt
+in numpy once per phase for the reported norm.  Under
+np.errstate(under="raise") a float step does not raise on a subnormal
+result, where numpy's would.
 
 A float step that leaves both iterates unchanged, bit for bit, keeps the
 current y and z arrays.  Unchanged is tested as == per coordinate while the
 step is computed, then, since == does not tell 0.0 from -0.0, as equal
 float64 bytes.  Its hypot test is skipped only for iterates that passed it
 earlier in the same phase, so the first step of a phase is always tested.
-On kernel_pl at eps = 0.01, 74,961 of the 75,000 inner steps are such steps.
+
+A run prepares its phase once per K (``_prepare_phase``): the 0-d scale
+factors, the radius, the float step's pass bound and the oracle entry
+points.  A prepared phase that ends on a float step whose three gradients
+have the bytes of its last such end returns that end's norms, the same bits
+from the same input to _norm.
 """
 
 from __future__ import annotations
@@ -69,10 +65,8 @@ from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
 # dim_y up to which an inner step runs on Python floats; the float step was
-# faster through dim_y = 9 in every crossover run (module docstring)
+# faster through dim_y = 9 in every crossover run (README, Hot path)
 _FLOAT_STEP_DIM = 8
-# native float64 bytes of a float list, as ndarray.tobytes gives an array's
-_PACK = [struct.Struct(f"{n}d").pack for n in range(_FLOAT_STEP_DIM + 1)]
 
 
 @dataclass(frozen=True)
@@ -155,6 +149,42 @@ def _guard(vec, which: str, step: int, radius: float, loop: str = "inner"):
         )
 
 
+class _Phase(NamedTuple):
+    """An inner phase's constants for one run and K (``_prepare_phase``);
+    ``last`` holds the gradient bytes and norms of the last phase that ended
+    on a float step."""
+
+    K: int
+    batch: int
+    calls: int        # fused units: one h_sigma-gradient + one g-gradient per step
+    radius: float
+    tau: np.ndarray   # 0-d: the same bits as Python floats, ~0.4 us cheaper per ufunc
+    sig: np.ndarray
+    grad_f: object
+    grad_g: object
+    draw: object
+    small: bool       # dim_y <= _FLOAT_STEP_DIM: steps on Python floats
+    t: float
+    s: float
+    r_pass: float     # the float step's hypot bound for both iterates
+    shape: tuple
+    coords: range
+    pack: object      # native float64 bytes of a float list, as tobytes gives
+    last: list
+
+
+def _prepare_phase(prob: BilevelProblem, sigma: float, cfg: InnerConfig,
+                   oracle: Optional[StochasticOracle], radius: float) -> _Phase:
+    """``cfg``'s phase on ``prob`` at ``sigma`` within ``radius``, unvalidated."""
+    n = prob.dim_y
+    return _Phase(cfg.K, cfg.batch, 2 * max(cfg.batch, 1) * cfg.K, radius,
+                  np.array(cfg.tau, dtype=float), np.array(sigma, dtype=float),
+                  prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None),
+                  n <= _FLOAT_STEP_DIM, float(cfg.tau), float(sigma),
+                  min(radius, 1e150) * (1.0 - 1e-9), (n,), range(n),
+                  struct.Struct(f"{n}d").pack, [None, None])
+
+
 def inner_descend(
     problem,
     x,
@@ -177,34 +207,33 @@ def inner_descend(
     0-d float64 arrays, which numpy 2 does not treat as weak scalars: a
     float32 oracle output is scaled in float64.  Up to ``_FLOAT_STEP_DIM``
     entries a step runs on Python floats, to the same bits.
+
+    The outer loop passes, as ``cfg``, the phase it prepared for the run
+    (``_prepare_phase``), with x, y0 and z0 float64 vectors that it owns:
+    they are then neither validated nor copied.  The loop writes into none
+    of them, and may return y0 and z0 themselves.
     """
-    prob = as_bilevel(problem)
-    x = as_vector(x, prob.dim_x, "x")
-    y = as_vector(y0, prob.dim_y, "y0").copy()
-    z = as_vector(z0, prob.dim_y, "z0").copy()
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"inner descent needs sigma > 0, got {sigma}")
-    batch = cfg.batch
-    if batch > 0 and oracle is None:
-        raise ConfigError("cfg.batch > 0 requires a stochastic oracle")
-
-    radius = cfg.divergence_radius
-    if radius is None:
-        radius = 1e6 * (1.0 + max(_norm(y), _norm(z)))
-
-    # 0-d: the same bits as Python floats, ~0.4 us cheaper per ufunc
-    tau, sig = np.array(cfg.tau, dtype=float), np.array(sigma, dtype=float)
-    grad_f, grad_g, draw = prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None)
-
-    K, inf = cfg.K, math.inf
-    # small dimension: steps on Python floats (module docstring)
-    small = prob.dim_y <= _FLOAT_STEP_DIM
+    if type(cfg) is _Phase:
+        y, z = y0, z0
+    else:
+        prob = as_bilevel(problem)
+        x = as_vector(x, prob.dim_x, "x")
+        y = as_vector(y0, prob.dim_y, "y0").copy()
+        z = as_vector(z0, prob.dim_y, "z0").copy()
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ConfigError(f"inner descent needs sigma > 0, got {sigma}")
+        if cfg.batch > 0 and oracle is None:
+            raise ConfigError("cfg.batch > 0 requires a stochastic oracle")
+        radius = cfg.divergence_radius
+        if radius is None:
+            radius = 1e6 * (1.0 + max(_norm(y), _norm(z)))
+        cfg = _prepare_phase(prob, sigma, cfg, oracle, radius)
+    (K, batch, calls, radius, tau, sig, grad_f, grad_g, draw, small, t, s, r_pass,
+     shape, coords, pack, last) = cfg
+    inf = math.inf
     if small:
-        t, s = float(cfg.tau), float(sigma)
-        shape, coords = (prob.dim_y,), range(prob.dim_y)
-        r_pass = min(radius, 1e150) * (1.0 - 1e-9)
         zl, yl = z.tolist(), y.tolist()
-        pack, passed = _PACK[prob.dim_y], False  # passed: z, y passed hypot here
+        passed = False  # z and y passed the hypot test in this phase
     gy = None  # the last h_sigma-gradient, when a numpy step made it
     for k in range(K):
         if batch == 0:
@@ -260,11 +289,18 @@ def inner_descend(
         if small:
             zl, yl, passed = z.tolist(), y.tolist(), False
 
-    if K and gy is None:  # a float step: the same bits in numpy
-        gy = sig * fy + gg
-    ny, nz = (_norm(gy), _norm(gz)) if K else (math.nan, math.nan)
-    # fused units: one h_sigma-gradient + one g-gradient per step
-    return InnerResult(y, z, ny, nz, 2 * max(batch, 1) * K, K)
+    if not K:
+        ny = nz = math.nan
+    elif gy is not None:
+        ny, nz = _norm(gy), _norm(gz)
+    else:  # a float step's gradients: float64 vectors of shape (dim_y,)
+        key = (gz.tobytes(), fy.tobytes(), gg.tobytes())
+        if key == last[0]:
+            ny, nz = last[1]
+        else:  # the h_sigma-gradient in numpy, the same bits
+            ny, nz = _norm(sig * fy + gg), _norm(gz)
+            last[:] = key, (ny, nz)
+    return InnerResult(y, z, ny, nz, calls, K)
 
 
 def descend_single(

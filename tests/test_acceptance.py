@@ -232,15 +232,16 @@ def test_c10_degenerate_refusal_is_witnessed(criterion):
 def test_c11_fully_stochastic_complexity_slope(criterion):
     # the third rate: with noise on g's gradients the batch grows as eps^-4
     # and the calls as eps^-6 (c03 gates eps^-2, c04 eps^-4).  The command
-    # below took 1.2-1.4 s on a 2-vCPU Xeon VM (6-7.5 s when each draw
-    # summed B*dim normals); the wall bound, unchanged, leaves ~45x that.
+    # below takes 1.2-1.4 s on a 2-vCPU Xeon VM; the wall bound is ~8x that,
+    # the ratio the first bound kept over the 6-7.5 s the command took when
+    # each draw summed B*dim normals.
     t0 = time.perf_counter()
     r = run_cli("sweep-slope", "--problem", "kernel_pl_gnoise", "--algorithm", "f2bsa",
                 "--epsilons", "0.1,0.07,0.05", "--seeds", "3")
     wall = time.perf_counter() - t0
     m = re.search(r"slope of log\(calls\) vs log\(1/epsilon\): (\S+)", r.stdout)
     slope = float(m.group(1)) if m else float("nan")
-    ok = r.returncode == 0 and abs(slope - 6.0) <= 1.0 and wall < 60.0
+    ok = r.returncode == 0 and abs(slope - 6.0) <= 1.0 and wall < 10.0
     criterion(11, "fully stochastic complexity slope", ok,
               f"exit={r.returncode}, slope={slope:.3f} (want 6.0 +/- 1.0) on "
-              f"kernel_pl_gnoise, eps 0.1-0.05, 3 seeds, wall={wall:.1f}s (< 60s)")
+              f"kernel_pl_gnoise, eps 0.1-0.05, 3 seeds, wall={wall:.1f}s (< 10s)")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipen import (
+    BilevelProblem,
     ConfigError,
     DivergenceError,
     InnerConfig,
@@ -25,6 +26,7 @@ from bipen import (
     build_schedule,
     fit_complexity_slope,
     get_problem,
+    inner_descend,
     penalized_hyperobjective_value,
     run_f2ba,
     run_f2bsa,
@@ -463,3 +465,260 @@ def test_analytic_references_are_called_once_per_distinct_x(kernel):
     assert seen[::2] == seen[1::2] == firsts
     # and the rows of one x share its tuple and its columns
     assert all(a.x is b.x for a, b in zip(tr.rows, tr.rows[1:]) if a.x == b.x)
+
+
+@pytest.mark.parametrize("method", ["f2ba", "f2bsa"])
+@pytest.mark.parametrize("grad", [[0.1, 0.2], [0.1, 0.2, 0.3]])
+def test_an_estimate_of_the_wrong_shape_is_refused_before_an_oracle_sees_it(
+        kernel, method, grad):
+    # the inner phase no longer validates the x its run owns, so the outer
+    # step tests the shape of the x it makes
+    def shaped(fn):
+        def checked(x, y):
+            assert x.shape == (1,)
+            return fn(x, y)
+        return checked
+
+    prob = dataclasses.replace(kernel.problem, grad_f_x=lambda x, y: np.array(grad),
+                               grad_f_y=shaped(kernel.problem.grad_f_y),
+                               grad_g_y=shaped(kernel.problem.grad_g_y))
+    with pytest.raises(InputError, match=rf"x must be a vector of length 1, got "
+                                         rf"shape \({len(grad)},\)"):
+        if method == "f2ba":
+            run_f2ba(prob, kernel_plan(T=3))
+        else:
+            run_f2bsa(prob, kernel_plan(T=3), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's hooks (perfbench/workloads.py `install_clock` and
+# perfbench/tracing.py `install`) swap `drivers.inner_descend` and
+# `drivers.hypergradient_estimate` for wrappers by name: the clock stamps each
+# outer step at the inner phase's entry, and the tracer reads the phase's K_t
+# from its sixth positional argument.  A driver that called a private phase
+# directly would leave the clock timing whole solves.
+
+
+@pytest.mark.parametrize("method", ["f2ba", "f2bsa"])
+def test_each_outer_step_calls_the_inner_phase_and_estimator_by_name(method,
+                                                                      monkeypatch):
+    from bipen import drivers
+
+    calls = []
+    inner, estimate = drivers.inner_descend, drivers.hypergradient_estimate
+
+    def inner_spy(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        calls.append(("inner", args[5].K, res))
+        return res
+
+    def estimate_spy(*args, **kwargs):
+        calls.append(("estimate",))
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(drivers, "inner_descend", inner_spy)
+    monkeypatch.setattr(drivers, "hypergradient_estimate", estimate_spy)
+    s = get_problem("kernel_pl" if method == "f2ba" else "kernel_pl_fnoise")
+    plan = build_schedule(s.problem.constants, 0.1, Delta=0.5, R=0.25,
+                          overrides={"T": 12})
+    tr = (run_f2ba(s.problem, plan) if method == "f2ba"
+          else run_f2bsa(s.problem, plan, seed=3))
+    assert [c[0] for c in calls] == ["inner", "estimate"] * len(tr.rows)
+    phases = calls[::2]
+    assert [k for _, k, _ in phases] == [r.K_t for r in tr.rows]
+    if method == "f2bsa":
+        assert plan.B > 0 and len({r.K_t for r in tr.rows}) > 1  # K_t adapts
+    for _, k, res in phases:
+        assert res.steps == k
+        assert type(res.y) is np.ndarray and type(res.z) is np.ndarray
+    assert phases[-1][2].y is tr.final_state.y and phases[-1][2].z is tr.final_state.z
+
+
+# ---------------------------------------------------------------------------
+# A prepared phase and the outer loop reuse a norm, or the kept x, only for
+# inputs with the bytes of the last ones.  Against an outer loop that reuses
+# nothing, every row, norm and final state must keep its bits.
+
+
+def _ref_run(prob, plan, x0, y0, seed=None):
+    """The outer loop of both methods with no reuse: each phase from the
+    reference inner loop of tests/test_inner.py, each norm and step afresh."""
+    from test_inner import _ref_inner_descend
+
+    from bipen import hypergradient_estimate
+
+    c = prob.constants
+    pen = PenaltyObjective(prob, plan.sigma)
+    x, y = np.array(x0, dtype=float), np.array(y0, dtype=float)
+    z = y.copy()
+    radius = 1e6 * (1.0 + max(np.linalg.norm(x), np.linalg.norm(y)))
+    oracle = None if seed is None else StochasticOracle(prob, c.M_f, c.M_g, rng_seed=seed)
+    B = 0 if oracle is None else plan.B
+    delta = math.nan if oracle is None else plan.delta0
+    rows, calls = [], 0
+    # 0-d scale factors, as the package applies them: float32 gradients are
+    # scaled in float64 (Python floats would keep float32)
+    tau, sigma = np.array(plan.tau), np.array(plan.sigma)
+    for t in range(plan.T):
+        k_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
+        cfg = InnerConfig(tau=tau, K=k_t, batch=B, divergence_radius=radius)
+        res = _ref_inner_descend(prob, x, y, z, sigma, cfg, oracle)
+        est = hypergradient_estimate(pen, x, res.y, res.z, oracle, B)
+        y, z = res.y, res.z
+        calls += res.oracle_calls + 3 * max(B, 1)
+        gt = float(np.linalg.norm(prob.analytic_grad_phi(x)))
+        rows.append((t, float(np.linalg.norm(est)), gt, float(prob.analytic_phi(x)),
+                     res.steps, delta, res.grad_norm_y, res.grad_norm_z, calls, tuple(x)))
+        x_new = x - plan.eta * est
+        if oracle is not None:
+            step_sq = float(np.sum((x_new - x) ** 2))
+            delta = (0.5 * delta + 8.0 * (c.L_g / c.mu) ** 2 * step_sq
+                     + plan.c_delta * plan.sigma ** 2 * plan.epsilon ** 2 / c.L_g ** 2)
+        x = x_new
+    return rows, (x, y, z, delta, calls)
+
+
+def _row_bits(row):
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else
+                 tuple(struct.pack("<d", e) for e in v) if isinstance(v, tuple) else v
+                 for v in row)
+
+
+def _assert_matches_the_reference(make_prob, plan, x0, y0, seed=None):
+    """Run the package and the reference on fresh copies of the problem
+    (``make_prob`` resets any oracle state) and compare every bit."""
+    if seed is None:
+        tr = run_f2ba(make_prob(), plan, x0=x0, y0=y0)
+    else:
+        tr = run_f2bsa(make_prob(), plan, x0=x0, y0=y0, seed=seed)
+    rows, (x, y, z, delta, calls) = _ref_run(make_prob(), plan, x0, y0, seed)
+    got = [_row_bits(r[:10]) for r in tr.rows]
+    assert got == [_row_bits(r) for r in rows]
+    s = tr.final_state
+    assert [v.tobytes() for v in (s.x, s.y, s.z)] == [v.tobytes() for v in (x, y, z)]
+    assert struct.pack("<d", s.delta) == struct.pack("<d", delta)
+    assert s.oracle_calls == calls
+    return tr
+
+
+def _zeros_flipped(prob, seed):
+    """``prob`` whose first-order oracles return each exact zero as 0.0 or
+    -0.0, drawn afresh on every call: a gradient that repeats its values
+    while the signs of its zeros change."""
+    rng = np.random.default_rng(seed)
+
+    def flip(fn):
+        def flipped(x, y):
+            v = np.array(fn(x, y), dtype=float)
+            zero = v == 0.0
+            v[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+            return v
+        return flipped
+
+    return dataclasses.replace(prob, **{n: flip(getattr(prob, n)) for n in
+                                        ("grad_f_x", "grad_f_y", "grad_g_x", "grad_g_y")})
+
+
+def _zero_problem():
+    """f = (x^2 + |y|^2) / 2 and g = |y - x 1|^2 / 2 with analytic phi: every
+    gradient vanishes at x = 0, y = 0, with the signs of its zeros set by
+    the signs of x and y."""
+    return BilevelProblem(
+        dim_x=1, dim_y=2,
+        f=lambda x, y: 0.5 * (x[0] * x[0] + float(y.dot(y))),
+        grad_f_x=lambda x, y: x.copy(),
+        grad_f_y=lambda x, y: y.copy(),
+        g=lambda x, y: 0.5 * float((y - x[0]).dot(y - x[0])),
+        grad_g_x=lambda x, y: np.array([-(y - x[0]).sum()]),
+        grad_g_y=lambda x, y: y - x[0],
+        constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0,
+                                   mu=1.0, sigma_bar=1.0),
+        analytic_phi=lambda x: 1.5 * x[0] * x[0],
+        analytic_grad_phi=lambda x: 3.0 * x,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("start", [([-0.0], [0.0, -0.0]), ([0.0], [-0.0, -0.0]),
+                                   ([1.0], [1.0, -0.0])])
+def test_gradients_whose_zeros_flip_sign_keep_the_reference_bits(kernel, seed, start):
+    # kernel_pl's fixed point x = 1, y = (1, 0), and the zero problem's at
+    # x = 0, y = 0: every gradient is zero, and a sign that flips can turn
+    # -0.0 iterates into 0.0, which == does not see
+    x0, y0 = start
+    base = kernel.problem if x0 == [1.0] else _zero_problem()
+    plan = build_schedule(base.constants, 0.1, Delta=0.5, R=0.25,
+                          overrides={"T": 40, "K": 3})
+    tr = _assert_matches_the_reference(lambda: _zeros_flipped(base, seed), plan, x0, y0)
+    assert len({r.x for r in tr.rows}) <= 2
+
+
+def _float32(prob):
+    """``prob`` whose first-order oracles return float32 vectors."""
+    return dataclasses.replace(prob, **{
+        n: (lambda fn: lambda x, y: np.asarray(fn(x, y), dtype=np.float32))(
+            getattr(prob, n))
+        for n in ("grad_f_x", "grad_f_y", "grad_g_x", "grad_g_y")})
+
+
+@pytest.mark.parametrize("x0, y0", [([1.0], [1.0, 0.0]), ([1.0], [1.0, -0.0]),
+                                    (None, None)])
+def test_float32_gradients_keep_the_reference_bits(kernel, x0, y0, monkeypatch):
+    # at kernel_pl's fixed point the float32 gradients repeat equal values;
+    # from the default start the run converges to repeating ones.  The
+    # package's norm of a float32 gradient is the square root, in float64,
+    # of its float32 dot product, where np.linalg.norm would round the root
+    # to float32; on float64 vectors the two agree bit for bit
+    import test_inner
+
+    monkeypatch.setattr(test_inner, "_ref_norm", lambda v: math.sqrt(v.dot(v)))
+    plan = kernel_plan(T=60)
+    x0, y0 = (x0, y0) if x0 is not None else kernel.problem.default_start()
+    _assert_matches_the_reference(lambda: _float32(kernel.problem), plan, x0, y0)
+
+
+def test_an_estimate_that_repeats_while_x_moves_keeps_the_reference_bits(kernel):
+    # est = 0.25 on every step: x moves by eta / 4 each time, so the kept-x
+    # reuse must not fire on a repeated estimate alone
+    prob = dataclasses.replace(kernel.problem, grad_f_x=lambda x, y: np.array([0.25]),
+                               grad_g_x=lambda x, y: np.zeros(1))
+    plan = kernel_plan(T=30)
+    tr = _assert_matches_the_reference(lambda: prob, plan, [1.0], [1.0, 0.0])
+    assert len({r.grad_est_norm for r in tr.rows}) == 1
+    assert len({r.x for r in tr.rows}) == len(tr.rows)
+
+
+@pytest.mark.parametrize("method", ["f2ba", "f2bsa"])
+def test_a_converging_run_keeps_the_reference_bits(method):
+    # the reuse serves most of a converged f2ba run; f2bsa's noisy iterates
+    # never repeat, and its phases change K_t
+    s = get_problem("kernel_pl" if method == "f2ba" else "kernel_pl_fnoise")
+    plan = build_schedule(s.problem.constants, 0.1, Delta=0.5, R=0.25,
+                          overrides={"T": 300 if method == "f2ba" else 25})
+    rng = np.random.default_rng(2207)
+    x0, y0 = rng.uniform(0.0, 2.0, size=1), rng.uniform(0.0, 2.0, size=2)
+    tr = _assert_matches_the_reference(lambda: s.problem, plan, x0, y0,
+                                       None if method == "f2ba" else 5)
+    if method == "f2ba":  # the run converges and its rows share their norms
+        last = tr.rows[-1]
+        assert tr.rows[-2].x is last.x
+        assert tr.rows[-2].grad_est_norm is last.grad_est_norm
+        assert tr.rows[-2].resid_y is last.resid_y and tr.rows[-2].resid_z is last.resid_z
+
+
+@pytest.mark.parametrize("K", [0, 1, 4])
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.0, -0.0], [0.3, 0.7]])
+@pytest.mark.parametrize("shared", [False, True])
+def test_the_public_inner_loop_copies_and_never_writes_its_inputs(kernel, K, start,
+                                                                  shared):
+    # from kernel_pl's fixed point every float step keeps its iterates, and
+    # the loop may return the arrays it holds: never the caller's own
+    y0 = np.array(start)
+    z0 = y0 if shared else np.array(start)
+    before = (y0.tobytes(), z0.tobytes())
+    for _ in range(2):  # a second call sees no state of the first
+        res = inner_descend(kernel.problem, [1.0], y0, z0, 0.1,
+                            InnerConfig(tau=0.5, K=K))
+        assert res.y is not y0 and res.y is not z0
+        assert res.z is not y0 and res.z is not z0 and res.y is not res.z
+        assert (y0.tobytes(), z0.tobytes()) == before
