@@ -386,8 +386,8 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
         k_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
         phase = cfgs.get(k_t)
         if phase is None:
-            phase = cfgs[k_t] = _prepare_phase(
-                prob, plan.sigma, InnerConfig(tau=plan.tau, K=k_t, batch=B), oracle, radius)
+            cfg = InnerConfig(tau=plan.tau, K=k_t, batch=B, divergence_radius=radius)
+            phase = cfgs[k_t] = _prepare_phase(prob, plan.sigma, cfg, oracle, radius)
         try:
             res = inner_descend(prob, x, y, z, plan.sigma, phase, oracle)
             est = hypergradient_estimate(pen, x, res.y, res.z, oracle, B)
