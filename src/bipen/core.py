@@ -190,6 +190,14 @@ class BilevelProblem:
     (``analytic_phi``, ``analytic_grad_phi``) are taken to be pure functions
     of x: the penalty loop evaluates them only when x changes from one outer
     step to the next, and trace rows that repeat x share their values.
+
+    ``f_rows`` and ``g_rows`` are optional row oracles: ``f_rows(x, Y)``
+    returns a float64 array holding f(x, y) for each row y of an
+    (n, dim_y) array Y, with the bits of n row-by-row calls of ``f`` (and
+    likewise ``g_rows`` for g).  The grid minimizers and the grid
+    hyper-objective evaluate a whole grid with one call of them; a problem
+    that declares none is evaluated with one call of ``f`` or ``g`` per grid
+    point, to the same values.
     """
 
     dim_x: int
@@ -206,6 +214,8 @@ class BilevelProblem:
     analytic_phi: Optional[Callable[[Array], float]] = None
     analytic_grad_phi: Optional[Callable[[Array], Array]] = None
     meta: Optional[ProblemMeta] = None
+    f_rows: Optional[Callable[[Array, Array], Array]] = None  # f at each row of Y
+    g_rows: Optional[Callable[[Array, Array], Array]] = None  # g at each row of Y
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
@@ -253,6 +263,24 @@ def _h(prob: BilevelProblem, x, sigma: float):
     if sigma == 0.0:
         return functools.partial(prob.g, x)
     return lambda y: sigma * prob.f(x, y) + prob.g(x, y)
+
+
+def _per_row(fn):
+    """Y -> fn(y) at each row y of a 2-D array Y, one call per row, as a
+    float64 array."""
+    return lambda Y: np.fromiter(map(fn, Y), float, len(Y))
+
+
+def _h_rows(prob: BilevelProblem, x, sigma: float):
+    """Y -> h_sigma(x, y) at each row y of a 2-D array Y, with ``_h``'s bits:
+    ``g_rows`` at sigma = 0 and ``sigma * f_rows + g_rows`` otherwise, or one
+    call of ``_h`` per row when the problem lacks the row oracles it needs."""
+    f_rows, g_rows = prob.f_rows, prob.g_rows
+    if g_rows is None or (sigma != 0.0 and f_rows is None):
+        return _per_row(_h(prob, x, sigma))
+    if sigma == 0.0:
+        return functools.partial(g_rows, x)
+    return lambda Y: sigma * f_rows(x, Y) + g_rows(x, Y)
 
 
 def _h_grad(prob: BilevelProblem, x, sigma: float):
@@ -485,14 +513,11 @@ _GSTAR_TOL = 1e-12  # gradient norm the value-function pre-solves descend to
 _GRID_ROUNDS = 3  # zooms of the grid minimizer
 
 
-def _grid_values(fn, rows) -> np.ndarray:
-    """fn at each row of a 2-D array of grid points, as a float64 array."""
-    return np.fromiter(map(fn, rows), float, len(rows))
-
-
-def _grid_min(fn, box, n_per_dim: int):
+def _grid_min(rows, box, n_per_dim: int):
     """Zooming grid minimizer over a per-coordinate box (dim <= 2).
 
+    ``rows`` maps an (n, dim) array of grid points to their n values (as
+    ``_h_rows`` and ``_per_row`` build it), and is called once per round.
     Grids always include the box endpoints, so minimizers sitting exactly at
     declared corners/kinks are found exactly.  Returns (argmin, min,
     spacing), the spacing being the widest axis step of the final grid.
@@ -512,7 +537,7 @@ def _grid_min(fn, box, n_per_dim: int):
         else:
             g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
             pts = np.column_stack([g0.ravel(), g1.ravel()])
-        vals = _grid_values(fn, pts)
+        vals = rows(pts)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
@@ -529,10 +554,10 @@ def _grid_min(fn, box, n_per_dim: int):
     return best_pt, best_val, spacing
 
 
-def _box_min(prob: BilevelProblem, fn):
-    """``_grid_min`` of fn(y) over the problem's ``y_box``, at 201 points per
-    axis in two dimensions and 4001 in one."""
-    return _grid_min(fn, prob.meta.y_box, 201 if prob.dim_y == 2 else 4001)
+def _box_min(prob: BilevelProblem, rows):
+    """``_grid_min`` of the row evaluator ``rows`` over the problem's
+    ``y_box``, at 201 points per axis in two dimensions and 4001 in one."""
+    return _grid_min(rows, prob.meta.y_box, 201 if prob.dim_y == 2 else 4001)
 
 
 def penalized_hyperobjective_value(p: PenaltyObjective, x) -> PenaltyValue:

@@ -27,10 +27,11 @@ from .core import (
     PenaltyObjective,
     ProblemMeta,
     _check_seed,
-    _grid_values,
     _h,
     _h_grad,
     _h_lipschitz,
+    _h_rows,
+    _per_row,
     as_bilevel,
     as_vector,
     penalized_hyperobjective_value,
@@ -410,7 +411,9 @@ def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     absolute slack of 1e-9).
 
     One-dimensional lower levels only; the grid covers the declared box (when
-    present) or probe window, including the endpoints exactly.
+    present) or probe window, including the endpoints exactly.  g is taken
+    over the grid and f over the tie set through the problem's row oracles
+    when it declares them, else one call per point.
     """
     prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
@@ -419,11 +422,14 @@ def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     meta = _windows(prob, "grid hyper-objective")
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
     ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
-    gv = _grid_values(_h(prob, x, 0.0), ys)
+    gv = _h_rows(prob, x, 0.0)(ys)
     g_min = gv.min()
     scale = min(1.0 + abs(float(g_min)), float(np.abs(gv).max()))
-    ties = gv <= g_min + _TIE_TOL * scale
-    fv = _grid_values(functools.partial(prob.f, x), ys[ties])
+    ties = ys[gv <= g_min + _TIE_TOL * scale]
+    if prob.f_rows is not None:
+        fv = prob.f_rows(x, ties)
+    else:
+        fv = _per_row(functools.partial(prob.f, x))(ties)
     return float(fv.min())
 
 

@@ -60,7 +60,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (_FLOAT64, _GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h,
-                   _h_grad, _h_lipschitz, _int_field, as_bilevel, as_vector)
+                   _h_grad, _h_lipschitz, _h_rows, _int_field, as_bilevel, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
@@ -359,13 +359,13 @@ def presolve(prob: BilevelProblem, x, sigma: float, y0, tol: float,
 
 def _h_min(prob: BilevelProblem, x, sigma: float, y0, label: str):
     """(argmin, min, accuracy) of h_sigma(x, .), or of g(x, .) when sigma = 0:
-    ``_box_min`` and its grid spacing over a declared ``y_box``, otherwise
-    ``presolve`` from y0 to ``_GSTAR_TOL`` and its final gradient norm."""
-    h = _h(prob, x, sigma)
+    ``_box_min`` of ``_h_rows`` and its grid spacing over a declared
+    ``y_box``, otherwise ``presolve`` from y0 to ``_GSTAR_TOL`` and its final
+    gradient norm."""
     if prob.meta is not None and prob.meta.y_box is not None:
-        return _box_min(prob, h)
+        return _box_min(prob, _h_rows(prob, x, sigma))
     y, residual, _ = presolve(prob, x, sigma, y0, _GSTAR_TOL, label)
-    return y, h(y), residual
+    return y, _h(prob, x, sigma)(y), residual
 
 
 class DivergenceProbe(NamedTuple):

@@ -67,8 +67,19 @@ class SuiteProblem:
 
 
 def _sc(x) -> float:
-    """Scalar view of a scalar-or-length-1-vector upper variable."""
-    return float(np.atleast_1d(np.asarray(x, dtype=float))[0])
+    """Scalar view of a scalar-or-length-1-vector upper variable; InputError
+    for any other shape."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.shape != (1,):
+        raise InputError(f"x must be a scalar or a vector of length 1, got shape {arr.shape}")
+    return float(arr[0])
+
+
+def _pow2(v):
+    """v ** 2 entrywise, with the bits of a float64 scalar's ``** 2`` (C pow),
+    for the row oracles: an array's ``** 2`` is v * v, which can differ in
+    the last bit."""
+    return np.float_power(v, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +282,13 @@ def make_sin_sq_pl() -> SuiteProblem:
     def grad_g_x(x, y):
         return np.array([-_sin_sq_d1(y[0] - x[0])])
 
+    def f_rows(x, Y):
+        return 0.5 * _pow2(Y[:, 0] - 1.0) + 0.5 * x[0] ** 2
+
+    def g_rows(x, Y):
+        u = Y[:, 0] - x[0]
+        return u * u + 3.0 * _pow2(np.sin(u))
+
     constants = ProblemConstants(
         C_f=3.0,  # sup |y - 1| over the probe window
         L_f=1.0, L_g=8.0, rho_f=0.0, rho_g=12.0,
@@ -297,7 +315,7 @@ def make_sin_sq_pl() -> SuiteProblem:
         hess_g_xy=lambda x, y: np.array([[-_sin_sq_d2(y[0] - x[0])]]),
         analytic_phi=lambda x: 0.5 * (x[0] - 1.0) ** 2 + 0.5 * x[0] ** 2,
         analytic_grad_phi=lambda x: np.array([2.0 * x[0] - 1.0]),
-        meta=meta,
+        meta=meta, f_rows=f_rows, g_rows=g_rows,
     )
     return SuiteProblem(
         name="sin_sq_pl",
@@ -334,9 +352,15 @@ def make_discontinuous_example(smoothed: bool = False) -> SuiteProblem:
     def grad_f_y(x, y):
         return np.array([2.0 * y[0]])
 
+    def f_rows(x, Y):
+        return x[0] ** 2 + _pow2(Y[:, 0])
+
     if not smoothed:
         def g(x, y):
             return x[0] * y[0]
+
+        def g_rows(x, Y):
+            return x[0] * Y[:, 0]
 
         def grad_g_x(x, y):
             return np.array([y[0]])
@@ -368,6 +392,11 @@ def make_discontinuous_example(smoothed: bool = False) -> SuiteProblem:
         def g(x, y):
             yv = y[0]
             return x[0] * yv + max(yv - 1.0, 0.0) ** 2 + max(-yv, 0.0) ** 2
+
+        def g_rows(x, Y):
+            yv = Y[:, 0]
+            return (x[0] * yv + _pow2(np.maximum(yv - 1.0, 0.0))
+                    + _pow2(np.maximum(-yv, 0.0)))
 
         def grad_g_x(x, y):
             return np.array([y[0]])
@@ -411,7 +440,7 @@ def make_discontinuous_example(smoothed: bool = False) -> SuiteProblem:
         hess_g_xy=lambda x, y: np.array([[1.0]]),
         analytic_phi=analytic_phi,
         analytic_grad_phi=None,  # phi is discontinuous at 0
-        meta=meta,
+        meta=meta, f_rows=f_rows, g_rows=g_rows,
     )
     return SuiteProblem(name=name, problem=problem, regime="discontinuous",
                         notes=note)
@@ -449,6 +478,12 @@ def make_degenerate_penalty_example(boxed: bool = False) -> SuiteProblem:
 
     def grad_g_y(x, y):
         return np.array([0.0, y[1]])
+
+    def f_rows(x, Y):
+        return x[0] * Y[:, 0]
+
+    def g_rows(x, Y):
+        return 0.5 * _pow2(Y[:, 1])
 
     constants = ProblemConstants(
         C_f=2.0,  # sup ||grad_y f|| = |x| over the probe window
@@ -491,7 +526,7 @@ def make_degenerate_penalty_example(boxed: bool = False) -> SuiteProblem:
         hess_g_yy=lambda x, y: np.array([[0.0, 0.0], [0.0, 1.0]]),
         hess_g_xy=lambda x, y: np.array([[0.0, 0.0]]),
         analytic_phi=analytic_phi,
-        meta=meta,
+        meta=meta, f_rows=f_rows, g_rows=g_rows,
     )
     return SuiteProblem(
         name=name, problem=problem, regime="degenerate_penalty", notes=note,

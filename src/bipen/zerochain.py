@@ -106,7 +106,8 @@ class SupportTracker:
 
 
 def tracked_instance(instance: SuiteProblem, tracker: SupportTracker) -> SuiteProblem:
-    """Clone of the instance whose oracles report to ``tracker``."""
+    """Clone of the instance whose oracles report to ``tracker``; row oracles
+    are dropped, so every value call reaches ``f`` and ``g``."""
     prob = instance.problem
 
     def wrap_query(kind, fn):  # values and x-gradients reveal no y coordinate
@@ -130,6 +131,7 @@ def tracked_instance(instance: SuiteProblem, tracker: SupportTracker) -> SuitePr
         grad_g_x=wrap_query("g_x", prob.grad_g_x),
         grad_f_y=wrap_y_grad("f_y", prob.grad_f_y),
         grad_g_y=wrap_y_grad("g_y", prob.grad_g_y),
+        f_rows=None, g_rows=None,  # every value call goes through f and g
     )
     return dataclasses.replace(instance, problem=tracked)
 

@@ -23,7 +23,7 @@ from bipen import (
     penalized_hyperobjective_value,
 )
 from bipen import core
-from bipen.core import _grid_min, _require_finite, as_vector
+from bipen.core import _grid_min, _per_row, _require_finite, as_vector
 from bipen.errors import ToolkitError
 from bipen.rng import substream
 
@@ -245,15 +245,15 @@ def test_penalized_value_boxed_grid_path():
 
 
 def test_grid_min_hits_interior_and_corner_minima():
-    pt, val, _ = _grid_min(lambda y: (y[0] - 0.3) ** 2, [(0.0, 1.0)], 101)
+    pt, val, _ = _grid_min(_per_row(lambda y: (y[0] - 0.3) ** 2), [(0.0, 1.0)], 101)
     assert abs(pt[0] - 0.3) < 1e-4 and val < 1e-8
-    pt, val, _ = _grid_min(lambda y: (y[0] + 1.0) ** 2, [(0.0, 1.0)], 101)
+    pt, val, _ = _grid_min(_per_row(lambda y: (y[0] + 1.0) ** 2), [(0.0, 1.0)], 101)
     assert pt[0] == 0.0 and val == 1.0  # endpoint on the grid exactly
 
 
 def test_grid_min_dimension_cap():
     with pytest.raises(CapabilityError):
-        _grid_min(lambda y: float(y @ y), [(0, 1)] * 3, 11)
+        _grid_min(_per_row(lambda y: float(y @ y)), [(0, 1)] * 3, 11)
 
 
 def test_value_error_carries_offending_point(kernel):

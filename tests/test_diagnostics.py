@@ -19,11 +19,12 @@ from bipen import (
     grid_hyper_objective,
     hausdorff_distance,
     hypergradient_routes,
+    list_problems,
     pl_ratio_certificate,
     set_lipschitz_check,
     smoothness_probe,
 )
-from bipen.core import _GRID_ROUNDS, _grid_min, _h, as_bilevel, as_vector
+from bipen.core import _GRID_ROUNDS, _grid_min, _h_rows, as_bilevel, as_vector
 from bipen.diagnostics import _TIE_TOL, _as_point_cloud, _vnorm, _windows
 
 
@@ -370,6 +371,9 @@ def _ref_list_grid_hyper_objective(problem, x, n: int = 5001) -> float:
 
 _GRID_PROBLEMS = ["sin_sq_pl", "discontinuous", "discontinuous_smoothed",
                   "degenerate_penalty_boxed"]
+# the suite's problems that declare row oracles, in registry order
+_ROW_PROBLEMS = ["sin_sq_pl", "discontinuous", "discontinuous_smoothed",
+                 "degenerate_penalty", "degenerate_penalty_boxed"]
 
 
 def _grid_xs(prob):
@@ -378,34 +382,103 @@ def _grid_xs(prob):
     return [np.array([x]) for x in xs]
 
 
+def _both_paths(prob):
+    """``prob`` with its row oracles, and without them (one call per point)."""
+    return prob, dataclasses.replace(prob, f_rows=None, g_rows=None)
+
+
+def _grid_box(prob):
+    """The declared box, or the probe window where none is declared, and the
+    box path's point count per axis."""
+    meta = prob.meta
+    box = meta.y_box if meta.y_box is not None else [meta.y_window] * prob.dim_y
+    return box, 201 if prob.dim_y == 2 else 4001
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", _GRID_PROBLEMS)
 def test_grid_minimizer_matches_the_list_reference_bitwise(name, sigma):
-    # over the declared box, or the probe window where none is declared, at
-    # the point counts of the box path
-    prob = get_problem(name).problem
-    meta = prob.meta
-    box = meta.y_box if meta.y_box is not None else [meta.y_window] * prob.dim_y
-    n = 201 if prob.dim_y == 2 else 4001
-    for x in _grid_xs(prob):
-        pt, val, spacing = _grid_min(_h(prob, x, sigma), box, n)
-        ref_pt, ref_val, ref_spacing = _ref_grid_min(_ref_h(prob, x, sigma), box, n)
-        assert pt.dtype == ref_pt.dtype and pt.tobytes() == ref_pt.tobytes(), x
-        assert type(val) is float and _f64_bits(val) == _f64_bits(ref_val), x
-        assert _f64_bits(spacing) == _f64_bits(ref_spacing), x
+    # with the problem's row oracles and without them
+    box, n = _grid_box(get_problem(name).problem)
+    for prob in _both_paths(get_problem(name).problem):
+        for x in _grid_xs(prob):
+            pt, val, spacing = _grid_min(_h_rows(prob, x, sigma), box, n)
+            ref_pt, ref_val, ref_spacing = _ref_grid_min(_ref_h(prob, x, sigma), box, n)
+            assert pt.dtype == ref_pt.dtype and pt.tobytes() == ref_pt.tobytes(), x
+            assert type(val) is float and _f64_bits(val) == _f64_bits(ref_val), x
+            assert _f64_bits(spacing) == _f64_bits(ref_spacing), x
 
 
 @pytest.mark.parametrize("name", _GRID_PROBLEMS)
 def test_grid_hyper_objective_matches_the_list_reference_bitwise(name):
+    for prob in _both_paths(get_problem(name).problem):
+        if prob.dim_y != 1:
+            for fn in (grid_hyper_objective, _ref_list_grid_hyper_objective):
+                with pytest.raises(CapabilityError):
+                    fn(prob, [0.3])
+            continue
+        for x in _grid_xs(prob):
+            got = grid_hyper_objective(prob, x)
+            want = _ref_list_grid_hyper_objective(prob, x)
+            assert _f64_bits(got) == _f64_bits(want), x
+
+
+def test_the_problems_that_reach_a_grid_declare_row_oracles():
+    declared = [name for name in list_problems()
+                if get_problem(name).problem.g_rows is not None]
+    assert declared == _ROW_PROBLEMS
+    assert all(get_problem(name).problem.f_rows is not None for name in declared)
+
+
+def _recording(prob, grids):
+    """``prob`` whose row oracles append each (x, Y) they are given to grids."""
+    def record(rows):
+        def wrapped(x, Y):
+            grids.append((x.copy(), Y.copy()))
+            return rows(x, Y)
+        return wrapped
+    return dataclasses.replace(prob, f_rows=record(prob.f_rows),
+                               g_rows=record(prob.g_rows))
+
+
+def _edge_rows(prob):
+    """Rows of +-0.0, the box (or window) endpoints and magnitudes around
+    1e150, up to where a square overflows, in every combination of two."""
+    box, _ = _grid_box(prob)
+    vals = sorted({0.0, 1e150, 3.3e149, 1.3e154, 1.35e154, 7e-200,
+                   *(float(v) for b in box for v in b)})
+    vals = [-0.0] + vals + [-v for v in vals if v]
+    if prob.dim_y == 1:
+        return np.array(vals)[:, None]
+    return np.array([(a, b) for a in vals for b in vals])
+
+
+@pytest.mark.parametrize("name", _ROW_PROBLEMS)
+def test_row_oracles_have_the_bits_of_row_by_row_calls(name):
+    # on every grid that the grid minimizer (sigma 0 and 0.5) and the grid
+    # hyper-objective build at the pinned and at seeded random x, and on
+    # rows of edge values
     prob = get_problem(name).problem
-    if prob.dim_y != 1:
-        for fn in (grid_hyper_objective, _ref_list_grid_hyper_objective):
-            with pytest.raises(CapabilityError):
-                fn(prob, [0.3])
-        return
-    for x in _grid_xs(prob):
-        got = grid_hyper_objective(prob, x)
-        assert _f64_bits(got) == _f64_bits(_ref_list_grid_hyper_objective(prob, x)), x
+    lo, hi = prob.meta.x_window
+    xs = _grid_xs(prob) + [np.array([-0.0])] + [
+        np.array([x]) for x in np.random.default_rng(23).uniform(lo, hi, 4)]
+    grids = []
+    recorded = _recording(prob, grids)
+    box, n = _grid_box(prob)
+    for x in xs:
+        for sigma in (0.0, 0.5):
+            _grid_min(_h_rows(recorded, x, sigma), box, n)
+        if prob.dim_y == 1:
+            grid_hyper_objective(recorded, x)
+    assert len(grids) == len(xs) * (9 + 2 * (prob.dim_y == 1))
+    grids += [(x, _edge_rows(prob)) for x in xs]
+    with np.errstate(over="ignore"):
+        for x, Y in grids:
+            for rows, point in ((prob.f_rows, prob.f), (prob.g_rows, prob.g)):
+                got = rows(x, Y)
+                want = np.fromiter((point(x, y) for y in Y), float, len(Y))
+                assert got.dtype == np.float64 and got.shape == (len(Y),)
+                assert got.tobytes() == want.tobytes(), (x, point)
 
 
 @pytest.mark.parametrize("v", [

@@ -556,13 +556,10 @@ def _ref_run(prob, plan, x0, y0, seed=None):
     B = 0 if oracle is None else plan.B
     delta = math.nan if oracle is None else plan.delta0
     rows, calls = [], 0
-    # 0-d scale factors, as the package applies them: float32 gradients are
-    # scaled in float64 (Python floats would keep float32)
-    tau, sigma = np.array(plan.tau), np.array(plan.sigma)
     for t in range(plan.T):
         k_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
-        cfg = InnerConfig(tau=tau, K=k_t, batch=B, divergence_radius=radius)
-        res = _ref_inner_descend(prob, x, y, z, sigma, cfg, oracle)
+        cfg = InnerConfig(tau=plan.tau, K=k_t, batch=B, divergence_radius=radius)
+        res = _ref_inner_descend(prob, x, y, z, plan.sigma, cfg, oracle)
         est = hypergradient_estimate(pen, x, res.y, res.z, oracle, B)
         y, z = res.y, res.z
         calls += res.oracle_calls + 3 * max(B, 1)
@@ -663,15 +660,9 @@ def _float32(prob):
 
 @pytest.mark.parametrize("x0, y0", [([1.0], [1.0, 0.0]), ([1.0], [1.0, -0.0]),
                                     (None, None)])
-def test_float32_gradients_keep_the_reference_bits(kernel, x0, y0, monkeypatch):
+def test_float32_gradients_keep_the_reference_bits(kernel, x0, y0):
     # at kernel_pl's fixed point the float32 gradients repeat equal values;
-    # from the default start the run converges to repeating ones.  The
-    # package's norm of a float32 gradient is the square root, in float64,
-    # of its float32 dot product, where np.linalg.norm would round the root
-    # to float32; on float64 vectors the two agree bit for bit
-    import test_inner
-
-    monkeypatch.setattr(test_inner, "_ref_norm", lambda v: math.sqrt(v.dot(v)))
+    # from the default start the run converges to repeating ones
     plan = kernel_plan(T=60)
     x0, y0 = (x0, y0) if x0 is not None else kernel.problem.default_start()
     _assert_matches_the_reference(lambda: _float32(kernel.problem), plan, x0, y0)

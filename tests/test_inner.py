@@ -187,12 +187,15 @@ def test_lower_level_gap_never_expands(x, z0, sigma, K):
 # ---------------------------------------------------------------------------
 # reference loop: the inner loop as it stood before its norms became lazy and
 # its guard a single dot product, kept verbatim but for the early-exit and
-# path-recording options the package no longer has; the package's loop must
-# match it bit for bit, failures included.
+# path-recording options the package no longer has, and for float32
+# gradients: a norm is the square root, in float64, of the vector's own dot
+# (np.linalg.norm rounds a float32 root to float32), and tau and sigma are
+# 0-d float64 factors (Python floats would keep a float32 step in float32).
+# The package's loop must match it bit for bit, failures included.
 
 
 def _ref_norm(v) -> float:
-    return float(np.linalg.norm(v))
+    return math.sqrt(v.dot(v))
 
 
 def _ref_guard(vec, which: str, step: int, radius: float):
@@ -230,6 +233,7 @@ def _ref_inner_descend(
     radius = cfg.divergence_radius
     if radius is None:
         radius = 1e6 * (1.0 + max(_ref_norm(y), _ref_norm(z)))
+    tau, sigma = np.array(cfg.tau, dtype=float), np.array(sigma, dtype=float)
 
     if cfg.batch == 0:
         def grad_g(v):
@@ -254,8 +258,8 @@ def _ref_inner_descend(
         gy = grad_h(y)
         calls += 2 * batch_eff
         ny, nz = _ref_norm(gy), _ref_norm(gz)
-        z = z - cfg.tau * gz
-        y = y - cfg.tau * gy
+        z = z - tau * gz
+        y = y - tau * gy
         _ref_guard(z, "z", k, radius)
         _ref_guard(y, "y", k, radius)
         steps += 1
@@ -269,11 +273,12 @@ def _bits(v):
     return np.asarray(v).dtype.str, np.asarray(v).tobytes()
 
 
-# a gradient oracle as declared, or cut to a shape that only broadcasts
-# against y: its first entry as a length-1 array
+# a gradient oracle as declared, cut to a shape that only broadcasts against
+# y (its first entry as a length-1 array), or returning float32
 _SHAPES = {
     "declared": lambda grad: grad,
     "length 1": lambda grad: lambda x, y: grad(x, y)[:1],
+    "float32": lambda grad: lambda x, y: np.asarray(grad(x, y), dtype=np.float32),
 }
 
 
@@ -341,7 +346,7 @@ def _outcome(fn, name, seed, args, cfg, part, shape):
     radius=st.one_of(st.none(), st.floats(0.1, 50.0), st.just(math.inf)),
     seed=st.integers(0, 3),
     part=st.sampled_from(["grad_f_y", "grad_g_y"]),
-    shape=st.sampled_from(["declared", "length 1"]),
+    shape=st.sampled_from(["declared", "length 1", "float32"]),
 )
 def test_inner_descend_matches_the_reference_loop_bitwise(
         name, coords, sigma, tau, K, batch, radius, seed, part, shape):

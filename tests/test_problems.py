@@ -13,6 +13,7 @@ from bipen.problems import (
     HardInstanceSpec,
     _hermite_p,
     _hermite_p_d1,
+    _sc,
     certify_sin_sq_mu,
     chain_min_eigenvalue,
     make_hard_instance,
@@ -38,6 +39,24 @@ def test_registry_contents():
     with pytest.raises(ConfigError) as err:
         get_problem("no_such_problem")
     assert "quadratic_sc" in str(err.value)
+
+
+@pytest.mark.parametrize("x", [0.3, np.float64(0.3), [0.3], np.array([0.3]),
+                               np.array(0.3)])
+def test_scalar_view_takes_a_scalar_or_a_length_1_vector(x):
+    assert _sc(x) == 0.3
+
+
+@pytest.mark.parametrize("x", [np.array([0.3, 0.7]), [0.3, 0.7], [], [[0.3]]])
+def test_scalar_view_refuses_every_other_shape(x):
+    # it used to return the first entry of a longer vector
+    with pytest.raises(InputError, match="scalar or a vector of length 1"):
+        _sc(x)
+    s = get_problem("quadratic_sc")
+    for ref in (lambda: s.phi_sigma(x, 0.5), lambda: s.project_y_star(x, [0.0, 0.0]),
+                lambda: s.sample_y_star(x)):
+        with pytest.raises(InputError):
+            ref()
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -14,12 +14,14 @@ from bipen import (
     InputError,
     InstrumentationError,
     SupportTracker,
+    get_problem,
+    grid_hyper_objective,
     make_hard_instance,
     run_zero_respecting,
 )
 from bipen.problems import _chain_grad
 from bipen.rng import substream
-from bipen.zerochain import CallRecord
+from bipen.zerochain import CallRecord, tracked_instance
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 40])
@@ -35,6 +37,18 @@ def test_support_lemma_on_chain_gradients(q):
                 z[:j] = rng.uniform(-2.0, 2.0, size=j)
             supp = _ref_support(_chain_grad(z, np.empty(q)))
             assert not supp or supp[-1] <= j, (j, supp)  # 0-based: index j may appear
+
+
+def test_a_tracked_instance_carries_no_row_oracles():
+    # a row oracle evaluates a whole grid in one call the tracker never sees
+    suite = get_problem("discontinuous")
+    assert suite.problem.f_rows is not None and suite.problem.g_rows is not None
+    tracker = SupportTracker(dim_y=1)
+    tracked = tracked_instance(suite, tracker).problem
+    assert tracked.f_rows is None and tracked.g_rows is None
+    value = grid_hyper_objective(tracked, [0.3])
+    assert value.hex() == grid_hyper_objective(suite.problem, [0.3]).hex()
+    assert tracker.counts() == {"g": 5001, "f": 1}  # one tie, at y = 0
 
 
 def test_tracker_flags_query_outside_explored_set():
