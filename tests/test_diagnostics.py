@@ -382,9 +382,11 @@ def _grid_xs(prob):
     return [np.array([x]) for x in xs]
 
 
-def _both_paths(prob):
-    """``prob`` with its row oracles, and without them (one call per point)."""
-    return prob, dataclasses.replace(prob, f_rows=None, g_rows=None)
+def _each_path(prob):
+    """``prob`` with its row oracles, with g's alone (f per point) and with
+    neither (one call per point)."""
+    return (prob, dataclasses.replace(prob, f_rows=None),
+            dataclasses.replace(prob, f_rows=None, g_rows=None))
 
 
 def _grid_box(prob):
@@ -398,9 +400,8 @@ def _grid_box(prob):
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize("name", _GRID_PROBLEMS)
 def test_grid_minimizer_matches_the_list_reference_bitwise(name, sigma):
-    # with the problem's row oracles and without them
     box, n = _grid_box(get_problem(name).problem)
-    for prob in _both_paths(get_problem(name).problem):
+    for prob in _each_path(get_problem(name).problem):
         for x in _grid_xs(prob):
             pt, val, spacing = _grid_min(_h_rows(prob, x, sigma), box, n)
             ref_pt, ref_val, ref_spacing = _ref_grid_min(_ref_h(prob, x, sigma), box, n)
@@ -411,7 +412,7 @@ def test_grid_minimizer_matches_the_list_reference_bitwise(name, sigma):
 
 @pytest.mark.parametrize("name", _GRID_PROBLEMS)
 def test_grid_hyper_objective_matches_the_list_reference_bitwise(name):
-    for prob in _both_paths(get_problem(name).problem):
+    for prob in _each_path(get_problem(name).problem):
         if prob.dim_y != 1:
             for fn in (grid_hyper_objective, _ref_list_grid_hyper_objective):
                 with pytest.raises(CapabilityError):
