@@ -225,9 +225,11 @@ def _cmd_list_problems(args) -> int:
 
 
 def _run_once(suite, algorithm: str, plan, seed: int, timing: bool):
-    if algorithm == "f2ba":
-        return run_f2ba(suite, plan, timing=timing)
-    return run_f2bsa(suite, plan, seed=seed, timing=timing)
+    """One run on the suite's problem, its trace named after the registry entry."""
+    trace = (run_f2ba(suite.problem, plan, timing=timing) if algorithm == "f2ba"
+             else run_f2bsa(suite.problem, plan, seed=seed, timing=timing))
+    trace.problem_name = suite.name
+    return trace
 
 
 def _cmd_run(args) -> int:

@@ -246,14 +246,6 @@ class BilevelProblem:
         return np.zeros(self.dim_x), np.zeros(self.dim_y)
 
 
-def as_bilevel(problem) -> BilevelProblem:
-    """Accept either a BilevelProblem or a wrapper exposing ``.problem``."""
-    if type(problem) is BilevelProblem:
-        return problem
-    inner = getattr(problem, "problem", None)
-    return inner if isinstance(inner, BilevelProblem) else problem
-
-
 # ---------------------------------------------------------------------------
 # penalty objective
 
@@ -323,9 +315,7 @@ class PenaltyObjective:
     sigma: float
 
     def __post_init__(self):
-        prob = as_bilevel(self.problem)
-        if prob is not self.problem:
-            object.__setattr__(self, "problem", prob)
+        prob = self.problem
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"penalty weight sigma must be > 0, got {self.sigma}")
         # the estimator's divisor, 0-d: cheaper per ufunc than a float

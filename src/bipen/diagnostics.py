@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     _GSTAR_TOL,
+    BilevelProblem,
     PenaltyObjective,
     ProblemMeta,
     _check_seed,
@@ -32,12 +33,12 @@ from .core import (
     _h_lipschitz,
     _h_rows,
     _per_row,
-    as_bilevel,
     as_vector,
     penalized_hyperobjective_value,
 )
 from .errors import CapabilityError, ConfigError, InputError, NumericError
 from .inner import _h_min, _norm, presolve
+from .problems import SuiteProblem
 from .rng import substream
 
 
@@ -108,7 +109,7 @@ def _central_diff(fn, v, h: float) -> np.ndarray:
     return out
 
 
-def fd_hypergradient(problem, x) -> np.ndarray:
+def fd_hypergradient(prob: BilevelProblem, x) -> np.ndarray:
     """Central finite differences of the penalized value function.
 
     Differentiates phi_sigma at sigma = ``_FD_SIGMA`` with step ``_FD_STEP``,
@@ -116,7 +117,6 @@ def fd_hypergradient(problem, x) -> np.ndarray:
     O(sigma)-accurate smoothing of phi, so the result carries that bias
     besides the difference error; no error estimate is reported.
     """
-    prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
     p = PenaltyObjective(prob, _FD_SIGMA)
     return _central_diff(lambda v: penalized_hyperobjective_value(p, v).value, x, _FD_STEP)
@@ -132,7 +132,7 @@ def _pl_pinv(H: np.ndarray, cutoff: float) -> np.ndarray:
 _PINV_RESIDUAL_TOL = 1e-8  # ||grad_y g|| above which y_star is not a minimizer
 
 
-def exact_hypergradient_pinv(problem, x, y_star) -> np.ndarray:
+def exact_hypergradient_pinv(prob: BilevelProblem, x, y_star) -> np.ndarray:
     """Implicit-function hypergradient at an (essentially) exact minimizer:
 
         grad phi = grad_x f - hess_xy g . pinv(hess_yy g) . grad_y f,
@@ -141,7 +141,6 @@ def exact_hypergradient_pinv(problem, x, y_star) -> np.ndarray:
     rather than amplified.  Requires the problem's Hessian blocks and
     ||grad_y g(x, y_star)|| <= ``_PINV_RESIDUAL_TOL``.
     """
-    prob = as_bilevel(problem)
     x, y_star = prob.check_point(x, y_star)
     if prob.hess_g_yy is None or prob.hess_g_xy is None:
         raise CapabilityError("pseudoinverse hypergradient needs hess_g_yy and hess_g_xy")
@@ -156,23 +155,21 @@ def exact_hypergradient_pinv(problem, x, y_star) -> np.ndarray:
     return prob.grad_f_x(x, y_star) - np.asarray(prob.hess_g_xy(x, y_star)) @ (pinv @ gfy)
 
 
-def hypergradient_routes(suite, x) -> dict:
+def hypergradient_routes(suite: SuiteProblem, x) -> dict:
     """All available hypergradient routes at x, plus pairwise disagreements.
 
-    Routes: 'fd' (always), 'pinv' (when Hessian blocks and a certified
-    minimizer are available), 'analytic' (when the problem declares one).
+    Routes: 'fd' (always), 'pinv' (with Hessian blocks, at the suite's
+    projection or else a pre-solve), 'analytic' (when the problem declares one).
     """
-    prob = as_bilevel(suite)
+    prob = suite.problem
     x = as_vector(x, prob.dim_x, "x")
     routes = {"fd": fd_hypergradient(prob, x)}
-    project = getattr(suite, "project_y_star", None)
     if prob.hess_g_yy is not None and prob.hess_g_xy is not None:
-        if project is not None:
-            _, y0 = prob.default_start()
-            y_star = project(x, y0, 0.0)
+        y0 = prob.default_start()[1]
+        if suite.project_y_star is not None:
+            y_star = suite.project_y_star(x, y0, 0.0)
         else:
-            y_star, _, _ = presolve(prob, x, 0.0, prob.default_start()[1], 1e-10,
-                                    label="pinv pre-solve")
+            y_star, _, _ = presolve(prob, x, 0.0, y0, 1e-10, label="pinv pre-solve")
         routes["pinv"] = exact_hypergradient_pinv(prob, x, y_star)
     if prob.analytic_grad_phi is not None:
         routes["analytic"] = np.asarray(prob.analytic_grad_phi(x), dtype=float)
@@ -196,7 +193,7 @@ class PLCertificate(NamedTuple):
     skipped: int
 
 
-def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
+def pl_ratio_certificate(prob: BilevelProblem, sigma: float = 0.0, probes: int = 200,
                          seed: int = 0) -> PLCertificate:
     """Sampled estimate of the PL constant: min of ||grad h||^2 / (2 (h - h*)).
 
@@ -211,7 +208,6 @@ def pl_ratio_certificate(problem, sigma: float = 0.0, probes: int = 200,
     convention).
     """
     _check_seed(seed)
-    prob = as_bilevel(problem)
     if not 0.0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     _require_count(probes, "probes")
@@ -260,14 +256,13 @@ class GaletResiduals(NamedTuple):
     w: np.ndarray
 
 
-def galet_residuals(problem, x, y) -> GaletResiduals:
+def galet_residuals(prob: BilevelProblem, x, y) -> GaletResiduals:
     """Residual triplet of the gradient-based stationarity reformulation.
 
     g*(x) comes from a certified pre-solve started at the queried point (the
     PL property makes any basin global); a certified minimum above the
     queried value by more than rounding noise raises NumericError.
     """
-    prob = as_bilevel(problem)
     x, y = prob.check_point(x, y)
     if prob.hess_g_yy is None or prob.hess_g_xy is None:
         raise CapabilityError("stationarity residuals need hess_g_yy and hess_g_xy")
@@ -298,13 +293,12 @@ class SmoothnessEstimate(NamedTuple):
     skipped: int
 
 
-def smoothness_probe(problem, x_pairs) -> SmoothnessEstimate:
+def smoothness_probe(prob: BilevelProblem, x_pairs) -> SmoothnessEstimate:
     """Empirical Lipschitz ratio of the hyper-objective gradient.
 
     Uses the analytic gradient when declared, finite differences otherwise.
     Pairs closer than 1e-12 are skipped.
     """
-    prob = as_bilevel(problem)
     c = prob.constants
 
     if prob.analytic_grad_phi is not None:
@@ -331,7 +325,7 @@ def smoothness_probe(problem, x_pairs) -> SmoothnessEstimate:
 _FD_CHECK_STEP = 1e-6  # check_gradients' central-difference step at unit scale
 
 
-def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
+def check_gradients(prob: BilevelProblem, n_probes: int = 100, seed: int = 0) -> float:
     """Max relative error of declared gradients against central differences.
 
     Probes are sampled inside the problem's declared windows; the step
@@ -339,7 +333,6 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     relative error over all four gradients.
     """
     _check_seed(seed)
-    prob = as_bilevel(problem)
     _require_count(n_probes, "n_probes")
     meta = _windows(prob, "gradient check")
     rng = substream(seed, "fd-check")
@@ -360,7 +353,7 @@ def check_gradients(problem, n_probes: int = 100, seed: int = 0) -> float:
     return worst
 
 
-def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> dict:
+def check_smoothness_constants(prob: BilevelProblem, n_pairs: int = 200, seed: int = 0) -> dict:
     """Empirical gradient-difference ratios against declared L_f and L_g.
 
     The declarations are block-wise -- L bounds each gradient block's
@@ -370,7 +363,6 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
     ratio per (block, argument); callers compare against declarations.
     """
     _check_seed(seed)
-    prob = as_bilevel(problem)
     _require_count(n_pairs, "n_pairs")
     meta = _windows(prob, "smoothness check")
     rng = substream(seed, "lip-check")
@@ -403,7 +395,7 @@ def check_smoothness_constants(problem, n_pairs: int = 200, seed: int = 0) -> di
 _TIE_TOL = 1e-9  # relative gap in g within which grid points tie for argmin
 
 
-def grid_hyper_objective(problem, x, n: int = 5001) -> float:
+def grid_hyper_objective(prob: BilevelProblem, x, n: int = 5001) -> float:
     """Brute-force phi(x): grid-minimize g, then minimize f over the tie set
     (the points within ``_TIE_TOL`` of the grid minimum, relative to
     1 + |min|, or to the largest |g| on the grid where that is smaller: a g
@@ -415,7 +407,6 @@ def grid_hyper_objective(problem, x, n: int = 5001) -> float:
     over the grid and f over the tie set through the problem's row oracles
     when it declares them, else one call per point.
     """
-    prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
     if prob.dim_y != 1:
         raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
@@ -437,7 +428,7 @@ _SET_SAMPLES = 51  # points per sampled solution set
 _SET_SLACK = 1e-9  # rounding allowance on the set-distance bound
 
 
-def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
+def set_lipschitz_check(suite: SuiteProblem, n_pairs: int = 100, seed: int = 0) -> dict:
     """Stability of penalized solution sets in (x, sigma).
 
     For random pairs (x1, sigma1), (x2, sigma2) the Hausdorff distance of
@@ -450,10 +441,10 @@ def set_lipschitz_check(suite, n_pairs: int = 100, seed: int = 0) -> dict:
     ratio distance / bound.
     """
     _check_seed(seed)
-    sampler = getattr(suite, "sample_y_star", None)
+    sampler = suite.sample_y_star
     if sampler is None:
         raise CapabilityError("set stability check needs an analytic set sampler")
-    prob = as_bilevel(suite)
+    prob = suite.problem
     _require_count(n_pairs, "n_pairs")
     c = prob.constants
     meta = _windows(prob, "set stability check")

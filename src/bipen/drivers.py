@@ -36,13 +36,13 @@ import numpy as np
 
 from .core import (
     _FLOAT64,
+    BilevelProblem,
     PenaltyObjective,
     ProblemConstants,
     StochasticOracle,
     _check_seed,
     _h_lipschitz,
     _int_field,
-    as_bilevel,
     as_vector,
     hypergradient_estimate,
 )
@@ -112,6 +112,17 @@ class SchedulePlan:
         return items
 
 
+def _count(name: str, formula, **inputs) -> int:
+    """max(1, ceil(formula())), the plan's count ``name``; ConfigError naming it
+    and its ``inputs`` where the formula divides by 0 or meets nan or inf."""
+    try:
+        return max(1, math.ceil(formula()))
+    except (ZeroDivisionError, ValueError, OverflowError):
+        given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+        raise ConfigError(f"plan {name} is not computable from {given}: its formula "
+                          "divides by 0 or meets nan or inf") from None
+
+
 def build_schedule(
     constants: ProblemConstants,
     epsilon: float,
@@ -167,22 +178,21 @@ def build_schedule(
     if "K" in ov:
         K = ov.pop("K")
     else:
-        K = max(1, math.ceil(cs["c_K"] * (c.L_g / c.mu)
-                             * max(1.0, math.log(c.L_g / (c.mu * sigma)))))
+        K = _count("K", lambda: cs["c_K"] * (c.L_g / c.mu)
+                   * max(1.0, math.log(c.L_g / (c.mu * sigma))), sigma=sigma)
     delta0 = float(ov.pop("delta0")) if "delta0" in ov else cs["c_delta"] * R
     if "T" in ov:
         T = ov.pop("T")
     else:
-        T = max(1, math.ceil(2.0 * (Delta + delta0) / (eta * epsilon ** 2)))
+        T = _count("T", lambda: 2.0 * (Delta + delta0) / (eta * epsilon ** 2),
+                   eta=eta, epsilon=epsilon, Delta=Delta, delta0=delta0)
     if "B" in ov:
         B = ov.pop("B")
     elif not c.stochastic:
         B = 0
     else:
-        B = max(1, math.ceil(
-            cs["c_B"] * c.L_g * (sigma ** 2 * c.M_f ** 2 + c.M_g ** 2)
-            / (c.mu * sigma ** 2 * epsilon ** 2)
-        ))
+        B = _count("B", lambda: cs["c_B"] * c.L_g * (sigma ** 2 * c.M_f ** 2 + c.M_g ** 2)
+                   / (c.mu * sigma ** 2 * epsilon ** 2), sigma=sigma, epsilon=epsilon)
 
     return SchedulePlan(
         epsilon=epsilon, eta=eta, sigma=sigma, tau=tau, K=K, T=T, B=B,
@@ -298,7 +308,7 @@ def _resolve_starts(prob, x0, y0):
     return x.copy(), y.copy()
 
 
-def run_f2ba(problem, plan: SchedulePlan, x0=None, y0=None,
+def run_f2ba(prob: BilevelProblem, plan: SchedulePlan, x0=None, y0=None,
              timing: bool = False) -> RunTrace:
     """Deterministic penalty method for T outer iterations of K inner steps.
 
@@ -307,18 +317,18 @@ def run_f2ba(problem, plan: SchedulePlan, x0=None, y0=None,
     2*K_t + 3 per outer iteration.  The plan's B is ignored: every gradient
     is exact and ``delta_t`` is recorded as nan.
     """
-    return _run_penalty(problem, plan, x0, y0, None, timing)
+    return _run_penalty(prob, plan, x0, y0, None, timing)
 
 
 def stochastic_inner_count(plan: SchedulePlan, delta: float) -> int:
     """K_t = c_K (L_g/mu) log(L_g^3 delta_t / (mu sigma^2 eps^2)), clamped >= 1."""
     c = plan.constants
-    arg = c.L_g ** 3 * delta / (c.mu * plan.sigma ** 2 * plan.epsilon ** 2)
-    return max(1, math.ceil(plan.c_K * (c.L_g / c.mu)
-                            * math.log(max(arg, math.e))))
+    return _count("K_t", lambda: plan.c_K * (c.L_g / c.mu) * math.log(max(
+        c.L_g ** 3 * delta / (c.mu * plan.sigma ** 2 * plan.epsilon ** 2), math.e)),
+        sigma=plan.sigma, epsilon=plan.epsilon, delta_t=delta)
 
 
-def run_f2bsa(problem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
+def run_f2bsa(prob: BilevelProblem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
               timing: bool = False) -> RunTrace:
     """Stochastic penalty method with adaptive inner budgets.
 
@@ -335,10 +345,10 @@ def run_f2bsa(problem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
     the deterministic method exactly, bit for bit.  ``seed`` must be an int.
     """
     _check_seed(seed)
-    return _run_penalty(problem, plan, x0, y0, seed, timing)
+    return _run_penalty(prob, plan, x0, y0, seed, timing)
 
 
-def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
+def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optional[int],
                  timing: bool) -> RunTrace:
     """The outer loop of both methods; ``seed`` None is the deterministic one.
 
@@ -354,7 +364,6 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     one (float64, x's shape) reuses its norm and, from the x that the last
     step kept, the kept x: the same bits from the same inputs.
     """
-    prob = as_bilevel(problem)
     pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
     c = prob.constants
     x, y = _resolve_starts(prob, x0, y0)
@@ -363,7 +372,6 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     # radius NaN; each later x is guarded when it changes
     _guard(x, "x", 0, math.inf, "outer")
     radius = 1e6 * (1.0 + max(_norm(x), _norm(y)))
-    name = getattr(problem, "name", type(prob).__name__)
     oracle = None if seed is None else StochasticOracle(prob, c.M_f, c.M_g, rng_seed=seed)
     B = 0 if oracle is None else plan.B
     if B > 0 and not c.stochastic:
@@ -427,7 +435,7 @@ def _run_penalty(problem, plan: SchedulePlan, x0, y0, seed: Optional[int],
     wall_s = time.perf_counter() - t_start
     state = IterateState(t=plan.T, x=x, y=y, z=z, delta=delta, oracle_calls=calls,
                          rng_counter=0 if oracle is None else oracle.counter)
-    return RunTrace(problem_name=name,
+    return RunTrace(problem_name=type(prob).__name__,
                     algorithm="f2ba" if oracle is None else "f2bsa",
                     plan=plan, seed=seed, rows=rows, final_state=state,
                     wall_seconds=wall_s)

@@ -60,7 +60,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (_FLOAT64, _GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h,
-                   _h_grad, _h_lipschitz, _h_rows, _int_field, as_bilevel, as_vector)
+                   _h_grad, _h_lipschitz, _h_rows, _int_field, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
@@ -186,7 +186,7 @@ def _prepare_phase(prob: BilevelProblem, sigma: float, cfg: InnerConfig,
 
 
 def inner_descend(
-    problem,
+    prob: BilevelProblem,
     x,
     y0,
     z0,
@@ -216,7 +216,6 @@ def inner_descend(
     if type(cfg) is _Phase:
         y, z = y0, z0
     else:
-        prob = as_bilevel(problem)
         x = as_vector(x, prob.dim_x, "x")
         y = as_vector(y0, prob.dim_y, "y0").copy()
         z = as_vector(z0, prob.dim_y, "z0").copy()
@@ -349,8 +348,7 @@ def descend_single(
     )
 
 
-def presolve(prob: BilevelProblem, x, sigma: float, y0, tol: float,
-             label: str = "pre-solve"):
+def presolve(prob: BilevelProblem, x, sigma: float, y0, tol: float, label: str):
     """``descend_single`` on h_sigma(x, .), or on g(x, .) when sigma = 0, at
     the step 1 / (sigma L_f + L_g); returns its (y, final_grad_norm, steps)."""
     return descend_single(_h_grad(prob, x, sigma), y0,
@@ -376,7 +374,7 @@ class DivergenceProbe(NamedTuple):
 
 
 def probe_penalty_divergence(
-    problem,
+    prob: BilevelProblem,
     x,
     sigma: float,
     max_steps: int = 1000,
@@ -391,7 +389,6 @@ def probe_penalty_divergence(
     whose norm overflows, counts as diverged with norm inf.  Returns the
     observation; callers decide whether to raise.
     """
-    prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
     _, y0 = prob.default_start()
     c = prob.constants

@@ -139,8 +139,8 @@ def make_quadratic_sc() -> SuiteProblem:
         notes="strongly convex lower level; minimizer of phi at x = 1/2",
         phi_inf=0.25,
         phi_sigma=lambda x, s: 0.5 * (_sc(x) - 1.0) ** 2 + _sc(x) ** 2 / (2.0 * (1.0 + s)),
-        project_y_star=lambda x, y, s=0.0: np.array([_sc(x) / (1.0 + s), 0.0]),
-        sample_y_star=lambda x, s=0.0, n=1: np.array([[_sc(x) / (1.0 + s), 0.0]]),
+        project_y_star=lambda x, y, s: np.array([_sc(x) / (1.0 + s), 0.0]),
+        sample_y_star=lambda x, s, n: np.array([[_sc(x) / (1.0 + s), 0.0]]),
     )
 
 
@@ -187,11 +187,11 @@ def make_kernel_pl(name: str = "kernel_pl", noise_f: float = 0.0,
         x_window=(0.0, 2.0), y_window=(0.0, 2.0),
     )
 
-    def project(x, y, s=0.0):
+    def project(x, y, s):
         c0 = (_sc(x) + s) / (1.0 + s)
         return np.array([c0, float(np.atleast_1d(y)[1])])
 
-    def sample(x, s=0.0, n=101):
+    def sample(x, s, n):
         c0 = (_sc(x) + s) / (1.0 + s)
         ts = np.linspace(meta.y_window[0], meta.y_window[1], n)
         return np.column_stack([np.full(n, c0), ts])
@@ -299,7 +299,7 @@ def make_sin_sq_pl() -> SuiteProblem:
         x_window=(-1.0, 1.0), y_window=(-2.0, 2.0),
     )
 
-    def project(x, y, s=0.0):
+    def project(x, y, s):
         if s != 0.0:
             raise CapabilityError(
                 "sin_sq_pl has no closed-form penalized solution set; use sigma = 0"
@@ -531,7 +531,7 @@ def make_degenerate_penalty_example(boxed: bool = False) -> SuiteProblem:
     return SuiteProblem(
         name=name, problem=problem, regime="degenerate_penalty", notes=note,
         phi_sigma=phi_sigma,
-        project_y_star=(lambda x, y, s=0.0:
+        project_y_star=(lambda x, y, s:
                         np.array([float(np.atleast_1d(y)[0]), 0.0])),
     )
 
@@ -764,7 +764,7 @@ def make_hard_instance(spec: HardInstanceSpec) -> SuiteProblem:
                f"gamma1={env['gamma1']:.4g} gamma2={env['gamma2']:.4g} "
                f"gamma3={env['gamma3']:.4g}"),
         phi_inf=0.0,
-        project_y_star=lambda x, y, s=0.0: np.full(q, b),
+        project_y_star=lambda x, y, s: np.full(q, b),
     )
 
 

@@ -155,7 +155,7 @@ class F2BAAdapter:
             overrides={"sigma": self.sigma, "eta": self.eta, "T": T, "K": K},
             provenance={"Delta": "analytic", "R": "analytic"},
         )
-        return run_f2ba(instance, plan)
+        return run_f2ba(prob, plan)
 
     def expected_counts(self, T: int, K: int) -> dict:
         return {"f_y": T * K, "g_y": 2 * T * K, "f_x": T, "g_x": 2 * T}
@@ -279,7 +279,8 @@ def run_zero_respecting(adapter, T: int, K: int,
     x_zero = all(all(v == 0.0 for v in xv) for xv in xs)
     if not x_zero:
         bad_t = next(i for i, xv in enumerate(xs) if any(v != 0.0 for v in xv))
-        violations.append(f"check (i): x moved at outer iteration {bad_t}: {xs[bad_t]}")
+        violations.append(f"check (i): x moved at outer iteration {bad_t}: "
+                          f"{tuple(map(float, xs[bad_t]))}")
 
     touched = [rec for rec in tracker.calls
                if rec.query_support and rec.query_support[-1] >= half]

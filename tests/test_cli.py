@@ -93,6 +93,37 @@ def test_bad_setting_key_is_a_config_error():
     assert r.returncode == 2 and "bogus" in r.stderr
 
 
+@pytest.mark.parametrize("args,field", [
+    (("--epsilon", "0.1", "--set", "eta=0"), "T"),
+    (("--epsilon", "0.1", "--set", "eta=nan"), "T"),
+    (("--epsilon", "0.1", "--set", "delta0=nan"), "T"),
+    (("--epsilon", "0.1", "--set", "delta0=inf"), "T"),
+    (("--epsilon", "0.1", "--set", "c_eta=1e-320"), "T"),
+    (("--epsilon", "0.1", "--set", "sigma=1e-320"), "K"),
+    (("--epsilon", "1e-170"), "T"),
+    (("--algorithm", "f2bsa", "--epsilon", "0.1", "--set", "sigma=1e-200"), "B"),
+    (("--algorithm", "f2bsa", "--epsilon", "1e-170", "--set", "T=1", "--set", "K=1",
+      "--set", "B=1"), "K_t"),
+])
+def test_a_schedule_that_cannot_be_computed_exits_two(capsys, args, field):
+    # exit 1 means a failed certification; these once exited 1 with a bare
+    # ZeroDivisionError, ValueError or OverflowError
+    from bipen.cli import main
+
+    problem = "kernel_pl_fnoise" if "f2bsa" in args else "kernel_pl"
+    assert main(["run", "--problem", problem, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (config): plan {field} is not computable from "), err
+
+
+def test_a_plan_that_skips_the_failing_formula_still_runs(capsys):
+    from bipen.cli import main
+
+    assert main(["run", "--problem", "kernel_pl", "--epsilon", "1e-170",
+                 "--set", "T=1"]) == 0
+    assert "kernel_pl f2ba eps=1e-170" in capsys.readouterr().out
+
+
 def test_nonpositive_epsilon_is_a_config_error():
     r = run_cli("run", "--problem", "kernel_pl", "--epsilon", "-0.1")
     assert r.returncode == 2

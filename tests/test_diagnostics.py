@@ -24,7 +24,7 @@ from bipen import (
     set_lipschitz_check,
     smoothness_probe,
 )
-from bipen.core import _GRID_ROUNDS, _grid_min, _h_rows, as_bilevel, as_vector
+from bipen.core import _GRID_ROUNDS, _grid_min, _h_rows, as_vector
 from bipen.diagnostics import _TIE_TOL, _as_point_cloud, _vnorm, _windows
 
 
@@ -208,6 +208,12 @@ class TestGaletResiduals:
         assert r.R_y == pytest.approx(0.125, abs=1e-9)
         assert np.allclose(r.w, 0.0)
 
+    def test_a_problem_without_a_hessian_is_refused(self, kernel):
+        for block in ("hess_g_yy", "hess_g_xy"):
+            bare = dataclasses.replace(kernel.problem, **{block: None})
+            with pytest.raises(CapabilityError, match="need hess_g_yy and hess_g_xy"):
+                galet_residuals(bare, [0.7], [0.7, 1.3])
+
     def test_negative_gap_is_a_numeric_error(self, kernel):
         # value and gradient disagree in sign, so the descent's certified
         # g* ends up above the queried value: the gap turns negative and
@@ -298,8 +304,7 @@ class TestGridHyperObjective:
 
 # the grid oracle as it stood when it built a fresh y vector per grid point,
 # kept verbatim: the package's version must match it bit for bit
-def _ref_grid_hyper_objective(problem, x, n: int = 5001, tie_tol: float = 1e-9) -> float:
-    prob = as_bilevel(problem)
+def _ref_grid_hyper_objective(prob, x, n: int = 5001, tie_tol: float = 1e-9) -> float:
     x = as_vector(x, prob.dim_x, "x")
     if prob.dim_y != 1:
         raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
@@ -355,8 +360,7 @@ def _ref_grid_min(fn, box, n_per_dim: int):
     return best_pt, best_val, spacing
 
 
-def _ref_list_grid_hyper_objective(problem, x, n: int = 5001) -> float:
-    prob = as_bilevel(problem)
+def _ref_list_grid_hyper_objective(prob, x, n: int = 5001) -> float:
     x = as_vector(x, prob.dim_x, "x")
     if prob.dim_y != 1:
         raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
@@ -513,6 +517,20 @@ class TestSetStability:
     def test_needs_a_sampler(self, sin_sq):
         with pytest.raises(CapabilityError):
             set_lipschitz_check(sin_sq)
+
+    def test_every_violating_pair_is_recorded(self, kernel):
+        # sets 100 x on both coordinates move 100 sqrt(2) per unit of x, far
+        # beyond the declared bound: all 3 of 3 pairs at seed 0 violate it
+        far = dataclasses.replace(
+            kernel, sample_y_star=lambda x, s, n: np.full((n, 2), 100.0 * x))
+        out = set_lipschitz_check(far, n_pairs=3, seed=0)
+        assert out["checked"] == 3 and len(out["violations"]) == 3
+        for x1, s1, x2, s2, d, bound in out["violations"]:
+            assert 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0
+            assert d == hausdorff_distance(np.full((51, 2), 100.0 * x1),
+                                           np.full((51, 2), 100.0 * x2))
+            assert d > bound + 1e-9
+        assert out["worst_ratio"] == max(d / b for *_, d, b in out["violations"])
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -91,6 +91,38 @@ class TestBuildSchedule:
         with pytest.raises(ConfigError):
             kernel_plan(sigma=5.0)  # above sigma_bar
 
+    @pytest.mark.parametrize("problem,eps,overrides,field", [
+        ("kernel_pl", 0.1, {"eta": 0.0}, "T"),          # divides by 0
+        ("kernel_pl", 0.1, {"eta": math.nan}, "T"),     # ceil of nan
+        ("kernel_pl", 0.1, {"delta0": math.nan}, "T"),
+        ("kernel_pl", 0.1, {"delta0": math.inf}, "T"),  # ceil of inf
+        ("kernel_pl", 0.1, {"c_eta": 1e-320}, "T"),     # eta eps^2 underflows
+        ("kernel_pl", 0.1, {"sigma": 1e-320}, "K"),     # mu sigma underflows
+        ("kernel_pl", 1e-170, {}, "T"),                 # eps^2 underflows
+        ("kernel_pl_fnoise", 0.1, {"sigma": 1e-200}, "B"),  # sigma^2 underflows
+    ])
+    def test_a_count_that_cannot_be_computed_is_a_config_error(self, problem, eps,
+                                                               overrides, field):
+        # each once escaped as a bare ZeroDivisionError, ValueError or
+        # OverflowError
+        c = get_problem(problem).problem.constants
+        with pytest.raises(ConfigError, match=f"^plan {field} is not computable from "):
+            build_schedule(c, eps, Delta=0.5, R=0.25, overrides=overrides)
+
+    def test_an_inner_count_that_cannot_be_computed_is_a_config_error(self):
+        # sigma^2 eps^2 underflows in K_t's formula, at run time; the same
+        # plan runs on the deterministic path, which never computes K_t
+        prob = get_problem("kernel_pl_fnoise").problem
+        plan = build_schedule(prob.constants, 1e-170, Delta=0.5, R=0.25,
+                              overrides={"T": 1, "K": 1, "B": 1})
+        with pytest.raises(ConfigError, match="^plan K_t is not computable from "):
+            run_f2bsa(prob, plan, seed=0)
+        with pytest.raises(ConfigError, match="^plan K_t is not computable from "):
+            stochastic_inner_count(plan, 0.25)
+        assert len(run_f2ba(prob, plan).rows) == 1
+        plan = kernel_plan(1e-170, T=1)  # accepted: T's formula is not used
+        assert len(run_f2ba(get_problem("kernel_pl").problem, plan).rows) == 1
+
     @pytest.mark.parametrize("value", [
         2.5, 1.9, 2.0, np.float64(2.0), True, False, "3", None,
         3, np.int64(3), np.int32(2), np.uint8(4)])
@@ -136,7 +168,7 @@ class TestDeterministicDriver:
         assert tr.final_state.t == plan.T
 
     def test_mean_analytic_norm_is_the_mean_over_iterates(self, kernel):
-        tr = run_f2ba(kernel, kernel_plan(T=20))
+        tr = run_f2ba(kernel.problem, kernel_plan(T=20))
         mean = statistics.fmean(r.grad_true_norm for r in tr.rows)
         assert tr.mean_grad_true == mean
         assert f"mean||grad_true||={mean:.4e}, " in tr.summary_line()
@@ -144,7 +176,7 @@ class TestDeterministicDriver:
         boxed = get_problem("degenerate_penalty_boxed")
         plan = build_schedule(boxed.problem.constants, 0.1, Delta=0.5, R=0.25,
                               overrides={"T": 6})
-        tr = run_f2ba(boxed, plan)
+        tr = run_f2ba(boxed.problem, plan)
         assert math.isnan(tr.mean_grad_true)
         assert "grad_true" not in tr.summary_line()
 
@@ -178,11 +210,15 @@ class TestDeterministicDriver:
         assert "at outer step 3" in str(err.value)
 
     def test_trace_summary_and_argmin(self, kernel):
-        tr = run_f2ba(kernel, kernel_plan(T=20))
+        from bipen.cli import _run_once
+
+        tr = _run_once(kernel, "f2ba", kernel_plan(T=20), 0, False)
         assert tr.argmin_grad_est is not None
         assert tr.rows[tr.argmin_grad_est].grad_est_norm == tr.min_grad_est
         line = tr.summary_line()
         assert "kernel_pl" in line and "f2ba" in line
+        # a library run is named after its problem's type
+        assert run_f2ba(kernel.problem, kernel_plan(T=1)).problem_name == "BilevelProblem"
 
     def test_penalty_gap_inequality_on_the_suite(self):
         # |phi_sigma - phi| <= sigma C_f^2 / (2 mu) inside the declared
@@ -409,7 +445,8 @@ def test_the_converged_kernel_trace_is_pinned(tmp_path):
 def test_the_free_coordinate_keeps_its_sign_at_the_fixed_point(kernel, free):
     from bipen.cli import plan_from_args, render_trace_csv
 
-    tr = run_f2ba(kernel, plan_from_args(kernel, 0.01, {}), y0=[0.5, free])
+    tr = run_f2ba(kernel.problem, plan_from_args(kernel, 0.01, {}), y0=[0.5, free])
+    tr.problem_name = kernel.name  # as the CLI names its trace
     assert _sha256(render_trace_csv(tr)) == _KERNEL_EPS_001_SHA256
     want = np.array([0.9999999999999994, free]).tobytes()
     assert tr.final_state.y.tobytes() == want and tr.final_state.z.tobytes() == want
@@ -417,7 +454,7 @@ def test_the_free_coordinate_keeps_its_sign_at_the_fixed_point(kernel, free):
 
 def test_a_nan_start_raises_at_outer_step_0(kernel):
     with pytest.raises(NumericError, match="non-finite x-iterate at outer step 0"):
-        run_f2ba(kernel, kernel_plan(), x0=[math.nan])
+        run_f2ba(kernel.problem, kernel_plan(), x0=[math.nan])
 
 
 def _counted(prob):

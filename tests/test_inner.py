@@ -24,7 +24,7 @@ from bipen import (
     probe_penalty_divergence,
 )
 from bipen import core
-from bipen.core import BilevelProblem, ProblemConstants, as_bilevel, as_vector
+from bipen.core import BilevelProblem, ProblemConstants, as_vector
 from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm
 from test_core import _RefOracle, _oracle_problem
 
@@ -121,6 +121,13 @@ def test_oracle_call_accounting_with_batches():
     assert oracle.counter == 4 * 3 * 3  # three raw draws per step, batch 3
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_inner_descent_refuses_a_sigma_that_is_not_positive(kernel, sigma):
+    with pytest.raises(ConfigError, match=f"inner descent needs sigma > 0, got {sigma}"):
+        inner_descend(kernel.problem, [0.1], [0.5, 0.0], [0.5, 0.0], sigma,
+                      InnerConfig(tau=0.5, K=2))
+
+
 def test_batch_requires_oracle(kernel):
     with pytest.raises(ConfigError):
         inner_descend(kernel.problem, [0.1], [0.5, 0.0], [0.5, 0.0], 0.2,
@@ -213,7 +220,7 @@ def _ref_guard(vec, which: str, step: int, radius: float):
 
 
 def _ref_inner_descend(
-    problem,
+    prob,
     x,
     y0,
     z0,
@@ -221,7 +228,6 @@ def _ref_inner_descend(
     cfg: InnerConfig,
     oracle: Optional[StochasticOracle] = None,
 ) -> InnerResult:
-    prob = as_bilevel(problem)
     x = as_vector(x, prob.dim_x, "x")
     y = as_vector(y0, prob.dim_y, "y0").copy()
     z = as_vector(z0, prob.dim_y, "z0").copy()
@@ -504,8 +510,7 @@ def test_a_nan_gradient_mid_phase_leaves_the_counter_and_later_draws(stds, batch
 # must give the same observation, bit for bit.
 
 
-def _ref_probe(problem, x, sigma, max_steps=1000, radius=None, y0=None):
-    prob = as_bilevel(problem)
+def _ref_probe(prob, x, sigma, max_steps=1000, radius=None, y0=None):
     x = as_vector(x, prob.dim_x, "x")
     if y0 is None:
         _, y0 = prob.default_start()

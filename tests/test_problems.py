@@ -53,8 +53,8 @@ def test_scalar_view_refuses_every_other_shape(x):
     with pytest.raises(InputError, match="scalar or a vector of length 1"):
         _sc(x)
     s = get_problem("quadratic_sc")
-    for ref in (lambda: s.phi_sigma(x, 0.5), lambda: s.project_y_star(x, [0.0, 0.0]),
-                lambda: s.sample_y_star(x)):
+    for ref in (lambda: s.phi_sigma(x, 0.5), lambda: s.project_y_star(x, [0.0, 0.0], 0.0),
+                lambda: s.sample_y_star(x, 0.0, 1)):
         with pytest.raises(InputError):
             ref()
 

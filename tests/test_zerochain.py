@@ -14,9 +14,11 @@ from bipen import (
     InputError,
     InstrumentationError,
     SupportTracker,
+    build_schedule,
     get_problem,
     grid_hyper_objective,
     make_hard_instance,
+    run_f2ba,
     run_zero_respecting,
 )
 from bipen.problems import _chain_grad
@@ -99,6 +101,23 @@ def test_probe_adapter_fails_exactly_the_protected_checks():
                           "support_growth": False}
     assert not rep.passed
     assert rep.violations  # names at least one offending call
+
+
+def test_a_moved_upper_iterate_fails_check_i_alone():
+    # F2BA within the exact budget, started at x0 = 0.5 instead of 0: x moves,
+    # and only check (i) can see it
+    class FromHalf(F2BAAdapter):
+        def run(self, instance, T, K):
+            plan = build_schedule(instance.problem.constants, epsilon=0.1, Delta=0.5,
+                                  R=1.0, overrides={"sigma": self.sigma, "eta": self.eta,
+                                                    "T": T, "K": K})
+            return run_f2ba(instance.problem, plan, x0=[0.5])
+
+    rep = run_zero_respecting(FromHalf(), 3, 2)
+    assert rep.checks == {"x_stays_zero": False, "protected_coords_zero": True,
+                          "support_growth": True}
+    assert rep.violations == ["check (i): x moved at outer iteration 0: (0.5,)"]
+    assert "    - check (i): x moved at outer iteration 0: (0.5,)" in rep.render_text()
 
 
 def test_render_text_shows_verdicts():
