@@ -54,6 +54,10 @@ _GRAD = Callable[[Array, Array], Array]
 
 _FLOAT64 = np.dtype(float)
 _ndarray = np.ndarray
+# entries up to which an inner step (``inner``) and a noisy draw
+# (``StochasticOracle.draw``) run on Python floats; the inner step was faster
+# through dim_y = 9 in every crossover run (README, Hot path)
+_FLOAT_STEP_DIM = 8
 
 
 def as_vector(v, dim: int, name: str) -> Array:
@@ -415,14 +419,17 @@ class StochasticOracle:
     keeping the unused tail across a refill; the stream does not depend on
     how it is chunked, so every draw has the bits a per-call
     ``standard_normal(dim)`` would give.  The base gradients, noise levels
-    and scales (0-d float64 arrays) are looked up once, at construction.
+    and scales (0-d float64 arrays and floats) are looked up once, at
+    construction, and each validated (part, int batch) pair is kept as a
+    plain tuple, so a repeated request skips its checks.
 
     Every draw tests its point and its base gradient, taking the fast test of
     each without a call: float64 vectors of the problem's shapes pass
     ``check_point`` as they are, and a 1-D float64 gradient with a finite
     squared norm is used as it is.  Any other point goes through
     ``as_vector``, and any other gradient through ``_require_finite``'s
-    entrywise test, with the same errors.
+    entrywise test, with the same errors.  Small gradients are drawn on
+    Python floats, to the same bits (``draw``).
     """
 
     base: BilevelProblem
@@ -438,10 +445,12 @@ class StochasticOracle:
                                   f"got {self.noise_std_f} and {self.noise_std_g}")
         _check_seed(self.rng_seed)
         self._gen = substream(self.rng_seed, "oracle")
-        self._buf, self._pos = np.empty(0), 0  # the noise block and its read position
+        # the noise block, its read position and, once a float draw needs
+        # them, its entries as Python floats
+        self._buf, self._pos, self._bl = np.empty(0), 0, None
         base = self.base
         self._table = {
-            which: (fn, std, dim, np.array(std / math.sqrt(dim)), f"grad {which}")
+            which: (fn, std, dim, np.array(std / math.sqrt(dim)), std / math.sqrt(dim))
             for which, fn, std, dim in (
                 ("f_x", base.grad_f_x, self.noise_std_f, base.dim_x),
                 ("f_y", base.grad_f_y, self.noise_std_f, base.dim_y),
@@ -449,43 +458,71 @@ class StochasticOracle:
                 ("g_y", base.grad_g_y, self.noise_std_g, base.dim_y),
             )
         }
+        # (which, int batch) -> (fn, std, dim, 0-d scale, scale, shrink, label):
+        # plain tuples, so the oracle holds no closure and no reference cycle
+        self._parts = {}
 
     def reset(self):
         """Rewind the noise stream to its initial state."""
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
-        self._buf, self._pos = np.empty(0), 0
+        self._buf, self._pos, self._bl = np.empty(0), 0, None
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
-        # an exact int skips the isinstance tests, which refuse bool and float
-        if (type(batch) is not int
-                and (isinstance(batch, bool) or not isinstance(batch, (int, np.integer)))
-                or batch < 1):
-            raise InputError(f"batch must be a positive integer, got {batch!r}")
-        part = self._table.get(which)
-        if part is None:
-            raise InputError(f"unknown gradient selector {which!r}; "
-                             f"expected one of {_ORACLE_PARTS}")
-        fn, std, dim, scale, what = part
+        """One batch-``batch`` draw of gradient part ``which`` at (x, y).
+
+        A float64 base gradient of shape (dim,), dim <= ``_FLOAT_STEP_DIM``,
+        is taken on Python floats: a math.hypot below 1e150 shows it finite
+        without the dot, and its noise is a + b * scale * shrink per entry, in
+        numpy's order, so the same doubles.  A larger hypot takes the dot
+        test, and a result that is not finite is recomputed in numpy, so
+        overflow warns or is caught as before.  A float draw does not raise or
+        warn on a subnormal, as numpy would under np.errstate(under=...).
+        """
+        part = (self._parts.get((which, batch))
+                if type(batch) is int and type(which) is str else None)
+        if part is None:  # the checks; a part at an exact int batch is kept
+            if (isinstance(batch, bool) or not isinstance(batch, (int, np.integer))
+                    or batch < 1):
+                raise InputError(f"batch must be a positive integer, got {batch!r}")
+            entry = self._table.get(which)
+            if entry is None:
+                raise InputError(f"unknown gradient selector {which!r}; "
+                                 f"expected one of {_ORACLE_PARTS}")
+            part = (*entry, 1.0 / math.sqrt(batch), f"grad {which}")  # shrink 1.0 at B = 1
+            if type(batch) is int:
+                self._parts[which, batch] = part
+        fn, std, dim, scale, s, shrink, what = part
         x, y = self.base.check_point(x, y)
         mean = fn(x, y)
-        try:  # _require_finite's fast test, inlined
-            fast = (type(mean) is _ndarray and mean.dtype is _FLOAT64 and mean.ndim == 1
-                    and math.isfinite(mean.dot(mean)))
-        except FloatingPointError:  # overflow under np.errstate(over="raise")
-            fast = False
-        if not fast:  # the rest of _require_finite, without a second dot
-            mean = _entrywise_finite(mean, x, y, what)
+        m = (mean.tolist() if type(mean) is _ndarray and mean.dtype is _FLOAT64
+             and dim <= _FLOAT_STEP_DIM and mean.shape == (dim,) else None)
+        if m is None or not math.hypot(*m) < 1e150:  # else mean.dot(mean) is finite
+            try:  # _require_finite's fast test, inlined
+                fast = (type(mean) is _ndarray and mean.dtype is _FLOAT64
+                        and mean.ndim == 1 and math.isfinite(mean.dot(mean)))
+            except FloatingPointError:  # overflow under np.errstate(over="raise")
+                fast = False
+            if not fast:  # the rest of _require_finite, without a second dot
+                mean = _entrywise_finite(mean, x, y, what)
         if std == 0.0:
             return mean
         buf, pos = self._buf, self._pos
         if pos + dim > buf.shape[0]:  # refill, keeping the unused tail
             buf = self._buf = np.concatenate(
                 (buf[pos:], self._gen.standard_normal(max(dim, _NOISE_BLOCK))))
-            pos = 0
+            self._bl, pos = None, 0
         self._pos = pos + dim
         self.counter += batch
-        z, shrink = buf[pos:pos + dim], 1.0 / math.sqrt(batch)  # shrink 1.0 at B = 1
+        if m is not None:
+            bl = self._bl
+            if bl is None:  # at most once per refill, and never for wide draws
+                bl = self._bl = buf.tolist()
+            for i in range(dim):  # a plain loop: a comprehension costs a call
+                m[i] += bl[pos + i] * s * shrink
+            if math.isfinite(sum(m)):  # so every entry is, and nothing overflowed
+                return np.array(m)
+        z = buf[pos:pos + dim]
         try:
             return mean + z * scale * shrink
         except FloatingPointError:  # overflow under np.errstate(over="raise")

@@ -452,8 +452,8 @@ def set_lipschitz_check(suite: SuiteProblem, n_pairs: int = 100, seed: int = 0) 
     violations = []
     worst_ratio = 0.0
     for _ in range(n_pairs):
-        x1, x2 = rng.uniform(*meta.x_window, size=2)
-        s1, s2 = rng.uniform(0.0, c.sigma_bar, size=2)
+        x1, x2 = rng.uniform(*meta.x_window, size=2).tolist()  # floats, the same bits
+        s1, s2 = rng.uniform(0.0, c.sigma_bar, size=2).tolist()
         d = hausdorff_distance(sampler(x1, s1, _SET_SAMPLES),
                                sampler(x2, s2, _SET_SAMPLES))
         bound = (c.C_f / c.mu) * abs(s1 - s2) \
@@ -461,5 +461,5 @@ def set_lipschitz_check(suite: SuiteProblem, n_pairs: int = 100, seed: int = 0) 
         if bound > 0:
             worst_ratio = max(worst_ratio, d / bound)
         if d > bound + _SET_SLACK:
-            violations.append((float(x1), float(s1), float(x2), float(s2), d, bound))
+            violations.append((x1, s1, x2, s2, d, bound))
     return {"checked": n_pairs, "violations": violations, "worst_ratio": worst_ratio}

@@ -59,14 +59,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_FLOAT64, _GSTAR_TOL, BilevelProblem, StochasticOracle, _box_min, _h,
-                   _h_grad, _h_lipschitz, _h_rows, _int_field, as_vector)
+from .core import (_FLOAT64, _FLOAT_STEP_DIM, _GSTAR_TOL, BilevelProblem, StochasticOracle,
+                   _box_min, _h, _h_grad, _h_lipschitz, _h_rows, _int_field, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
-# dim_y up to which an inner step runs on Python floats; the float step was
-# faster through dim_y = 9 in every crossover run (README, Hot path)
-_FLOAT_STEP_DIM = 8
 
 
 @dataclass(frozen=True)

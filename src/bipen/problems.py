@@ -48,8 +48,9 @@ class SuiteProblem:
     ``phi_sigma`` takes a scalar (or length-1 vector) x and the penalty
     weight sigma.  ``project_y_star(x, y, sigma)`` returns the closest point
     of the penalized solution set Y*_sigma(x) to y (sigma=0 gives Y*(x));
-    ``sample_y_star(x, sigma, n)`` returns an (n, dim_y) array of points
-    covering the set on the problem's probe window.
+    ``sample_y_star(x, sigma, n)`` returns an (m, dim_y) array of
+    1 <= m <= n points covering the set on the problem's probe window; a set
+    that is one point comes back as one row.
     """
 
     name: str

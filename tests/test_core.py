@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -519,6 +521,7 @@ def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
     oracle = StochasticOracle(prob, 0.1, 0.1, rng_seed=9)
     got = _replay(oracle, ops[:2049])
     assert (oracle._buf.shape, oracle._pos) == ((4097,), 2)
+    assert oracle._bl == oracle._buf.tolist()  # the float draw's mirror of the block
     got += _replay(oracle, ops[2049:])
     assert got == _replay(_RefOracle(prob, 0.1, 0.1, rng_seed=9), ops)
     assert got[-1] == 7 + 1
@@ -598,6 +601,100 @@ def test_a_batch_draw_takes_the_normals_of_one_call(dim):
             want = (one * (1.0 / math.sqrt(B))).tobytes()
             assert batched.draw(which, x, y, B).tobytes() == want, (which, B)
     assert (batched.counter, single.counter) == (sum(batches), len(batches))
+
+
+# ---------------------------------------------------------------------------
+# the float draw: a float64 gradient of shape (dim,), dim <= _FLOAT_STEP_DIM,
+# is taken on Python floats; bits, counter, warnings and errors must be the
+# per-call reference's
+
+
+def _copying_problem(dim_x: int, dim_y: int):
+    """f's gradients copy the point and g's negate it, so a draw's mean holds
+    whatever its point holds: +-1e150, NaN and inf included."""
+    return BilevelProblem(
+        dim_x=dim_x, dim_y=dim_y,
+        f=lambda x, y: 0.0,
+        grad_f_x=lambda x, y: x + 0.0,
+        grad_f_y=lambda x, y: y + 0.0,
+        g=lambda x, y: 0.0,
+        grad_g_x=lambda x, y: -x,
+        grad_g_y=lambda x, y: -y,
+        constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0,
+                                   mu=1.0, sigma_bar=1.0),
+    )
+
+
+_entry = st.one_of(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+                   st.sampled_from([1e150, -1e150, 9e149, math.nan, math.inf, -math.inf]))
+# zero noise, plain noise, and noise whose scaling overflows in some draws
+_std = st.sampled_from([0.0, 0.3, 1.79e308])
+
+
+def _replay_warned(oracle, ops, state):
+    """``_replay`` under np.errstate(over=state), with every warning recorded."""
+    with warnings.catch_warnings(record=True) as seen, np.errstate(over=state):
+        warnings.simplefilter("always")
+        out = _replay(oracle, ops)
+    return out, [(w.category, str(w.message)) for w in seen]
+
+
+@pytest.mark.parametrize("state", ["warn", "raise", "ignore"])
+@settings(max_examples=150, deadline=None)
+@given(dims=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       stds=st.tuples(_std, _std), seed=st.integers(0, 2**40),
+       block=st.sampled_from([1, 2, 5, 9, 4096]), data=st.data())
+def test_float_draws_match_the_per_call_reference(state, dims, stds, seed, block, data):
+    # dims 1-9 straddle the float bound; batches from 1 to 25,600; blocks of
+    # 1-9 normals refill mid-sequence.  Under over="raise" the reference
+    # itself would raise, so its values are taken under "ignore", as the
+    # package returns them; under "warn" its warnings are the ones expected
+    prob = _copying_problem(*dims)
+    draw_op = st.tuples(st.sampled_from(_ORACLE_PARTS),
+                        st.sampled_from([1, 2, 4, 1600, 25_600]),
+                        st.lists(_entry, min_size=dims[0], max_size=dims[0]),
+                        st.lists(_entry, min_size=dims[1], max_size=dims[1]))
+    ops = data.draw(st.lists(st.one_of(draw_op, draw_op, draw_op, st.just("reset")),
+                             min_size=1, max_size=12))
+    want = _replay_warned(_RefOracle(prob, *stds, rng_seed=seed), ops,
+                          "warn" if state == "warn" else "ignore")
+    with mock.patch.object(core, "_NOISE_BLOCK", block):
+        got = _replay_warned(StochasticOracle(prob, *stds, rng_seed=seed), ops, state)
+    assert got == want
+
+
+def test_cached_parts_still_refuse_every_bad_batch():
+    # valid draws at batch 4 and 1 cache their parts; 4.0 and True hash and
+    # compare equal to 4 and 1, and 0 and np.int64(0) were never valid: each
+    # is still refused, and later draws read the stream where they should
+    prob = _copying_problem(2, 2)
+    x, y = [0.1, 0.2], [0.3, 0.4]
+    ops = [("f_y", 4, x, y), ("g_x", 1, x, y)]
+    ops += [(w, b, x, y) for w in ("f_y", "g_x") for b in (4.0, True, 0, np.int64(0))]
+    ops += [("f_y", np.int64(4), x, y), ("f_y", 4, x, y), ("g_x", 1, x, y)]
+    oracle = StochasticOracle(prob, 0.3, 0.7, rng_seed=3)
+    got = _replay(oracle, ops)
+    assert got == _replay(_RefOracle(prob, 0.3, 0.7, rng_seed=3), ops)
+    assert [v[1] for v in got[4:20:2]] == [InputError] * 8
+    assert sorted(oracle._parts) == [("f_y", 4), ("g_x", 1)]
+
+
+def test_an_oracle_is_freed_without_the_cycle_collector():
+    # the cached parts are plain tuples, not closures over the oracle, so an
+    # oracle that has drawn every part is freed by its reference count alone
+    oracle = StochasticOracle(_copying_problem(2, 3), 0.3, 0.7, rng_seed=1)
+    for which in _ORACLE_PARTS:
+        for batch in (1, 4):
+            oracle.draw(which, [0.1, 0.2], [0.3, 0.4, 0.5], batch)
+    gone = weakref.ref(oracle)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del oracle
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _FINITE_CASES = [

@@ -513,6 +513,7 @@ class TestSetStability:
             assert out["violations"] == []
             assert out["checked"] == 60
             assert 0.0 < out["worst_ratio"] <= 1.0
+            assert type(out["worst_ratio"]) is float
 
     def test_needs_a_sampler(self, sin_sq):
         with pytest.raises(CapabilityError):
@@ -526,11 +527,14 @@ class TestSetStability:
         out = set_lipschitz_check(far, n_pairs=3, seed=0)
         assert out["checked"] == 3 and len(out["violations"]) == 3
         for x1, s1, x2, s2, d, bound in out["violations"]:
+            # plain floats throughout, as the pair draws' tolist() gives them
+            assert [type(v) for v in (x1, s1, x2, s2, d, bound)] == [float] * 6
             assert 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0
             assert d == hausdorff_distance(np.full((51, 2), 100.0 * x1),
                                            np.full((51, 2), 100.0 * x2))
             assert d > bound + 1e-9
         assert out["worst_ratio"] == max(d / b for *_, d, b in out["violations"])
+        assert type(out["worst_ratio"]) is float
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -4,6 +4,11 @@ A name it patches that the package no longer has (say an import that looks
 unused, such as ``zerochain.substream``) breaks every traced benchmark run.
 Installing the tracer in a fresh interpreter catches that here; the
 subprocess keeps its patches out of the other tests.
+
+The same subprocess runs ``run_f2bsa`` traced, as the benchmark's traced
+f2bsa_sweep does, and reconciles the tracer's counts with the traces: every
+noisy gradient must go through ``StochasticOracle.draw``, which the tracer
+patches, so a draw routed around it fails here.
 """
 
 import subprocess
@@ -16,12 +21,25 @@ _INSTALL = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import bipen, tracing
-tracing.install(tracing.Tracer(), bipen)
+tracer = tracing.Tracer()
+tracing.install(tracer, bipen)
+prob = tracer.wrap_problem(bipen.get_problem("kernel_pl_fnoise").problem,
+                           "kernel_pl_fnoise")
+counters = rows = 0
+for eps in (0.1, 0.05):
+    plan = bipen.build_schedule(prob.constants, eps, Delta=0.5, R=0.25)
+    trace = bipen.run_f2bsa(prob, plan, seed=0)
+    counters += trace.final_state.rng_counter
+    rows += len(trace.rows)
+draws = tracer.count[tracer.names.index("core.draw")]
+assert tracer.mismatches == [], tracer.mismatches
+assert rows > 0 and tracer.rng_normals == counters > 0, (tracer.rng_normals, counters)
+assert draws == sum(tracer.raw.values()), (draws, tracer.raw)
 """
 
 
 def test_tracer_finds_every_patch_target():
     r = subprocess.run([sys.executable, "-c", _INSTALL,
                         str(ROOT / "src"), str(ROOT / "perfbench")],
-                       capture_output=True, text=True, timeout=60)
+                       capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr

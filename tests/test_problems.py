@@ -41,6 +41,24 @@ def test_registry_contents():
     assert "quadratic_sc" in str(err.value)
 
 
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES
+                                  if get_problem(n).sample_y_star is not None])
+def test_every_set_sampler_returns_1_to_n_finite_rows(name):
+    # SuiteProblem's contract: an (m, dim_y) float array with 1 <= m <= n;
+    # quadratic_sc's set is one point, which comes back as one row
+    suite = get_problem(name)
+    lo, hi = suite.problem.meta.x_window
+    for x in (lo, 0.5 * (lo + hi), hi):
+        for s in (0.0, 0.5 * suite.problem.constants.sigma_bar,
+                  suite.problem.constants.sigma_bar):
+            for n in (1, 2, 51):
+                pts = suite.sample_y_star(x, s, n)
+                assert type(pts) is np.ndarray and pts.dtype == float
+                assert pts.ndim == 2 and pts.shape[1] == suite.problem.dim_y
+                assert 1 <= pts.shape[0] <= n and np.isfinite(pts).all()
+    assert (suite.sample_y_star(0.3, 0.0, 51).shape[0] == 1) == (name == "quadratic_sc")
+
+
 @pytest.mark.parametrize("x", [0.3, np.float64(0.3), [0.3], np.array([0.3]),
                                np.array(0.3)])
 def test_scalar_view_takes_a_scalar_or_a_length_1_vector(x):
