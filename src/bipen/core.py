@@ -481,17 +481,17 @@ class StochasticOracle:
         """
         part = (self._parts.get((which, batch))
                 if type(batch) is int and type(which) is str else None)
-        if part is None:  # the checks; a part at an exact int batch is kept
+        if part is None:  # the checks; each part is kept at its int batch
             if (isinstance(batch, bool) or not isinstance(batch, (int, np.integer))
                     or batch < 1):
                 raise InputError(f"batch must be a positive integer, got {batch!r}")
+            batch = int(batch)  # a numpy integer would make counter one, and wrap it
             entry = self._table.get(which)
             if entry is None:
                 raise InputError(f"unknown gradient selector {which!r}; "
                                  f"expected one of {_ORACLE_PARTS}")
             part = (*entry, 1.0 / math.sqrt(batch), f"grad {which}")  # shrink 1.0 at B = 1
-            if type(batch) is int:
-                self._parts[which, batch] = part
+            self._parts[which, batch] = part
         fn, std, dim, scale, s, shrink, what = part
         x, y = self.base.check_point(x, y)
         mean = fn(x, y)

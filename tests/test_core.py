@@ -334,6 +334,7 @@ class _RefOracle:
         if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) \
                 or batch < 1:
             raise InputError(f"batch must be a positive integer, got {batch!r}")
+        batch = int(batch)
         part = self._table.get(which)
         if part is None:
             raise InputError(f"unknown gradient selector {which!r}; "
@@ -677,6 +678,22 @@ def test_cached_parts_still_refuse_every_bad_batch():
     assert got == _replay(_RefOracle(prob, 0.3, 0.7, rng_seed=3), ops)
     assert [v[1] for v in got[4:20:2]] == [InputError] * 8
     assert sorted(oracle._parts) == [("f_y", 4), ("g_x", 1)]
+
+
+@pytest.mark.parametrize("cls", [StochasticOracle, _RefOracle])
+@pytest.mark.parametrize("batch", [np.uint8(250), np.int64(250)])
+def test_a_numpy_integer_batch_is_counted_as_an_int(cls, batch):
+    # two draws at np.uint8(250) once left counter == np.uint8(244), with an
+    # overflow warning; the draws keep the bits of an int batch
+    prob, x, y = _copying_problem(2, 2), [0.1, 0.2], [0.3, 0.4]
+    seen = []
+    for b in (batch, 250):
+        oracle = cls(prob, 0.3, 0.7, rng_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seen.append([oracle.draw(w, x, y, b).tobytes() for w in ("f_y", "g_x")])
+        assert oracle.counter == 500 and type(oracle.counter) is int
+    assert seen[0] == seen[1]
 
 
 def test_an_oracle_is_freed_without_the_cycle_collector():

@@ -734,6 +734,30 @@ def test_a_converging_run_keeps_the_reference_bits(method):
         assert tr.rows[-2].resid_y is last.resid_y and tr.rows[-2].resid_z is last.resid_z
 
 
+@pytest.mark.parametrize("late", ["moved", "zeros flipped"])
+@pytest.mark.parametrize("part", ["grad_f_y", "grad_g_y"])
+@pytest.mark.parametrize("n", [3, 22, 41])
+def test_an_oracle_that_changes_mid_run_at_a_fixed_point_keeps_the_reference_bits(
+        kernel, late, part, n):
+    # from kernel_pl's fixed point every inner step keeps z and y, and later
+    # steps repeat the kept one, until the oracle's output changes after n
+    # calls; each phase still makes K f_y and 2K g_y calls
+    from test_inner import _LATE, _switched
+
+    plan = kernel_plan(T=12, K=5)
+    counts = []
+
+    def make():
+        prob, c = _switched(kernel.problem, part, n, _LATE[late])
+        counts.append(c)
+        return prob
+
+    tr = _assert_matches_the_reference(make, plan, [1.0], [1.0, -0.0])
+    assert counts[0] == counts[1] == {"grad_f_y": 60, "grad_g_y": 120}
+    if late == "moved":
+        assert len({r.x for r in tr.rows}) > 1
+
+
 @pytest.mark.parametrize("K", [0, 1, 4])
 @pytest.mark.parametrize("start", [[1.0, 0.0], [1.0, -0.0], [0.3, 0.7]])
 @pytest.mark.parametrize("shared", [False, True])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import struct
@@ -425,6 +426,122 @@ def test_a_radius_below_a_fixed_point_start_raises_at_inner_step_0(kernel):
         inner_descend(kernel.problem, [1.0], start, start, 0.1,
                       InnerConfig(tau=0.5, K=3, divergence_radius=0.5))
     assert err.value.step == 0 and err.value.sequence == "z"
+
+
+# Repeats: a float step whose three gradients have the bytes of the last step
+# that kept z and y is not computed again.  An oracle that changes at a point
+# that has not moved -- in value, in the sign of a zero, or in its dtype with
+# the same bytes -- must still give the reference loop's bits, errors and
+# oracle calls.
+
+
+def _switched(prob, part, n, late):
+    """``prob`` whose ``part`` oracle returns ``late`` of its value after n
+    calls, and a counter of its y-gradient calls."""
+    counts = collections.Counter()
+
+    def wrap(name, fn):
+        def switched(x, y):
+            counts[name] += 1
+            v = fn(x, y)
+            return late(v) if name == part and counts[name] > n else v
+        return switched
+
+    return dataclasses.replace(prob, **{name: wrap(name, getattr(prob, name))
+                                        for name in ("grad_f_y", "grad_g_y")}), counts
+
+
+_LATE = {
+    "moved": lambda v: v + 2.0 ** -30,
+    "zeros flipped": lambda v: -v,
+    # 0.0s of the same 16 bytes, which broadcast against no (2,) iterate
+    "float32 bytes": lambda v: np.frombuffer(v.tobytes(), dtype=np.float32),
+}
+
+
+def _switched_outcome(fn, prob, counts, start, cfg):
+    try:
+        res = fn(prob, [1.0], start, start, 0.1, cfg)
+    except ValueError as exc:  # float32 bytes that cannot broadcast
+        return "raised", str(exc), dict(counts)
+    assert dict(counts) == {"grad_f_y": cfg.K, "grad_g_y": 2 * cfg.K}
+    return ("returned", _bits(res.y), _bits(res.z), _bits(res.grad_norm_y),
+            _bits(res.grad_norm_z), res.oracle_calls, dict(counts))
+
+
+@pytest.mark.parametrize("late", sorted(_LATE))
+@pytest.mark.parametrize("part", ["grad_f_y", "grad_g_y"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("free", [0.0, -0.0])
+def test_an_oracle_that_changes_at_a_kept_point_gets_no_stale_repeat(kernel, late, part,
+                                                                    n, free):
+    # x = 1, y = z = (1, free) is a fixed point whose gradients are 0.0, so
+    # every step keeps z and y until the oracle changes, within K = 6 steps;
+    # a g-gradient's flipped zero turns z's -0.0 into 0.0
+    start = np.array([1.0, free])
+    cfg = InnerConfig(tau=0.5, K=6)
+    outcomes = [_switched_outcome(fn, *_switched(kernel.problem, part, n, _LATE[late]),
+                                  start=start, cfg=cfg)
+                for fn in (_ref_inner_descend, inner_descend)]
+    assert outcomes[0] == outcomes[1]
+    if late == "float32 bytes":  # the numpy step takes it, and cannot broadcast it
+        assert outcomes[1][0] == "raised" and "broadcast" in outcomes[1][1]
+    elif late == "zeros flipped" and part == "grad_g_y" and free == -0.0:
+        assert outcomes[1][2] == _bits(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("part", ["grad_f_y", "grad_g_y"])
+def test_float32_bytes_of_a_kept_dim_1_gradient_take_the_numpy_step(part, n):
+    # at dim_y = 1, 8 float32 zero bytes are a (2,) gradient, which
+    # broadcasts: the numpy step makes (2,) iterates, as the reference does,
+    # and the next (2,) oracle output in float32 bytes cannot broadcast
+    start = np.array([1.0])
+    cfg = InnerConfig(tau=0.5, K=5)
+    outcomes = [_switched_outcome(fn, *_switched(_quadratic(1), part, n,
+                                                 _LATE["float32 bytes"]),
+                                  start=start, cfg=cfg)
+                for fn in (_ref_inner_descend, inner_descend)]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0] == "raised" and "broadcast" in outcomes[1][1]
+
+
+def _scripted(start, default, script):
+    """A problem of dim_y = len(start) whose g-gradient is ``script[i]`` at
+    its i-th call and ``default`` otherwise, whatever the point, with f's
+    y-gradient 0: its steps keep or move their iterate as the script says."""
+    calls = [0]
+
+    def grad_g_y(x, y):
+        calls[0] += 1
+        return np.array(script.get(calls[0] - 1, default))
+
+    prob = _quadratic(len(start))
+    return dataclasses.replace(prob, grad_f_y=lambda x, y: np.zeros(len(start)),
+                               grad_g_y=grad_g_y)
+
+
+@pytest.mark.parametrize("m", range(8))
+@pytest.mark.parametrize("start, default, move, radius", [
+    # g-gradients of 1e-20 keep 1.0; g-call m's 2.0 moves its iterate to 0.0,
+    # where 1e-20 moves it again
+    ([1.0], [1e-20], [2.0], None),
+    # the move lands between the float step's hypot bound and the radius,
+    # so a numpy step makes it, and 1e-50 then moves the first coordinate
+    ([1e-30, 0.6], [1e-50, 0.0], [2e-30, -0.7999999999], 1.0000000001),
+])
+def test_a_step_that_moves_forgets_the_kept_gradients(m, start, default, move, radius):
+    # after a move, gradients with the bytes of the last kept step are no
+    # repeat: the step is computed at the new point
+    cfg = InnerConfig(tau=0.5, K=4, divergence_radius=radius)
+    outcomes = []
+    for fn in (_ref_inner_descend, inner_descend):
+        res = fn(_scripted(start, default, {m: move}), [1.0], np.array(start),
+                 np.array(start), 0.1, cfg)
+        outcomes.append((_bits(res.y), _bits(res.z), _bits(res.grad_norm_y),
+                         _bits(res.grad_norm_z)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0] != _bits(np.array(start)) or outcomes[1][1] != _bits(np.array(start))
 
 
 # Stochastic phases: a run must leave what the reference loop on the per-call

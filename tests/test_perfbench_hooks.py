@@ -8,7 +8,10 @@ subprocess keeps its patches out of the other tests.
 The same subprocess runs ``run_f2bsa`` traced, as the benchmark's traced
 f2bsa_sweep does, and reconciles the tracer's counts with the traces: every
 noisy gradient must go through ``StochasticOracle.draw``, which the tracer
-patches, so a draw routed around it fails here.
+patches, so a draw routed around it fails here.  It then runs ``run_f2ba``
+traced on kernel_pl, whose converged phases keep and repeat their inner
+steps: each outer step must still make K f_y, 2K g_y, one f_x and two g_x
+calls, so a repeated step that skipped an oracle call fails here.
 """
 
 import subprocess
@@ -35,6 +38,16 @@ draws = tracer.count[tracer.names.index("core.draw")]
 assert tracer.mismatches == [], tracer.mismatches
 assert rows > 0 and tracer.rng_normals == counters > 0, (tracer.rng_normals, counters)
 assert draws == sum(tracer.raw.values()), (draws, tracer.raw)
+kernel = tracer.wrap_problem(bipen.get_problem("kernel_pl").problem, "kernel_pl")
+for eps in (0.1, 0.03):
+    tracer.reset()
+    plan = bipen.build_schedule(kernel.constants, eps, Delta=0.5, R=0.25)
+    trace = bipen.run_f2ba(kernel, plan)
+    assert tracer.mismatches == [], tracer.mismatches
+    steps = len(trace.rows)
+    assert steps == plan.T and tracer.raw == {
+        "f_x": steps, "f_y": plan.K * steps, "g_x": 2 * steps,
+        "g_y": 2 * plan.K * steps}, (tracer.raw, steps, plan.K)
 """
 
 
