@@ -485,7 +485,7 @@ class StochasticOracle:
             if (isinstance(batch, bool) or not isinstance(batch, (int, np.integer))
                     or batch < 1):
                 raise InputError(f"batch must be a positive integer, got {batch!r}")
-            batch = int(batch)  # a numpy integer would make counter one, and wrap it
+            batch = int(batch)  # so counter stays an int: a numpy integer would wrap it
             entry = self._table.get(which)
             if entry is None:
                 raise InputError(f"unknown gradient selector {which!r}; "
