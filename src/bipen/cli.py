@@ -205,6 +205,20 @@ def write_trace_csv(path, trace) -> None:
     Path(path).write_text(render_trace_csv(trace))
 
 
+def _check_out(path, option: str):
+    """Refuse, before any run, an output path that no file can take."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ConfigError(f"{option} {path}: not a file in an existing directory")
+
+
+def _os_call(option: str, path, fn):
+    """``fn()``; an OSError is a ConfigError that names ``option`` and ``path``."""
+    try:
+        return fn()
+    except OSError as exc:
+        raise ConfigError(f"{option} {path}: {exc.strerror or exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -236,10 +250,11 @@ def _cmd_run(args) -> int:
     suite = get_problem(args.problem)
     settings = resolve_settings(args)
     plan = plan_from_args(suite, args.epsilon, settings)
+    _check_out(args.out, "--out")
     trace = _run_once(suite, args.algorithm, plan, args.seed, args.timing)
     print(trace.summary_line())
     if args.out:
-        write_trace_csv(args.out, trace)
+        _os_call("--out", args.out, lambda: write_trace_csv(args.out, trace))
         print(f"trace written to {args.out}")
     return 0
 
@@ -258,11 +273,14 @@ def _cmd_sweep_slope(args) -> int:
                           f"got {args.epsilons!r}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    for option, v in (("--expect-slope", args.expect_slope), ("--slope-tol", args.slope_tol)):
+        if v is not None and not 0.0 <= v < np.inf:
+            raise ConfigError(f"{option} must be finite and >= 0, got {v}")
     suite = get_problem(args.problem)
     settings = resolve_settings(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _os_call("--out-dir", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
 
     points = []
     for eps in epsilons:
@@ -275,7 +293,7 @@ def _cmd_sweep_slope(args) -> int:
             if out_dir:
                 fname = (f"{args.problem}_{args.algorithm}"
                          f"_eps{eps:g}_seed{seed}.csv")
-                write_trace_csv(out_dir / fname, trace)
+                _os_call("--out-dir", out_dir, lambda: write_trace_csv(out_dir / fname, trace))
         points.append((eps, float(np.mean(calls))))
 
     slope = fit_complexity_slope(points)
@@ -293,18 +311,14 @@ def _cmd_sweep_slope(args) -> int:
 
 
 def _cmd_certify_hard(args) -> int:
-    if args.adapter == "f2ba":
-        adapter = F2BAAdapter()
-    else:
-        adapter = CoordinateProbeAdapter()
+    adapter = F2BAAdapter() if args.adapter == "f2ba" else CoordinateProbeAdapter()
+    _check_out(args.out, "--out")
     report = run_zero_respecting(adapter, T=args.T, K=args.K)
     print(report.render_text())
     if args.out:
         row = report.summary_row()
-        keys = list(row)
-        Path(args.out).write_text(
-            ",".join(keys) + "\n" + ",".join(str(row[k]) for k in keys) + "\n"
-        )
+        text = ",".join(row) + "\n" + ",".join(map(str, row.values())) + "\n"
+        _os_call("--out", args.out, lambda: Path(args.out).write_text(text))
         print(f"summary written to {args.out}")
     return 0 if report.passed else 1
 

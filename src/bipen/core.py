@@ -90,16 +90,23 @@ def _require_finite(value, x: Array, y, what: str):
                 return value
         except FloatingPointError:
             pass
-    return _entrywise_finite(value, x, y, what)
-
-
-def _entrywise_finite(value, x: Array, y, what: str):
-    """``_require_finite``'s test of every entry, for what fails its fast test."""
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
         raise NumericError(f"non-finite {what} encountered", point=pt)
     return arr
+
+
+def _finite_floats(value, x: Array, y, what: str, dim: int):
+    """(value, its list) for a float64 ndarray of shape (dim,), dim <=
+    ``_FLOAT_STEP_DIM``, whose hypot below 1e150 shows it finite: what a draw
+    and the estimate take on Python floats; else (``_require_finite``, None)."""
+    if (type(value) is _ndarray and value.dtype is _FLOAT64 and dim <= _FLOAT_STEP_DIM
+            and value.shape == (dim,)):
+        m = value.tolist()
+        if math.hypot(*m) < 1e150:
+            return value, m
+    return _require_finite(value, x, y, what), None
 
 
 def _int_field(obj, name: str, label: str):
@@ -322,8 +329,10 @@ class PenaltyObjective:
         prob = self.problem
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"penalty weight sigma must be > 0, got {self.sigma}")
-        # the estimator's divisor, 0-d: cheaper per ufunc than a float
+        # the estimator's divisor, 0-d: cheaper per ufunc than a float, and
+        # as a float for the float combination
         object.__setattr__(self, "_sigma_0d", np.array(self.sigma, dtype=float))
+        object.__setattr__(self, "_sigma_f", float(self._sigma_0d))
         if self.sigma > prob.constants.sigma_bar:
             raise ConfigError(
                 f"sigma={self.sigma} exceeds the certified range "
@@ -363,14 +372,21 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
     minimizes g(x, .).  Costs three x-gradient oracle calls, made in the
     order grad_x f at yK, grad_x g at yK, grad_x g at zK: exact ones when
     ``batch`` = 0, batch-``batch`` averages drawn from ``oracle`` otherwise.
+    Exact ``_finite_floats`` are combined on Python floats in numpy's order;
+    a result that is not finite is recomputed in numpy, which warns as before.
     """
     prob = p.problem
     if batch == 0:
         x, yK = prob.check_point(x, yK)
         zK = as_vector(zK, prob.dim_y, "zK")
-        gfx = _require_finite(prob.grad_f_x(x, yK), x, yK, "grad_x f")
-        ggx_y = _require_finite(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK")
-        ggx_z = _require_finite(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK")
+        gfx, a = _finite_floats(prob.grad_f_x(x, yK), x, yK, "grad_x f", prob.dim_x)
+        ggx_y, b = _finite_floats(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK", prob.dim_x)
+        ggx_z, c = _finite_floats(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK", prob.dim_x)
+        if a is not None and b is not None and c is not None:
+            for i in range(len(a)):  # gfx + (ggx_y - ggx_z) / sigma, the same doubles
+                a[i] += (b[i] - c[i]) / p._sigma_f
+            if math.isfinite(sum(a)):  # so every entry is, and nothing overflowed
+                return np.array(a)
     elif oracle is None:
         raise ConfigError("a batched hypergradient estimate needs a stochastic oracle")
     else:
@@ -423,12 +439,11 @@ class StochasticOracle:
     construction, and each validated (part, int batch) pair is kept as a
     plain tuple, so a repeated request skips its checks.
 
-    Every draw tests its point and its base gradient, taking the fast test of
-    each without a call: float64 vectors of the problem's shapes pass
-    ``check_point`` as they are, and a 1-D float64 gradient with a finite
-    squared norm is used as it is.  Any other point goes through
-    ``as_vector``, and any other gradient through ``_require_finite``'s
-    entrywise test, with the same errors.  Small gradients are drawn on
+    Every draw tests its point and its base gradient, with the errors of
+    ``as_vector`` and ``_require_finite``: float64 vectors of the problem's
+    shapes pass ``check_point`` as they are, a small float64 gradient whose
+    hypot is below 1e150 is finite (``_finite_floats``), and any other
+    gradient takes ``_require_finite``.  Small gradients are drawn on
     Python floats, to the same bits (``draw``).
     """
 
@@ -471,13 +486,12 @@ class StochasticOracle:
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
         """One batch-``batch`` draw of gradient part ``which`` at (x, y).
 
-        A float64 base gradient of shape (dim,), dim <= ``_FLOAT_STEP_DIM``,
-        is taken on Python floats: a math.hypot below 1e150 shows it finite
-        without the dot, and its noise is a + b * scale * shrink per entry, in
-        numpy's order, so the same doubles.  A larger hypot takes the dot
-        test, and a result that is not finite is recomputed in numpy, so
-        overflow warns or is caught as before.  A float draw does not raise or
-        warn on a subnormal, as numpy would under np.errstate(under=...).
+        A base gradient that ``_finite_floats`` takes on Python floats gets
+        its noise as a + b * scale * shrink per entry, in numpy's order, so
+        the same doubles; any other takes ``_require_finite`` and numpy, and
+        a float result that is not finite is recomputed in numpy, so overflow
+        warns or is caught as before.  A float draw does not raise or warn
+        on a subnormal, as numpy would under np.errstate(under=...).
         """
         part = (self._parts.get((which, batch))
                 if type(batch) is int and type(which) is str else None)
@@ -494,17 +508,7 @@ class StochasticOracle:
             self._parts[which, batch] = part
         fn, std, dim, scale, s, shrink, what = part
         x, y = self.base.check_point(x, y)
-        mean = fn(x, y)
-        m = (mean.tolist() if type(mean) is _ndarray and mean.dtype is _FLOAT64
-             and dim <= _FLOAT_STEP_DIM and mean.shape == (dim,) else None)
-        if m is None or not math.hypot(*m) < 1e150:  # else mean.dot(mean) is finite
-            try:  # _require_finite's fast test, inlined
-                fast = (type(mean) is _ndarray and mean.dtype is _FLOAT64
-                        and mean.ndim == 1 and math.isfinite(mean.dot(mean)))
-            except FloatingPointError:  # overflow under np.errstate(over="raise")
-                fast = False
-            if not fast:  # the rest of _require_finite, without a second dot
-                mean = _entrywise_finite(mean, x, y, what)
+        mean, m = _finite_floats(fn(x, y), x, y, what, dim)
         if std == 0.0:
             return mean
         buf, pos = self._buf, self._pos

@@ -40,18 +40,17 @@ result, where numpy's would.
 A float step that leaves both iterates unchanged, bit for bit, keeps the
 current y and z arrays.  Unchanged is tested as == per coordinate while the
 step is computed, then, since == does not tell 0.0 from -0.0, as equal
-float64 bytes.  Its hypot test is skipped only for iterates that passed it
-earlier in the same phase, so the first step of a phase is always tested.
+float64 bytes; the hypot test is skipped only for iterates that passed it.
 A later float step whose three gradients have the kept step's bytes would
 recompute its doubles and keep the same arrays, so it is skipped after its
-oracle calls (79% of f2ba_sweep's inner steps at seed 0); a step that moves
-forgets those bytes.
+oracle calls; a step that moves forgets those bytes.
 
 A run prepares its phase once per K (``_prepare_phase``): the 0-d scale
-factors, the radius, the float step's pass bound and the oracle entry
-points.  A prepared phase that ends on a float step whose three gradients
-have the bytes of its last such end returns that end's norms, the same bits
-from the same input to _norm.
+factors, the radius, the float step's pass bound, the oracle entry points
+and a record of its last kept step (gradient and iterate bytes, end norms).
+A later phase from iterates of those bytes starts from that step, which
+passed this bound, so 99.8% of f2ba_sweep's inner steps (seed 0) are
+skipped; a phase that ends on the recorded gradients returns their norms.
 """
 
 from __future__ import annotations
@@ -152,8 +151,8 @@ def _guard(vec, which: str, step: int, radius: float, loop: str = "inner"):
 
 class _Phase(NamedTuple):
     """An inner phase's constants for one run and K (``_prepare_phase``);
-    ``last`` holds the gradient bytes and norms of the last phase that ended
-    on a float step."""
+    ``last`` records the float step that last ended a phase: its gradients'
+    bytes, the z and y bytes it kept (None after a move) and its end norms."""
 
     K: int
     batch: int
@@ -183,7 +182,7 @@ def _prepare_phase(prob: BilevelProblem, sigma: float, cfg: InnerConfig,
                   prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None),
                   n <= _FLOAT_STEP_DIM, float(cfg.tau), float(sigma),
                   min(radius, 1e150) * (1.0 - 1e-9), (n,), range(n),
-                  struct.Struct(f"{n}d").pack, [None, None])
+                  struct.Struct(f"{n}d").pack, [None, None, None])
 
 
 def inner_descend(
@@ -232,9 +231,13 @@ def inner_descend(
      shape, coords, pack, last) = cfg
     inf = math.inf
     if small:
-        zl, yl = z.tolist(), y.tolist()
-        passed = False  # z and y passed the hypot test in this phase
-        key = None  # the gradients' bytes at the last step, if it kept z and y
+        # zl, yl: z and y as float lists, made when a step is computed;
+        # passed: z and y passed the hypot test at r_pass; key: the
+        # gradients' bytes at the last step, if it kept z and y.  Iterates
+        # with the bytes of this prepared phase's last kept step carry both.
+        zl, zy = None, last[1]
+        passed = zy is not None and zy == (z.tobytes(), y.tobytes())
+        key = last[0] if passed else None
     gy = None  # the last h_sigma-gradient, when a numpy step made it
     for k in range(K):
         if batch == 0:
@@ -249,6 +252,8 @@ def inner_descend(
                     and fy.shape == shape and gg.shape == shape):
                 if key is not None and key == (gz.tobytes(), fy.tobytes(), gg.tobytes()):
                     continue  # the kept step again: the same doubles, kept again
+                if zl is None:
+                    zl, yl = z.tolist(), y.tolist()
                 a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
                 same = True
                 for i in coords:
@@ -292,20 +297,21 @@ def inner_descend(
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
         if small:
-            zl, yl, passed, key = z.tolist(), y.tolist(), False, None
+            zl, passed, key = None, False, None
 
     if not K:
         ny = nz = math.nan
     elif gy is not None:
         ny, nz = _norm(gy), _norm(gz)
     else:  # a float step's gradients: float64 vectors of shape (dim_y,)
-        if key is None:
-            key = (gz.tobytes(), fy.tobytes(), gg.tobytes())
-        if key == last[0]:
-            ny, nz = last[1]
-        else:  # the h_sigma-gradient in numpy, the same bits
-            ny, nz = _norm(sig * fy + gg), _norm(gz)
-            last[:] = key, (ny, nz)
+        if key is None:  # the last step moved: nothing to carry
+            key, zy = (gz.tobytes(), fy.tobytes(), gg.tobytes()), None
+        elif key is not last[0]:  # else the carried step, kept throughout
+            zy = (z.tobytes(), y.tobytes())
+        if key != last[0]:  # the h_sigma-gradient in numpy, the same bits
+            last[0], last[2] = key, (_norm(sig * fy + gg), _norm(gz))
+        last[1] = zy
+        ny, nz = last[2]
     return InnerResult(y, z, ny, nz, calls, K)
 
 

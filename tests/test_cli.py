@@ -207,6 +207,51 @@ def test_sweep_slope_expectation_gate():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "--problem", "kernel_pl", "--epsilon", "0.1", "--out", "{missing}/x.csv"),
+    ("run", "--problem", "kernel_pl", "--epsilon", "0.1", "--out", "{tmp}"),
+    ("certify-hard", "--T", "2", "--K", "2", "--out", "{missing}/x.csv"),
+])
+def test_an_unwritable_out_path_exits_two_before_the_run(tmp_path, args):
+    # each used to finish its run, print it, then die with a traceback (exit 1)
+    paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
+    r = run_cli(*(a.format(**paths) for a in args))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error (config): --out ") and r.stderr.count("\n") == 1
+
+
+def test_an_out_dir_that_is_a_file_exits_two_before_the_sweep(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    r = run_cli("sweep-slope", "--problem", "kernel_pl", "--epsilons", "0.5,0.4,0.3",
+                "--set", "T=20", "--out-dir", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error (config): --out-dir ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--slope-tol", "-1"), ("--slope-tol", "nan"), ("--slope-tol", "inf"),
+    ("--expect-slope", "-2"), ("--expect-slope", "nan"), ("--expect-slope", "inf"),
+])
+def test_a_negative_or_non_finite_slope_gate_exits_two_before_the_sweep(option, value):
+    # --expect-slope 2 --slope-tol -1 used to run the sweep and print
+    # "expected 2 +/- -1: FAIL" (exit 1)
+    gate = {"--expect-slope": "2", "--slope-tol": "0.5", option: value}
+    r = run_cli("sweep-slope", "--problem", "kernel_pl", "--epsilons", "0.5,0.4,0.3",
+                "--set", "T=20", *(a for kv in gate.items() for a in kv))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error (config): {option} ") and r.stderr.count("\n") == 1
+
+
+def test_a_write_that_fails_is_a_config_error_naming_the_option(tmp_path):
+    from bipen import cli
+    from bipen.errors import ConfigError
+
+    # a write the path did not refuse beforehand: here a directory's
+    with pytest.raises(ConfigError, match=f"^--out {tmp_path}: "):
+        cli._os_call("--out", tmp_path, lambda: tmp_path.write_text("text"))
+
+
 def test_diagnose_kernel_all_checks_pass():
     r = run_cli("diagnose", "--problem", "kernel_pl", "--probes", "20")
     assert r.returncode == 0

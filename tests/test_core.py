@@ -664,6 +664,115 @@ def test_float_draws_match_the_per_call_reference(state, dims, stds, seed, block
     assert got == want
 
 
+# ---------------------------------------------------------------------------
+# the exact estimate: three float64 x-gradients of shape (dim_x,), dim_x <=
+# _FLOAT_STEP_DIM, are combined on Python floats; bits, errors and warnings
+# must be those of _require_finite and the numpy expression
+
+
+def _estimate_problem(dim_x: int, gfx, ggx_y, ggx_z):
+    """dim_y = 1: grad_x f is ``gfx``, and grad_x g is ``ggx_y`` at y = 0 and
+    ``ggx_z`` elsewhere: a list as a fresh array, anything else as it is."""
+    fresh = (lambda v: np.array(v) if isinstance(v, list) else v)
+    return BilevelProblem(
+        dim_x=dim_x, dim_y=1, f=lambda x, y: 0.0, g=lambda x, y: 0.0,
+        grad_f_x=lambda x, y: fresh(gfx),
+        grad_g_x=lambda x, y: fresh(ggx_y if y[0] == 0.0 else ggx_z),
+        grad_f_y=lambda x, y: np.zeros(1), grad_g_y=lambda x, y: np.zeros(1),
+        constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0,
+                                   mu=1.0, sigma_bar=1.0),
+    )
+
+
+def _ref_estimate(pen, x, yK, zK):
+    """The estimate as numpy computes it from ``_require_finite``'s arrays."""
+    prob = pen.problem
+    x, yK = _ref_as_vector(x, prob.dim_x, "x"), _ref_as_vector(yK, prob.dim_y, "y")
+    zK = _ref_as_vector(zK, prob.dim_y, "zK")
+    gfx = _require_finite(prob.grad_f_x(x, yK), x, yK, "grad_x f")
+    ggx_y = _require_finite(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK")
+    ggx_z = _require_finite(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK")
+    sigma = np.array(pen.sigma, dtype=float)
+    try:
+        return gfx + (ggx_y - ggx_z) / sigma
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            return gfx + (ggx_y - ggx_z) / sigma
+
+
+def _estimate_warned(fn, pen, state):
+    """``_outcome`` of an estimate under np.errstate(over=state), a failed
+    broadcast included, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as seen, np.errstate(over=state):
+        warnings.simplefilter("always")
+        try:
+            out = _outcome(lambda: fn(pen, np.arange(pen.problem.dim_x, dtype=float),
+                                      np.zeros(1), np.ones(1)))
+        except ValueError as err:  # a wrong-length gradient
+            out = "raised", ValueError, str(err)
+    return out, [(w.category, str(w.message)) for w in seen]
+
+
+_estimate_entry = st.one_of(
+    st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e150, -1e150, 9.999999999999998e149,
+                     -9.999999999999998e149, 1.0000000000000002e150, 1e200, math.nan,
+                     math.inf, -math.inf]))
+
+
+@pytest.mark.parametrize("state", ["warn", "raise", "ignore"])
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 9), data=st.data(),
+       sigma=st.sampled_from([1e-300, 1e-160, 1e-10, 0.3, 1.0]))
+def test_the_float_estimate_matches_the_numpy_expression(state, dim, data, sigma):
+    # entries near 1e150 straddle the hypot bound, and sigma down to 1e-300
+    # makes the combination overflow: numpy then warns, or raises and is
+    # caught, and the estimate holds inf
+    grads = [data.draw(st.lists(_estimate_entry, min_size=dim, max_size=dim))
+             for _ in range(3)]
+    pen = PenaltyObjective(_estimate_problem(dim, *grads), sigma)
+    want = _estimate_warned(_ref_estimate, pen, state)
+    assert _estimate_warned(hypergradient_estimate, pen, state) == want
+
+
+@pytest.mark.parametrize("state", ["warn", "raise", "ignore"])
+@pytest.mark.parametrize("grads, sigma, overflows", [
+    ([[0.0], [9.999999999999998e149], [-9.999999999999998e149]], 1e-160, True),
+    ([[1.0, -0.0], [5.0, 9.999999999999998e149], [-5.0, 0.0]], 1e-300, True),
+    ([[0.0] * 2, [1e10] * 2, [0.0] * 2], 1e-298, False),  # a sum of 2e308
+])
+def test_an_overflowing_float_estimate_is_recomputed_in_numpy(state, grads, sigma,
+                                                              overflows):
+    # gradients below the hypot bound whose combination overflows: numpy
+    # warns of it, or raises and is caught, and the estimate holds inf; or
+    # whose entries' sum overflows while each entry is finite
+    pen = PenaltyObjective(_estimate_problem(len(grads[0]), *grads), sigma)
+    got = _estimate_warned(hypergradient_estimate, pen, state)
+    assert got == _estimate_warned(_ref_estimate, pen, state)
+    assert np.isinf(np.frombuffer(got[0][2][2])).any() == overflows
+    assert bool(got[1]) == (overflows and state == "warn")
+
+
+@pytest.mark.parametrize("odd", [
+    np.zeros(2, dtype=np.float32), np.zeros((1, 2)), np.zeros(3), np.zeros(1),
+    np.array([1e160, 0.0]), (0.5, 0.25)])
+@pytest.mark.parametrize("at", range(3))
+def test_other_gradients_still_go_through_require_finite(odd, at):
+    # a float32, 2-D, wrong-length or tuple gradient, or one whose hypot
+    # passes 1e150, takes _require_finite, and the estimate the numpy
+    # expression, as before; plain float64 vectors take neither
+    grads = [[0.5, -0.25], [2.0, 1.0], [1.0, 3.0]]
+    plain = _estimate_problem(2, *grads)
+    grads[at] = odd
+    whats = ["grad_x f", "grad_x g at yK", "grad_x g at zK"]
+    for prob, checked in ((plain, []), (_estimate_problem(2, *grads), [whats[at]])):
+        pen = PenaltyObjective(prob, 0.5)
+        with mock.patch.object(core, "_require_finite", wraps=core._require_finite) as spy:
+            got = _estimate_warned(hypergradient_estimate, pen, "warn")
+        assert got == _estimate_warned(_ref_estimate, pen, "warn")
+        assert [c.args[3] for c in spy.call_args_list] == checked
+
+
 def test_cached_parts_still_refuse_every_bad_batch():
     # valid draws at batch 4 and 1 cache their parts; 4.0 and True hash and
     # compare equal to 4 and 1, and 0 and np.int64(0) were never valid: each

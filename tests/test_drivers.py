@@ -758,6 +758,44 @@ def test_an_oracle_that_changes_mid_run_at_a_fixed_point_keeps_the_reference_bit
         assert len({r.x for r in tr.rows}) > 1
 
 
+@pytest.mark.parametrize("late", ["moved", "zeros flipped"])
+@pytest.mark.parametrize("part, n", [("grad_f_y", 20), ("grad_f_y", 45), ("grad_g_y", 40),
+                                     ("grad_g_y", 41), ("grad_g_y", 90)])
+@pytest.mark.parametrize("free", [0.0, -0.0])
+def test_an_oracle_that_changes_at_the_first_step_of_a_phase_keeps_the_reference_bits(
+        kernel, late, part, n, free):
+    # K = 5: f_y call n = 5t and g_y calls n = 10t and 10t + 1 are the first
+    # step of outer step t, which a converged run starts from the last
+    # phase's kept step
+    from test_inner import _LATE, _switched
+
+    plan = kernel_plan(T=12, K=5)
+    counts = []
+
+    def make():
+        prob, c = _switched(kernel.problem, part, n, _LATE[late])
+        counts.append(c)
+        return prob
+
+    tr = _assert_matches_the_reference(make, plan, [1.0], [1.0, free])
+    assert counts[0] == counts[1] == {"grad_f_y": 60, "grad_g_y": 120}
+    if late == "moved":
+        assert len({r.x for r in tr.rows}) > 1
+
+
+def test_x_moving_while_the_inner_gradients_repeat_keeps_the_reference_bits(kernel):
+    # y-gradients of 1e-20 keep y = z = (1, 0) whatever x is, while an
+    # estimate of 0.25 moves x on every step: each phase starts from the
+    # last one's kept step
+    prob = dataclasses.replace(kernel.problem, grad_f_x=lambda x, y: np.array([0.25]),
+                               grad_g_x=lambda x, y: np.zeros(1),
+                               grad_f_y=lambda x, y: np.array([1e-20, 0.0]),
+                               grad_g_y=lambda x, y: np.array([1e-20, 0.0]))
+    tr = _assert_matches_the_reference(lambda: prob, kernel_plan(T=30), [1.0], [1.0, 0.0])
+    assert len({r.x for r in tr.rows}) == len(tr.rows)
+    assert tr.final_state.y.tobytes() == np.array([1.0, 0.0]).tobytes()
+
+
 @pytest.mark.parametrize("K", [0, 1, 4])
 @pytest.mark.parametrize("start", [[1.0, 0.0], [1.0, -0.0], [0.3, 0.7]])
 @pytest.mark.parametrize("shared", [False, True])

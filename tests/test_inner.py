@@ -26,7 +26,7 @@ from bipen import (
 )
 from bipen import core
 from bipen.core import BilevelProblem, ProblemConstants, as_vector
-from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm
+from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm, _prepare_phase
 from test_core import _RefOracle, _oracle_problem
 
 
@@ -542,6 +542,152 @@ def test_a_step_that_moves_forgets_the_kept_gradients(m, start, default, move, r
                          _bits(res.grad_norm_z)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[1][0] != _bits(np.array(start)) or outcomes[1][1] != _bits(np.array(start))
+
+
+# Carries: a prepared phase keeps its last kept step, and a later phase from
+# iterates of that step's bytes starts from it, its hypot test passed.  Each
+# phase must still give the reference loop's bits, errors and oracle calls.
+
+
+def _phases(descend, prob, counts, cfgs, phases):
+    """Each (x, y0, z0, i) of ``phases`` through ``cfgs[i]``: one prepared
+    phase per config, as a run passes it, for ``inner_descend``, or the
+    config itself for the reference loop.  A y0 of None continues from the
+    last phase's y and z.  Per phase its bits, or its error, which ends the
+    phases; each phase makes K f_y and 2K g_y calls."""
+    if descend is inner_descend:
+        cfgs = [_prepare_phase(prob, 0.1, c, None, c.divergence_radius) for c in cfgs]
+    out, y, z = [], None, None
+    for x, y0, z0, i in phases:
+        if y0 is not None:
+            y, z = np.array(y0), np.array(z0)
+        before = collections.Counter(counts)
+        try:
+            res = descend(prob, np.array([x]), y, z, 0.1, cfgs[i])
+        except (ValueError, DivergenceError) as exc:  # float32 bytes; a radius
+            out.append(("raised", type(exc).__name__, str(exc)))
+            break  # as a run stops
+        K = res.steps
+        assert counts - before == {"grad_f_y": K, "grad_g_y": 2 * K}
+        y, z = res.y, res.z
+        out.append((_bits(y), _bits(z), _bits(res.grad_norm_y), _bits(res.grad_norm_z),
+                    res.oracle_calls))
+    return out
+
+
+def _carried(prob, cfgs, phases, part="grad_f_y", n=math.inf, late=None):
+    """``_phases`` through the package and the reference on fresh copies of
+    ``prob``, whose ``part`` oracle turns ``late`` after n calls; both
+    outcomes must match, and the package's is returned."""
+    got, want = (_phases(fn, *_switched(prob, part, n, late), cfgs, phases)
+                 for fn in (inner_descend, _ref_inner_descend))
+    assert got == want
+    return got
+
+
+_K3 = InnerConfig(tau=0.5, K=3, divergence_radius=10.0)
+
+
+@pytest.mark.parametrize("late", sorted(_LATE))
+@pytest.mark.parametrize("part, n", [("grad_f_y", 3), ("grad_f_y", 6), ("grad_g_y", 6),
+                                     ("grad_g_y", 7), ("grad_g_y", 12)])
+@pytest.mark.parametrize("free", [0.0, -0.0])
+def test_an_oracle_that_changes_at_a_later_phase_gets_no_stale_carry(kernel, late, part,
+                                                                     n, free):
+    # four chained K = 3 phases from kernel_pl's fixed point, each of which
+    # keeps z and y until the oracle changes at the first step of phase 2 or
+    # 3 (the z-call or the y-call of g)
+    start = [1.0, free]
+    got = _carried(kernel.problem, [_K3], [(1.0, start, start, 0)] + [(1.0, None, None, 0)] * 3,
+                   part, n, _LATE[late])
+    if late == "moved":
+        assert got[-1][:2] != got[0][:2]
+
+
+# y-gradients that ignore x: 1e-20 keeps an entry of 1.0 and moves an entry
+# of 1e-20, whatever x is
+_X_FREE = BilevelProblem(
+    dim_x=1, dim_y=2, f=lambda x, y: 0.0, grad_f_x=lambda x, y: np.zeros(1),
+    grad_f_y=lambda x, y: np.array([1e-20, 0.0]), g=lambda x, y: 0.0,
+    grad_g_x=lambda x, y: np.zeros(1), grad_g_y=lambda x, y: np.array([1e-20, 0.0]),
+    constants=ProblemConstants(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0, mu=1.0,
+                               sigma_bar=1.0))
+
+
+@pytest.mark.parametrize("xs", [[1.0, 2.0, -3.0, 1.0], [1.0, 1.0 + 2.0 ** -52, 0.5, 1.0]])
+@pytest.mark.parametrize("name", ["x-free", "kernel_pl"])
+def test_x_moving_between_phases_keeps_the_reference_bits(kernel, xs, name):
+    # with gradients that ignore x, each phase repeats the kept step; on
+    # kernel_pl a new x moves the iterates
+    prob = _X_FREE if name == "x-free" else kernel.problem
+    start = [1.0, 0.0]
+    got = _carried(prob, [_K3], [(xs[0], start, start, 0)]
+                   + [(x, None, None, 0) for x in xs[1:]])
+    assert (len({g[:2] for g in got}) == 1) == (name == "x-free")
+
+
+@pytest.mark.parametrize("flip", ["y", "z", "both"])
+def test_a_kept_zero_whose_sign_flips_between_phases_is_not_carried(flip):
+    # free-coordinate gradients of -0.0 keep 0.0 and move -0.0 to 0.0, a
+    # change == does not see; the kept step's bytes repeat at -0.0
+    prob = dataclasses.replace(_X_FREE, grad_f_y=lambda x, y: np.array([y[0] - 1.0, -0.0]),
+                               grad_g_y=lambda x, y: np.array([y[0] - x[0], -0.0]))
+    kept, flipped = [1.0, 0.0], [1.0, -0.0]
+    y0 = flipped if flip != "z" else kept
+    z0 = flipped if flip != "y" else kept
+    got = _carried(prob, [_K3], [(1.0, kept, kept, 0), (1.0, y0, z0, 0)])
+    assert got[1][:2] == got[0][:2]  # -0.0 moved to 0.0
+
+
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.0, -0.0], [1.0, 0.7]])
+def test_same_byte_copies_of_the_kept_iterates_keep_the_reference_bits(kernel, start):
+    # new arrays of the kept bytes, then iterates of other bytes: a fixed
+    # point that the hypot test refuses at radius 1.5, where numpy's guard
+    # raises, and a point that moves under gradients of the kept bytes
+    cfg = InnerConfig(tau=0.5, K=3, divergence_radius=1.5)
+    got = _carried(kernel.problem, [cfg], [(1.0, start, start, 0), (1.0, start, start, 0),
+                                           (1.0, [1.0, 1.2], [1.0, 1.2], 0)])
+    assert got[0] == got[1] and got[2][0] == "raised"
+    got = _carried(_X_FREE, [_K3], [(1.0, start, start, 0), (1.0, [1e-20, 0.0], start, 0)])
+    assert got[1][0] != got[0][0]
+
+
+def test_a_phase_that_ends_on_a_move_leaves_nothing_to_carry():
+    # g-gradients of 1e-20 keep 1.0; in the second phase each g-gradient is
+    # 2.0, which moves the iterates, and the third starts at 1.0 again with
+    # gradients of the second phase's last bytes
+    script = {i: [2.0] for i in range(6, 18)}
+    got, want = (_phases(fn, *_switched(_scripted([1.0], [1e-20], script), "grad_f_y",
+                                        math.inf, None), [_K3], [(1.0, [1.0], [1.0], 0)] * 3)
+                 for fn in (inner_descend, _ref_inner_descend))
+    assert got == want and got[2] == got[1] != got[0]
+
+
+def test_a_new_prepared_phase_does_not_inherit_the_record(kernel):
+    # a run prepares one phase per K_t: a second K whose radius is below
+    # the kept fixed point's norm raises at its first step, and one of
+    # another step size moves what the first keeps
+    start = [1.0, 0.0]
+    low = InnerConfig(tau=0.5, K=4, divergence_radius=0.5)
+    got = _carried(kernel.problem, [_K3, low], [(1.0, start, start, 0), (1.0, None, None, 1)])
+    assert got[1][0] == "raised" and "at inner step 0" in got[1][2]
+    wide = InnerConfig(tau=2.0 ** 60, K=2, divergence_radius=10.0)
+    got = _carried(_X_FREE, [_K3, wide], [(1.0, start, start, 0), (1.0, None, None, 1)])
+    assert got[1][:2] != got[0][:2]
+
+
+def test_a_public_call_with_a_plain_config_never_carries(kernel):
+    # each call prepares its own phase, so a fixed point above a plain
+    # config's radius raises at step 0 after a prepared phase kept it
+    start = np.array([1.0, 0.0])
+    phase = _prepare_phase(kernel.problem, 0.1, _K3, None, 10.0)
+    inner_descend(kernel.problem, np.array([1.0]), start, start, 0.1, phase)
+    for _ in range(2):
+        with pytest.raises(DivergenceError, match="at inner step 0"):
+            inner_descend(kernel.problem, [1.0], start, start, 0.1,
+                          InnerConfig(tau=0.5, K=3, divergence_radius=0.5))
+        res = inner_descend(kernel.problem, [1.0], start, start, 0.1, _K3)
+        assert res.y is not start and res.z is not start
 
 
 # Stochastic phases: a run must leave what the reference loop on the per-call
