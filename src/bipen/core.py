@@ -58,6 +58,11 @@ _ndarray = np.ndarray
 # (``StochasticOracle.draw``) run on Python floats; the inner step was faster
 # through dim_y = 9 in every crossover run (README, Hot path)
 _FLOAT_STEP_DIM = 8
+# numpy's default error state, in which the loops that promise a witness (a
+# run, ``inner.descend_single``, ``inner.inner_descend`` on a caller's config)
+# run whatever state their caller set: an overflow gives inf there, and the
+# guard its witness, never a bare FloatingPointError
+_DEFAULT_ERRSTATE = {"all": "warn", "under": "ignore"}
 
 
 def as_vector(v, dim: int, name: str) -> Array:
@@ -76,37 +81,40 @@ def as_vector(v, dim: int, name: str) -> Array:
     return arr
 
 
-def _require_finite(value, x: Array, y, what: str):
-    """Return ``value`` as a float64 array or raise NumericError at (x, y).
+def _as_gradient(value, dim: int, what: str, at):
+    """(v, floats): a gradient oracle's output as the package takes it, the
+    one numeric contract at the oracle boundary.
 
-    A 1-D float64 ndarray with a finite squared norm is returned as it is,
-    as ``np.asarray`` would return it.  NaN, inf, a norm that overflows and
-    every other input take the entrywise test; on overflow (entries beyond
-    ~1.3e154) numpy warns of it in the dot (or raises, which is caught).
+    A float64 ndarray of shape (dim,) is v as it is; any other value is
+    converted once by ``as_vector``, which refuses a wrong shape with
+    InputError.  ``floats`` is v's entries when dim <= ``_FLOAT_STEP_DIM``
+    and their hypot is below 1e150 (so v is finite), else None.  With a
+    point ``at`` = (x, y), a v that is not finite raises NumericError there.
     """
-    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == 1:
-        try:
-            if math.isfinite(value.dot(value)):
-                return value
-        except FloatingPointError:
-            pass
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
-        raise NumericError(f"non-finite {what} encountered", point=pt)
-    return arr
-
-
-def _finite_floats(value, x: Array, y, what: str, dim: int):
-    """(value, its list) for a float64 ndarray of shape (dim,), dim <=
-    ``_FLOAT_STEP_DIM``, whose hypot below 1e150 shows it finite: what a draw
-    and the estimate take on Python floats; else (``_require_finite``, None)."""
-    if (type(value) is _ndarray and value.dtype is _FLOAT64 and dim <= _FLOAT_STEP_DIM
-            and value.shape == (dim,)):
+    value = as_vector(value, dim, what)
+    if dim <= _FLOAT_STEP_DIM:
         m = value.tolist()
         if math.hypot(*m) < 1e150:
             return value, m
-    return _require_finite(value, x, y, what), None
+    if at is not None and not (math.isfinite(value.dot(value)) or np.isfinite(value).all()):
+        raise NumericError(f"non-finite {what} encountered",
+                           point=tuple(np.array(v) for v in at))
+    return value, None
+
+
+def _as_float(v, label: str) -> float:
+    """float(v), or ConfigError naming ``label`` when float() cannot take v."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{label} must be a number, got {v!r}") from None
+
+
+def _require_count(n: int, name: str) -> None:
+    """A probe, pair or step count must be at least one: a check that
+    samples nothing would report a pass it never earned."""
+    if n < 1:
+        raise InputError(f"{name} must be >= 1, got {n}")
 
 
 def _int_field(obj, name: str, label: str):
@@ -372,16 +380,17 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
     minimizes g(x, .).  Costs three x-gradient oracle calls, made in the
     order grad_x f at yK, grad_x g at yK, grad_x g at zK: exact ones when
     ``batch`` = 0, batch-``batch`` averages drawn from ``oracle`` otherwise.
-    Exact ``_finite_floats`` are combined on Python floats in numpy's order;
-    a result that is not finite is recomputed in numpy, which warns as before.
+    Exact gradients with ``_as_gradient``'s floats are combined on Python
+    floats in numpy's order; a result that is not finite, and any other
+    gradients, take numpy's expression, whose overflow follows numpy's state.
     """
     prob = p.problem
     if batch == 0:
         x, yK = prob.check_point(x, yK)
         zK = as_vector(zK, prob.dim_y, "zK")
-        gfx, a = _finite_floats(prob.grad_f_x(x, yK), x, yK, "grad_x f", prob.dim_x)
-        ggx_y, b = _finite_floats(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK", prob.dim_x)
-        ggx_z, c = _finite_floats(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK", prob.dim_x)
+        gfx, a = _as_gradient(prob.grad_f_x(x, yK), prob.dim_x, "grad_x f", (x, yK))
+        ggx_y, b = _as_gradient(prob.grad_g_x(x, yK), prob.dim_x, "grad_x g at yK", (x, yK))
+        ggx_z, c = _as_gradient(prob.grad_g_x(x, zK), prob.dim_x, "grad_x g at zK", (x, zK))
         if a is not None and b is not None and c is not None:
             for i in range(len(a)):  # gfx + (ggx_y - ggx_z) / sigma, the same doubles
                 a[i] += (b[i] - c[i]) / p._sigma_f
@@ -393,11 +402,7 @@ def hypergradient_estimate(p: PenaltyObjective, x, yK, zK,
         gfx = oracle.draw("f_x", x, yK, batch)
         ggx_y = oracle.draw("g_x", x, yK, batch)
         ggx_z = oracle.draw("g_x", x, zK, batch)
-    try:
-        return gfx + (ggx_y - ggx_z) / p._sigma_0d
-    except FloatingPointError:  # overflow under np.errstate(over="raise")
-        with np.errstate(over="ignore"):
-            return gfx + (ggx_y - ggx_z) / p._sigma_0d
+    return gfx + (ggx_y - ggx_z) / p._sigma_0d
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +442,8 @@ class StochasticOracle:
     ``standard_normal(dim)`` would give.  The base gradients, noise levels
     and scales (0-d float64 arrays and floats) are looked up once, at
     construction, and each validated (part, int batch) pair is kept as a
-    plain tuple, so a repeated request skips its checks.
-
-    Every draw tests its point and its base gradient, with the errors of
-    ``as_vector`` and ``_require_finite``: float64 vectors of the problem's
-    shapes pass ``check_point`` as they are, a small float64 gradient whose
-    hypot is below 1e150 is finite (``_finite_floats``), and any other
-    gradient takes ``_require_finite``.  Small gradients are drawn on
-    Python floats, to the same bits (``draw``).
+    plain tuple, so a repeated request skips its checks.  Every draw tests
+    its point (``check_point``) and its base gradient (``_as_gradient``).
     """
 
     base: BilevelProblem
@@ -486,12 +485,10 @@ class StochasticOracle:
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
         """One batch-``batch`` draw of gradient part ``which`` at (x, y).
 
-        A base gradient that ``_finite_floats`` takes on Python floats gets
-        its noise as a + b * scale * shrink per entry, in numpy's order, so
-        the same doubles; any other takes ``_require_finite`` and numpy, and
-        a float result that is not finite is recomputed in numpy, so overflow
-        warns or is caught as before.  A float draw does not raise or warn
-        on a subnormal, as numpy would under np.errstate(under=...).
+        A base gradient with ``_as_gradient``'s floats gets its noise as
+        a + b * scale * shrink per entry, in numpy's order, so the same
+        doubles; a float result that is not finite, and any other gradient,
+        take numpy's expression, whose overflow follows numpy's error state.
         """
         part = (self._parts.get((which, batch))
                 if type(batch) is int and type(which) is str else None)
@@ -508,7 +505,7 @@ class StochasticOracle:
             self._parts[which, batch] = part
         fn, std, dim, scale, s, shrink, what = part
         x, y = self.base.check_point(x, y)
-        mean, m = _finite_floats(fn(x, y), x, y, what, dim)
+        mean, m = _as_gradient(fn(x, y), dim, what, (x, y))
         if std == 0.0:
             return mean
         buf, pos = self._buf, self._pos
@@ -526,12 +523,7 @@ class StochasticOracle:
                 m[i] += bl[pos + i] * s * shrink
             if math.isfinite(sum(m)):  # so every entry is, and nothing overflowed
                 return np.array(m)
-        z = buf[pos:pos + dim]
-        try:
-            return mean + z * scale * shrink
-        except FloatingPointError:  # overflow under np.errstate(over="raise")
-            with np.errstate(over="ignore"):
-                return mean + z * scale * shrink
+        return mean + buf[pos:pos + dim] * scale * shrink
 
 
 # ---------------------------------------------------------------------------

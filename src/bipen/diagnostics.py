@@ -33,6 +33,7 @@ from .core import (
     _h_lipschitz,
     _h_rows,
     _per_row,
+    _require_count,
     as_vector,
     penalized_hyperobjective_value,
 )
@@ -40,13 +41,6 @@ from .errors import CapabilityError, ConfigError, InputError, NumericError
 from .inner import _h_min, _norm, presolve
 from .problems import SuiteProblem
 from .rng import substream
-
-
-def _require_count(n: int, name: str) -> None:
-    """A probe or pair count must be at least one: a check that samples
-    nothing would report a pass it never earned."""
-    if n < 1:
-        raise InputError(f"{name} must be >= 1, got {n}")
 
 
 def _vnorm(v) -> float:

@@ -35,11 +35,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
-    _FLOAT64,
+    _DEFAULT_ERRSTATE,
     BilevelProblem,
     PenaltyObjective,
     ProblemConstants,
     StochasticOracle,
+    _as_float,
     _check_seed,
     _h_lipschitz,
     _int_field,
@@ -47,8 +48,7 @@ from .core import (
     hypergradient_estimate,
 )
 from .errors import ConfigError, DivergenceError, InputError, NumericError
-from .inner import (InnerConfig, _guard, _norm, _overflowed_step, _prepare_phase,
-                    inner_descend)
+from .inner import InnerConfig, _guard, _norm, _prepare_phase, inner_descend
 
 _PLAN_OVERRIDE_KEYS = ("eta", "sigma", "tau", "K", "T", "B", "delta0")
 _PLAN_CONSTANT_KEYS = ("c_eta", "c_sigma", "c_K", "c_B", "c_delta")
@@ -140,10 +140,11 @@ def build_schedule(
     Nonpositive candidates in the sigma minimum (R = 0, rho_f = 0) are
     skipped rather than letting them collapse sigma to zero.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
+    epsilon, Delta, R = _as_float(epsilon, "epsilon"), _as_float(Delta, "Delta"), _as_float(R, "R")
+    if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
     for name, v in (("Delta", Delta), ("R", R)):
-        if not (np.isfinite(v) and v >= 0):
+        if not (math.isfinite(v) and v >= 0):
             raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
     ov = dict(overrides or {})
@@ -151,7 +152,7 @@ def build_schedule(
     if unknown:
         raise ConfigError(f"unknown schedule override(s): {sorted(unknown)}; "
                           f"allowed: {_PLAN_OVERRIDE_KEYS + _PLAN_CONSTANT_KEYS}")
-    cs = {k: float(ov.pop(k, 1.0)) for k in _PLAN_CONSTANT_KEYS}
+    cs = {k: _as_float(ov.pop(k, 1.0), k) for k in _PLAN_CONSTANT_KEYS}
     for k, v in cs.items():
         if not (np.isfinite(v) and v > 0):
             raise ConfigError(f"{k} must be finite and > 0, got {v}")
@@ -160,7 +161,7 @@ def build_schedule(
     ell, kap = c.ell, c.kappa
 
     if "sigma" in ov:
-        sigma = float(ov.pop("sigma"))
+        sigma = _as_float(ov.pop("sigma"), "sigma")
     else:
         candidates = [cs["c_sigma"] * epsilon / (ell * kap ** 3), c.sigma_bar]
         if R > 0:
@@ -173,14 +174,14 @@ def build_schedule(
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be finite and > 0, got {sigma}")
 
-    tau = float(ov.pop("tau")) if "tau" in ov else 1.0 / _h_lipschitz(c, sigma)
-    eta = float(ov.pop("eta")) if "eta" in ov else cs["c_eta"] / (ell * kap ** 3)
+    tau = _as_float(ov.pop("tau"), "tau") if "tau" in ov else 1.0 / _h_lipschitz(c, sigma)
+    eta = _as_float(ov.pop("eta"), "eta") if "eta" in ov else cs["c_eta"] / (ell * kap ** 3)
     if "K" in ov:
         K = ov.pop("K")
     else:
         K = _count("K", lambda: cs["c_K"] * (c.L_g / c.mu)
                    * max(1.0, math.log(c.L_g / (c.mu * sigma))), sigma=sigma)
-    delta0 = float(ov.pop("delta0")) if "delta0" in ov else cs["c_delta"] * R
+    delta0 = _as_float(ov.pop("delta0"), "delta0") if "delta0" in ov else cs["c_delta"] * R
     if "T" in ov:
         T = ov.pop("T")
     else:
@@ -348,9 +349,11 @@ def run_f2bsa(prob: BilevelProblem, plan: SchedulePlan, x0=None, y0=None, seed: 
     return _run_penalty(prob, plan, x0, y0, seed, timing)
 
 
+@np.errstate(**_DEFAULT_ERRSTATE)
 def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optional[int],
                  timing: bool) -> RunTrace:
     """The outer loop of both methods; ``seed`` None is the deterministic one.
+    It runs in numpy's default error state, whatever state the caller set.
 
     One divergence radius, 1e6 (1 + the largest start norm), bounds x and both
     inner sequences for the whole run; a non-finite or runaway iterate raises
@@ -361,8 +364,8 @@ def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optiona
     repeats x for most of its worst-case budget.  Every x the loop holds has
     passed the guard once, x0 before outer step 0.  The inner phase is
     prepared once per run and K_t; an estimate with the bytes of the last
-    one (float64, x's shape) reuses its norm and, from the x that the last
-    step kept, the kept x: the same bits from the same inputs.
+    one reuses its norm and, from the x that the last step kept, the kept x:
+    the same bits from the same inputs.
     """
     pen = PenaltyObjective(prob, plan.sigma)  # validates sigma and refusals
     c = prob.constants
@@ -406,8 +409,8 @@ def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optiona
         calls += res.oracle_calls + 3 * max(B, 1)
         if x is not x_row:  # rows of one x share its columns and tuple
             x_row, (gt, pt), x_tuple = x, _analytic_columns(prob, x), tuple(x)
-        b = est.tobytes() if est.dtype is _FLOAT64 and est.shape == x.shape else None
-        repeat = b is not None and b == est_bytes
+        b = est.tobytes()  # a float64 vector of x's shape, by the oracle contract
+        repeat = b == est_bytes
         if not repeat:
             est_bytes, est_norm = b, _norm(est)
         wall = (time.perf_counter() - t0) * 1e3 if timing else None
@@ -416,17 +419,12 @@ def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optiona
         if repeat and x is x_kept:  # x - eta * est has x's bytes again
             x_new = x
         else:
-            try:
-                x_new = x - eta * est
-            except FloatingPointError:  # overflow under np.errstate(over="raise")
-                x_new = _overflowed_step(x, eta, est)
+            x_new = x - eta * est
             if x_new.tobytes() == x.tobytes():  # a fixed point: keep x, guarded already
                 x_new = x_kept = x
             else:
                 x_kept = None
                 _guard(x_new, "x", t, radius, "outer")  # before its square feeds delta
-                # a malformed estimate's shape: InputError before any oracle sees it
-                x_new = as_vector(x_new, prob.dim_x, "x")
         if oracle is not None:
             d = x_new - x  # np.sum(d ** 2)'s squares and reduction, minus its wrapper
             step_sq = float(np.add.reduce(d * d))

@@ -11,21 +11,16 @@ single-sequence descent, the certified pre-solve built on it (used for
 value-function evaluation and by the diagnostics), and a bounded-budget probe
 that detects penalties whose descent runs away (unbounded-below h_sigma).
 
-Hot path: on 1-2 entry vectors numpy's per-call cost dominates, so scale
-factors (tau, sigma, eta, noise scales) are float64 arrays made once -- a
-Python-float operand costs ~0.4 us more per ufunc (numpy 2.4), for the same
-bits -- oracles are called without closures, and trace rows are NamedTuples.
-On the chain's q-length vectors allocation costs: a step writes its gradient
-combination and both updates into the three arrays it allocates.
-
-Small dimension: while dim_y <= _FLOAT_STEP_DIM, a step whose three
-gradients are float64 vectors of shape (dim_y,) runs on Python floats.  It
-takes them with tolist(), computes y - tau * (sigma * f + g) and
-z - tau * a per coordinate, in numpy's order and so to the same IEEE
-doubles, and builds the next y and z with one np.array each.  Any other
-gradient hands the rest of the phase to the numpy step, which handles
-broadcasting, float32 oracles and np.errstate(over="raise") as before.
-The README's Hot path section gives the measured crossover.
+The loops take each gradient as ``core._as_gradient`` does (a float64
+vector of shape (dim_y,), tested inline) and run in numpy's default error
+state, so an overflow ends in the guard's witness whatever state the caller
+set.  On 1-2 entry vectors numpy's per-call cost dominates, so scale factors
+are 0-d float64 arrays made once and oracles are called without closures; on
+the chain's q-length vectors a step writes its gradient combination and both
+updates into the three arrays it allocates.  While dim_y <= _FLOAT_STEP_DIM
+a step runs on Python floats: y - tau * (sigma * f + g) and z - tau * a per
+coordinate, in numpy's order and so to the same IEEE doubles (README, Hot
+path).
 
 Guards and reported norms still go through _norm, numpy's own dot: BLAS
 ddot fuses multiply-adds, so v.dot(v) can differ in its last bit from
@@ -33,9 +28,7 @@ a*a + b*b.  So a float step passes the guard only while both iterates'
 math.hypot lies below the radius by a relative 1e-9, which covers either
 rounding, and below 1e150, where ddot cannot overflow; the numpy step redoes
 any other step, and its guard decides.  The last h_sigma-gradient is rebuilt
-in numpy once per phase for the reported norm.  Under
-np.errstate(under="raise") a float step does not raise on a subnormal
-result, where numpy's would.
+in numpy once per phase for the reported norm.
 
 A float step that leaves both iterates unchanged, bit for bit, keeps the
 current y and z arrays.  Unchanged is tested as == per coordinate while the
@@ -62,8 +55,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_FLOAT64, _FLOAT_STEP_DIM, _GSTAR_TOL, BilevelProblem, StochasticOracle,
-                   _box_min, _h, _h_grad, _h_lipschitz, _h_rows, _int_field, as_vector)
+from .core import (_DEFAULT_ERRSTATE, _FLOAT64, _FLOAT_STEP_DIM, _GSTAR_TOL, BilevelProblem,
+                   StochasticOracle, _as_float, _as_gradient, _box_min, _h, _h_grad,
+                   _h_lipschitz, _h_rows, _int_field, _require_count, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
@@ -84,7 +78,8 @@ class InnerConfig:
     divergence_radius: Optional[float] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        object.__setattr__(self, "tau", _as_float(self.tau, "inner step size tau"))
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"inner step size tau must be > 0, got {self.tau}")
         _int_field(self, "K", "inner step count K")
         _int_field(self, "batch", "batch")
@@ -92,14 +87,17 @@ class InnerConfig:
             raise ConfigError(f"inner step count K must be >= 0, got {self.K}")
         if self.batch < 0:
             raise ConfigError(f"batch must be >= 0 (0 = full gradients), got {self.batch}")
-        _check_radius(self.divergence_radius)
+        object.__setattr__(self, "divergence_radius", _check_radius(self.divergence_radius))
 
 
 def _check_radius(radius):
-    """A divergence radius is None (derived from the start) or > 0; inf turns
-    the runaway test off on purpose, while NaN would turn it off silently."""
-    if radius is not None and not radius > 0:
-        raise ConfigError(f"divergence radius must be > 0 or inf, got {radius}")
+    """A divergence radius as a float > 0, or None (derived from the start);
+    inf turns the runaway test off on purpose, NaN would turn it off silently."""
+    if radius is not None:
+        radius = _as_float(radius, "divergence radius")
+        if not radius > 0:
+            raise ConfigError(f"divergence radius must be > 0 or inf, got {radius}")
+    return radius
 
 
 class InnerResult(NamedTuple):
@@ -116,19 +114,9 @@ def _norm(v) -> float:
 
     The same dot product and square root as ``np.linalg.norm``, so the same
     bits, without its dispatch; callers holding anything else convert first.
+    A squared norm that overflows gives inf (numpy warns of it).
     """
-    try:
-        return math.sqrt(v.dot(v))
-    except FloatingPointError:  # overflow under np.errstate(over="raise")
-        return math.inf
-
-
-# v - scale * grad as the default error state computes it (inf on overflow),
-# for _guard to classify: the slow path of a step that raised
-# FloatingPointError under np.errstate(over="raise")
-def _overflowed_step(v, scale, grad):
-    with np.errstate(over="ignore"):
-        return v - scale * grad
+    return math.sqrt(v.dot(v))
 
 
 def _guard(vec, which: str, step: int, radius: float, loop: str = "inner"):
@@ -203,33 +191,33 @@ def inner_descend(
     calls.  The reported gradient norms are those of the last gradients the
     loop consumed (no extra post-loop evaluations: on budget-sized worst-case
     instances a single spare gradient call would leak information the
-    certification harness must account for).  tau and sigma are applied as
-    0-d float64 arrays, which numpy 2 does not treat as weak scalars: a
-    float32 oracle output is scaled in float64.  Up to ``_FLOAT_STEP_DIM``
-    entries a step runs on Python floats, to the same bits.
+    certification harness must account for).  Gradients are taken as
+    ``_as_gradient`` takes them; up to ``_FLOAT_STEP_DIM`` entries a step
+    runs on Python floats, to the same bits.
 
-    The outer loop passes, as ``cfg``, the phase it prepared for the run
-    (``_prepare_phase``), with x, y0 and z0 float64 vectors that it owns:
-    they are then neither validated nor copied.  The loop writes into none
-    of them, and may return y0 and z0 themselves.
+    A caller's ``InnerConfig`` is validated and prepared, and the phase runs
+    in numpy's default error state.  The outer loop passes, as ``cfg``, the
+    phase it prepared for the run (``_prepare_phase``), in that state, with
+    x, y0 and z0 float64 vectors that it owns, which are then neither
+    validated nor copied; the loop writes into none of them.
     """
-    if type(cfg) is _Phase:
-        y, z = y0, z0
-    else:
-        x = as_vector(x, prob.dim_x, "x")
-        y = as_vector(y0, prob.dim_y, "y0").copy()
-        z = as_vector(z0, prob.dim_y, "z0").copy()
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ConfigError(f"inner descent needs sigma > 0, got {sigma}")
-        if cfg.batch > 0 and oracle is None:
-            raise ConfigError("cfg.batch > 0 requires a stochastic oracle")
-        radius = cfg.divergence_radius
-        if radius is None:
-            radius = 1e6 * (1.0 + max(_norm(y), _norm(z)))
-        cfg = _prepare_phase(prob, sigma, cfg, oracle, radius)
+    if type(cfg) is not _Phase:
+        with np.errstate(**_DEFAULT_ERRSTATE):
+            x = as_vector(x, prob.dim_x, "x")
+            y = as_vector(y0, prob.dim_y, "y0").copy()
+            z = as_vector(z0, prob.dim_y, "z0").copy()
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise ConfigError(f"inner descent needs sigma > 0, got {sigma}")
+            if cfg.batch > 0 and oracle is None:
+                raise ConfigError("cfg.batch > 0 requires a stochastic oracle")
+            radius = cfg.divergence_radius
+            if radius is None:
+                radius = 1e6 * (1.0 + max(_norm(y), _norm(z)))
+            return inner_descend(prob, x, y, z, sigma,
+                                 _prepare_phase(prob, sigma, cfg, oracle, radius), oracle)
     (K, batch, calls, radius, tau, sig, grad_f, grad_g, draw, small, t, s, r_pass,
      shape, coords, pack, last) = cfg
-    inf = math.inf
+    y, z, inf = y0, z0, math.inf
     if small:
         # zl, yl: z and y as float lists, made when a step is computed;
         # passed: z and y passed the hypot test at r_pass; key: the
@@ -245,65 +233,53 @@ def inner_descend(
         else:
             gz, fy, gg = (draw("g_y", x, z, batch), draw("f_y", x, y, batch),
                           draw("g_y", x, y, batch))
+        if not (type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
+                and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64 and gg.dtype is _FLOAT64
+                and gz.shape == shape and fy.shape == shape and gg.shape == shape):
+            gz, fy, gg = (_as_gradient(v, shape[0], f"grad_y {what}", None)[0] for v, what
+                          in ((gz, "g at z"), (fy, "f at y"), (gg, "g at y")))
         if small:
-            if (type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
-                    and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64
-                    and gg.dtype is _FLOAT64 and gz.shape == shape
-                    and fy.shape == shape and gg.shape == shape):
-                if key is not None and key == (gz.tobytes(), fy.tobytes(), gg.tobytes()):
-                    continue  # the kept step again: the same doubles, kept again
-                if zl is None:
-                    zl, yl = z.tolist(), y.tolist()
-                a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
-                same = True
-                for i in coords:
-                    zi, yi = zl[i] - t * a[i], yl[i] - t * (s * b[i] + c[i])
-                    if same and (zi != zl[i] or yi != yl[i]):
-                        same = False
-                    zl[i], yl[i] = zi, yi
-                # a fixed point: equal floats, and bytes for the signs of zeros
-                keep = same and pack(*zl) == z.tobytes() and pack(*yl) == y.tobytes()
-                if (keep and passed) or (math.hypot(*zl) < r_pass
-                                         and math.hypot(*yl) < r_pass):
-                    if keep:
-                        key = (gz.tobytes(), fy.tobytes(), gg.tobytes())
-                    else:
-                        z, y, key = np.array(zl), np.array(yl), None
-                    gy, passed = None, True
-                    continue
-            else:
-                small = False
-        # _guard's fast test, inlined; _guard classifies what fails it
-        try:
-            try:
-                # the same operations in the same order as the broadcasting
-                # form below, written into the three arrays they allocate
-                gy = sig * fy
-                gy += gg
-                z_new, y_new = tau * gz, tau * gy
-                np.subtract(z, z_new, z_new)
-                np.subtract(y, y_new, y_new)
-            except (TypeError, ValueError):  # a gradient that only broadcasts
-                gy = sig * fy + gg
-                z_new, y_new = z - tau * gz, y - tau * gy
-            n_z, n_y = math.sqrt(z_new.dot(z_new)), math.sqrt(y_new.dot(y_new))
-        except FloatingPointError:  # overflow under np.errstate(over="raise")
-            with np.errstate(over="ignore"):
-                gy = sig * fy + gg
-                z_new, y_new = z - tau * gz, y - tau * gy
-            n_z = n_y = inf
+            if key is not None and key == (gz.tobytes(), fy.tobytes(), gg.tobytes()):
+                continue  # the kept step again: the same doubles, kept again
+            if zl is None:
+                zl, yl = z.tolist(), y.tolist()
+            a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
+            same = True
+            for i in coords:
+                zi, yi = zl[i] - t * a[i], yl[i] - t * (s * b[i] + c[i])
+                if same and (zi != zl[i] or yi != yl[i]):
+                    same = False
+                zl[i], yl[i] = zi, yi
+            # a fixed point: equal floats, and bytes for the signs of zeros
+            keep = same and pack(*zl) == z.tobytes() and pack(*yl) == y.tobytes()
+            if (keep and passed) or (math.hypot(*zl) < r_pass
+                                     and math.hypot(*yl) < r_pass):
+                if keep:
+                    key = (gz.tobytes(), fy.tobytes(), gg.tobytes())
+                else:
+                    z, y, key = np.array(zl), np.array(yl), None
+                gy, passed = None, True
+                continue
+            zl, passed, key = None, False, None
+        # _guard's fast test, inlined; _guard classifies what fails it.  The
+        # same operations in the same order as y - tau * (sig * fy + gg),
+        # written into the three arrays they allocate
+        gy = sig * fy
+        gy += gg
+        z_new, y_new = tau * gz, tau * gy
+        np.subtract(z, z_new, z_new)
+        np.subtract(y, y_new, y_new)
+        n_z, n_y = math.sqrt(z_new.dot(z_new)), math.sqrt(y_new.dot(y_new))
         z, y = z_new, y_new
         if not (n_z <= radius and n_y <= radius and n_z < inf and n_y < inf):
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
-        if small:
-            zl, passed, key = None, False, None
 
     if not K:
         ny = nz = math.nan
     elif gy is not None:
         ny, nz = _norm(gy), _norm(gz)
-    else:  # a float step's gradients: float64 vectors of shape (dim_y,)
+    else:  # a float step's gradients
         if key is None:  # the last step moved: nothing to carry
             key, zy = (gz.tobytes(), fy.tobytes(), gg.tobytes()), None
         elif key is not last[0]:  # else the carried step, kept throughout
@@ -315,6 +291,7 @@ def inner_descend(
     return InnerResult(y, z, ny, nz, calls, K)
 
 
+@np.errstate(**_DEFAULT_ERRSTATE)
 def descend_single(
     grad_fn,
     y0,
@@ -331,29 +308,34 @@ def descend_single(
     given).  Raises ConvergenceError if the tolerance is not met within
     ``max_iter`` and DivergenceError/NumericError on runaway or non-finite
     iterates.  Returns (y, final_grad_norm, steps).  Gradients are taken as
-    float64 arrays.
+    ``_as_gradient`` takes them.  Runs in numpy's default error state.
     """
-    _check_radius(radius)
-    y = np.array(y0, dtype=float).copy()
+    radius = _check_radius(radius)
+    if not (math.isfinite(tau) and tau > 0 and tol >= 0 and max_iter >= 1
+            and (exact_steps is None or exact_steps >= 0)):
+        raise ConfigError(f"{label} needs a finite tau > 0, tol >= 0, max_iter >= 1 and "
+                          f"exact_steps >= 0 or None, got {tau}, {tol}, {max_iter}, {exact_steps}")
+    y = np.array(y0, dtype=float)  # a copy
+    shape, last = y.shape, max_iter if exact_steps is None else exact_steps
     if radius is None:
         radius = 1e6 * (1.0 + _norm(y))
-    exact = exact_steps is not None
-    for k in range(exact_steps if exact else max_iter):
-        gv = np.asarray(grad_fn(y), dtype=float)
-        if not exact:
+    for k in range(last + 1):  # the gradient at the last iterate too
+        gv = grad_fn(y)
+        if not (type(gv) is _ndarray and gv.dtype is _FLOAT64 and gv.shape == shape):
+            gv = _as_gradient(gv, y.size, f"gradient in {label}", None)[0]
+        if k == last:
+            break
+        if exact_steps is None:
             n = _norm(gv)  # inf also when a finite gradient's norm overflows
             if not math.isfinite(n) and not np.isfinite(gv).all():
                 raise NumericError(f"non-finite gradient in {label}", point=y.copy())
             if n <= tol:
                 return y, n, k
-        try:
-            y = y - tau * gv
-        except FloatingPointError:  # overflow under np.errstate(over="raise")
-            y = _overflowed_step(y, tau, gv)
+        y = y - tau * gv
         _guard(y, label, k, radius)
-    if exact:
-        return y, _norm(np.asarray(grad_fn(y), dtype=float)), exact_steps
-    residual = _norm(np.asarray(grad_fn(y), dtype=float))
+    residual = _norm(gv)
+    if exact_steps is not None:
+        return y, residual, exact_steps
     raise ConvergenceError(
         f"{label} failed to reach tolerance {tol:g} within {max_iter} steps "
         f"(residual {residual:.3g})",
@@ -402,6 +384,7 @@ def probe_penalty_divergence(
     whose norm overflows, counts as diverged with norm inf.  Returns the
     observation; callers decide whether to raise.
     """
+    _require_count(max_steps, "max_steps")
     x = as_vector(x, prob.dim_x, "x")
     _, y0 = prob.default_start()
     c = prob.constants

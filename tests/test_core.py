@@ -25,7 +25,7 @@ from bipen import (
     penalized_hyperobjective_value,
 )
 from bipen import core
-from bipen.core import _grid_min, _per_row, _require_finite, as_vector
+from bipen.core import _as_gradient, _grid_min, _per_row, as_vector
 from bipen.errors import ToolkitError
 from bipen.rng import substream
 
@@ -281,7 +281,8 @@ def test_problem_rejects_nonpositive_dims(kernel):
 
 # ---------------------------------------------------------------------------
 # reference oracle: the point and finiteness checks as they stood before
-# their fast tests, and the oracle's law drawn per call, kept verbatim; the
+# their fast tests, the gradient taken as the oracle contract says (as_vector,
+# then the finiteness test), and the oracle's law drawn per call; the
 # package's versions must match them bit for bit, failures included.
 
 
@@ -300,6 +301,15 @@ def _ref_require_finite(value, x, y, what: str):
         pt = (np.array(x, copy=True), None if y is None else np.array(y, copy=True))
         raise NumericError(f"non-finite {what} encountered", point=pt)
     return arr
+
+
+def _ref_gradient(value, dim: int, what: str, x, y):
+    """``as_vector``'s vector of a gradient, its squared norm (of which numpy
+    warns when it overflows), then the entrywise test if that is not finite."""
+    v = _ref_as_vector(value, dim, what)
+    if not math.isfinite(v.dot(v)):
+        _ref_require_finite(v, x, y, what)
+    return v
 
 
 _ORACLE_PARTS = ("f_x", "f_y", "g_x", "g_y")
@@ -342,14 +352,15 @@ class _RefOracle:
         fn, std, dim = part
         x = _ref_as_vector(x, self.base.dim_x, "x")
         y = _ref_as_vector(y, self.base.dim_y, "y")
-        mean = _ref_require_finite(fn(x, y), x, y, f"grad {which}")
+        mean = _ref_gradient(fn(x, y), dim, f"grad {which}", x, y)
         if std == 0.0:
             return mean
         # per-call covariance (M^2/dim) I so that E||noise||^2 = M^2 per call;
-        # the mean of `batch` Gaussian calls has that covariance over batch
-        noise = self._gen.standard_normal(dim) * (std / math.sqrt(dim))
+        # the mean of `batch` Gaussian calls has that covariance over batch.
+        # The normals are counted before they are scaled, which may overflow
+        z = self._gen.standard_normal(dim)
         self.counter += batch
-        return mean + noise * (1.0 / math.sqrt(batch))
+        return mean + z * (std / math.sqrt(dim)) * (1.0 / math.sqrt(batch))
 
 
 def _bits(a):
@@ -438,12 +449,27 @@ def _replay(oracle, ops):
     return seen
 
 
-# numpy's default error state, and overflow raised: the fast tests' dot
-# product raises FloatingPointError on a squared norm that overflows
-_OVER_STATES = [{}, {"over": "raise"}]
+def _replay_each(oracle, ops, state):
+    """Per op of ``_replay`` under np.errstate(over=state): its outcome (numpy's
+    FloatingPointError included), the counter after it, and its warnings."""
+    seen = []
+    with np.errstate(over=state):
+        for op in ops:
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                try:
+                    out = _replay(oracle, [op])
+                except FloatingPointError as err:
+                    out = [("raised", FloatingPointError, str(err)), oracle.counter]
+            seen.append((*out, [(w.category, str(w.message)) for w in warned]))
+    return seen
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+# numpy's default error state, and overflow raised: a direct draw then
+# raises numpy's FloatingPointError where the default state warns
+_OVER_STATES = ["warn", "raise"]
+
+
 @pytest.mark.parametrize("state", _OVER_STATES, ids=["default", "over-raise"])
 @settings(max_examples=300, deadline=None)
 @given(
@@ -459,9 +485,9 @@ def test_oracle_draws_match_the_per_call_reference(state, stds, seed, ops, block
     # than a draw; points and gradients that miss the fast tests take the
     # reference's checks
     prob = _oracle_problem()
-    want = _replay(_RefOracle(prob, *stds, rng_seed=seed), ops)
-    with np.errstate(**state), mock.patch.object(core, "_NOISE_BLOCK", block):
-        assert _replay(StochasticOracle(prob, *stds, rng_seed=seed), ops) == want
+    want = _replay_each(_RefOracle(prob, *stds, rng_seed=seed), ops, state)
+    with mock.patch.object(core, "_NOISE_BLOCK", block):
+        assert _replay_each(StochasticOracle(prob, *stds, rng_seed=seed), ops, state) == want
 
 
 def _checked(check, x, y):
@@ -495,20 +521,22 @@ def test_check_point_returns_exact_float64_vectors_as_they_are(kernel):
 
 
 @pytest.mark.parametrize("state", _OVER_STATES, ids=["default", "over-raise"])
-def test_a_draw_warns_of_an_overflowing_norm_as_require_finite_does(state):
-    # the draw's inlined dot is the only one: a gradient that fails it takes
-    # the entrywise test without a second dot, so a second warning
+def test_a_draw_warns_once_of_an_overflowing_norm(state):
+    # a finite gradient whose squared norm overflows: one dot, of whose
+    # overflow numpy warns, or which raises under over="raise", and no second
     prob = _oracle_problem()
     x, y = np.array([0.1, 0.2, 0.3]), np.array([0.3, -4.5])
-    with warnings.catch_warnings(record=True) as want, np.errstate(**state):
+    oracle = StochasticOracle(prob, 0.0, 0.0, rng_seed=0)
+    with warnings.catch_warnings(record=True) as got, np.errstate(over=state):
         warnings.simplefilter("always")
-        ref = _require_finite(prob.grad_f_y(x, y), x, y, "grad f_y")
-    with warnings.catch_warnings(record=True) as got, np.errstate(**state):
-        warnings.simplefilter("always")
-        out = StochasticOracle(prob, 0.0, 0.0, rng_seed=0).draw("f_y", x, y)
-    assert _bits(out) == _bits(ref) and np.abs(out).max() > 1e200
-    assert [str(w.message) for w in got] == [str(w.message) for w in want]
-    assert len(got) == (0 if state else 1)
+        if state == "raise":
+            with pytest.raises(FloatingPointError, match="overflow encountered in dot"):
+                oracle.draw("f_y", x, y)
+        else:
+            out = oracle.draw("f_y", x, y)
+            assert _bits(out) == _bits(prob.grad_f_y(x, y)) and np.abs(out).max() > 1e200
+    assert [str(w.message) for w in got] == (
+        ["overflow encountered in dot"] if state == "warn" else [])
 
 
 def test_oracle_refill_keeps_the_unused_tail_and_reset_drops_the_block():
@@ -632,14 +660,6 @@ _entry = st.one_of(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5
 _std = st.sampled_from([0.0, 0.3, 1.79e308])
 
 
-def _replay_warned(oracle, ops, state):
-    """``_replay`` under np.errstate(over=state), with every warning recorded."""
-    with warnings.catch_warnings(record=True) as seen, np.errstate(over=state):
-        warnings.simplefilter("always")
-        out = _replay(oracle, ops)
-    return out, [(w.category, str(w.message)) for w in seen]
-
-
 @pytest.mark.parametrize("state", ["warn", "raise", "ignore"])
 @settings(max_examples=150, deadline=None)
 @given(dims=st.tuples(st.integers(1, 9), st.integers(1, 9)),
@@ -647,9 +667,8 @@ def _replay_warned(oracle, ops, state):
        block=st.sampled_from([1, 2, 5, 9, 4096]), data=st.data())
 def test_float_draws_match_the_per_call_reference(state, dims, stds, seed, block, data):
     # dims 1-9 straddle the float bound; batches from 1 to 25,600; blocks of
-    # 1-9 normals refill mid-sequence.  Under over="raise" the reference
-    # itself would raise, so its values are taken under "ignore", as the
-    # package returns them; under "warn" its warnings are the ones expected
+    # 1-9 normals refill mid-sequence.  Under over="raise" a draw whose
+    # noise overflows raises numpy's FloatingPointError, after its normals
     prob = _copying_problem(*dims)
     draw_op = st.tuples(st.sampled_from(_ORACLE_PARTS),
                         st.sampled_from([1, 2, 4, 1600, 25_600]),
@@ -657,17 +676,16 @@ def test_float_draws_match_the_per_call_reference(state, dims, stds, seed, block
                         st.lists(_entry, min_size=dims[1], max_size=dims[1]))
     ops = data.draw(st.lists(st.one_of(draw_op, draw_op, draw_op, st.just("reset")),
                              min_size=1, max_size=12))
-    want = _replay_warned(_RefOracle(prob, *stds, rng_seed=seed), ops,
-                          "warn" if state == "warn" else "ignore")
+    want = _replay_each(_RefOracle(prob, *stds, rng_seed=seed), ops, state)
     with mock.patch.object(core, "_NOISE_BLOCK", block):
-        got = _replay_warned(StochasticOracle(prob, *stds, rng_seed=seed), ops, state)
+        got = _replay_each(StochasticOracle(prob, *stds, rng_seed=seed), ops, state)
     assert got == want
 
 
 # ---------------------------------------------------------------------------
 # the exact estimate: three float64 x-gradients of shape (dim_x,), dim_x <=
 # _FLOAT_STEP_DIM, are combined on Python floats; bits, errors and warnings
-# must be those of _require_finite and the numpy expression
+# must be those of the oracle contract's gradients and the numpy expression
 
 
 def _estimate_problem(dim_x: int, gfx, ggx_y, ggx_z):
@@ -685,31 +703,27 @@ def _estimate_problem(dim_x: int, gfx, ggx_y, ggx_z):
 
 
 def _ref_estimate(pen, x, yK, zK):
-    """The estimate as numpy computes it from ``_require_finite``'s arrays."""
+    """The estimate as numpy computes it from ``_ref_gradient``'s arrays."""
     prob = pen.problem
     x, yK = _ref_as_vector(x, prob.dim_x, "x"), _ref_as_vector(yK, prob.dim_y, "y")
     zK = _ref_as_vector(zK, prob.dim_y, "zK")
-    gfx = _require_finite(prob.grad_f_x(x, yK), x, yK, "grad_x f")
-    ggx_y = _require_finite(prob.grad_g_x(x, yK), x, yK, "grad_x g at yK")
-    ggx_z = _require_finite(prob.grad_g_x(x, zK), x, zK, "grad_x g at zK")
-    sigma = np.array(pen.sigma, dtype=float)
-    try:
-        return gfx + (ggx_y - ggx_z) / sigma
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            return gfx + (ggx_y - ggx_z) / sigma
+    n = prob.dim_x
+    gfx = _ref_gradient(prob.grad_f_x(x, yK), n, "grad_x f", x, yK)
+    ggx_y = _ref_gradient(prob.grad_g_x(x, yK), n, "grad_x g at yK", x, yK)
+    ggx_z = _ref_gradient(prob.grad_g_x(x, zK), n, "grad_x g at zK", x, zK)
+    return gfx + (ggx_y - ggx_z) / np.array(pen.sigma, dtype=float)
 
 
 def _estimate_warned(fn, pen, state):
-    """``_outcome`` of an estimate under np.errstate(over=state), a failed
-    broadcast included, and the warnings it gave."""
+    """``_outcome`` of an estimate under np.errstate(over=state), numpy's
+    FloatingPointError included, and the warnings it gave."""
     with warnings.catch_warnings(record=True) as seen, np.errstate(over=state):
         warnings.simplefilter("always")
         try:
             out = _outcome(lambda: fn(pen, np.arange(pen.problem.dim_x, dtype=float),
                                       np.zeros(1), np.ones(1)))
-        except ValueError as err:  # a wrong-length gradient
-            out = "raised", ValueError, str(err)
+        except FloatingPointError as err:
+            out = "raised", FloatingPointError, str(err)
     return out, [(w.category, str(w.message)) for w in seen]
 
 
@@ -726,8 +740,8 @@ _estimate_entry = st.one_of(
        sigma=st.sampled_from([1e-300, 1e-160, 1e-10, 0.3, 1.0]))
 def test_the_float_estimate_matches_the_numpy_expression(state, dim, data, sigma):
     # entries near 1e150 straddle the hypot bound, and sigma down to 1e-300
-    # makes the combination overflow: numpy then warns, or raises and is
-    # caught, and the estimate holds inf
+    # makes the combination overflow: numpy then warns and the estimate
+    # holds inf, or numpy raises under over="raise"
     grads = [data.draw(st.lists(_estimate_entry, min_size=dim, max_size=dim))
              for _ in range(3)]
     pen = PenaltyObjective(_estimate_problem(dim, *grads), sigma)
@@ -744,12 +758,15 @@ def test_the_float_estimate_matches_the_numpy_expression(state, dim, data, sigma
 def test_an_overflowing_float_estimate_is_recomputed_in_numpy(state, grads, sigma,
                                                               overflows):
     # gradients below the hypot bound whose combination overflows: numpy
-    # warns of it, or raises and is caught, and the estimate holds inf; or
-    # whose entries' sum overflows while each entry is finite
+    # warns of it and the estimate holds inf, or numpy raises under
+    # over="raise"; or whose entries' sum overflows while each entry is finite
     pen = PenaltyObjective(_estimate_problem(len(grads[0]), *grads), sigma)
     got = _estimate_warned(hypergradient_estimate, pen, state)
     assert got == _estimate_warned(_ref_estimate, pen, state)
-    assert np.isinf(np.frombuffer(got[0][2][2])).any() == overflows
+    if state == "raise" and overflows:
+        assert got[0][:2] == ("raised", FloatingPointError)
+    else:
+        assert np.isinf(np.frombuffer(got[0][2][2])).any() == overflows
     assert bool(got[1]) == (overflows and state == "warn")
 
 
@@ -757,20 +774,32 @@ def test_an_overflowing_float_estimate_is_recomputed_in_numpy(state, grads, sigm
     np.zeros(2, dtype=np.float32), np.zeros((1, 2)), np.zeros(3), np.zeros(1),
     np.array([1e160, 0.0]), (0.5, 0.25)])
 @pytest.mark.parametrize("at", range(3))
-def test_other_gradients_still_go_through_require_finite(odd, at):
-    # a float32, 2-D, wrong-length or tuple gradient, or one whose hypot
-    # passes 1e150, takes _require_finite, and the estimate the numpy
-    # expression, as before; plain float64 vectors take neither
+def test_other_gradients_are_converted_once_or_refused(odd, at):
+    # a float32 or tuple gradient is converted by as_vector, once, and a 2-D
+    # or wrong-length one refused with its InputError; one whose hypot passes
+    # 1e150 is used as it is, and the estimate is the numpy expression's
     grads = [[0.5, -0.25], [2.0, 1.0], [1.0, 3.0]]
     plain = _estimate_problem(2, *grads)
     grads[at] = odd
     whats = ["grad_x f", "grad_x g at yK", "grad_x g at zK"]
-    for prob, checked in ((plain, []), (_estimate_problem(2, *grads), [whats[at]])):
+    plain_vector = type(odd) is np.ndarray and odd.dtype == np.float64 and odd.shape == (2,)
+    converted = [] if plain_vector else [whats[at]]
+    for prob, checked in ((plain, []), (_estimate_problem(2, *grads), converted)):
         pen = PenaltyObjective(prob, 0.5)
-        with mock.patch.object(core, "_require_finite", wraps=core._require_finite) as spy:
+        seen = []  # the names of the vectors as_vector did not return as they are
+
+        def spy(v, dim, name, as_vector=core.as_vector):
+            seen.append(name)  # before the call, so that a refusal counts
+            out = as_vector(v, dim, name)
+            if out is v:
+                seen.pop()
+            return out
+
+        with mock.patch.object(core, "as_vector", spy):
             got = _estimate_warned(hypergradient_estimate, pen, "warn")
         assert got == _estimate_warned(_ref_estimate, pen, "warn")
-        assert [c.args[3] for c in spy.call_args_list] == checked
+        assert seen == checked
+    assert (got[0][1] is InputError) == (np.shape(odd) != (2,))
 
 
 def test_cached_parts_still_refuse_every_bad_batch():
@@ -852,80 +881,114 @@ _NON_FINITE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("value", _FINITE_CASES + _NON_FINITE_CASES)
-def test_require_finite_matches_the_entrywise_reference(value):
+def _package_gradient(value, dim, x, y):
+    """``_as_gradient``'s vector, its floats checked: the entries of a vector
+    of at most ``_FLOAT_STEP_DIM`` whose hypot is below 1e150, else None."""
+    v, floats = _as_gradient(value, dim, "grad f_y", (x, y))
+    small = dim <= core._FLOAT_STEP_DIM and math.hypot(*v.tolist()) < 1e150
+    assert floats == (v.tolist() if small else None)
+    return v
+
+
+def _gradient_outcomes(fn, value, state):
+    """Per dim 1, 2 and 9, what ``fn(value, dim, x, y)`` gives under
+    np.errstate(over=state): its ``_outcome``, numpy's FloatingPointError
+    included, and whether it returned ``value`` itself."""
     x, y = np.array([0.1]), np.array([0.2, 0.3])
-    # numpy warns on the squared norm of 1e200 entries (as in inner._guard);
-    # the vector then takes the entrywise test, which passes it
-    with np.errstate(over="ignore"):
-        got = _outcome(lambda: _require_finite(value, x, y, "grad f_y"))
-        ref = _outcome(lambda: _ref_require_finite(value, x, y, "grad f_y"))
-        assert got == ref
-        if got[0] == "returned":
-            same = _require_finite(value, x, y, "v") is value
-            assert same == (_ref_require_finite(value, x, y, "v") is value)
-    assert (got[0] == "returned") == any(value is v for v in _FINITE_CASES)
-    if got[0] == "raised":
-        assert got[1] is NumericError and got[2] == "non-finite grad f_y encountered"
+    seen = []
+    for dim in (1, 2, 9):
+        kept = []
 
+        def call():
+            v = fn(value, dim, x, y)
+            kept.append(v is value)
+            return v
 
-@pytest.mark.parametrize("value", _FINITE_CASES + _NON_FINITE_CASES)
-def test_require_finite_classifies_overflow_when_numpy_raises_it(value):
-    # under over="raise" the squared norm of 1e200 entries raises in the dot;
-    # the entrywise test still decides, as under the default state
-    x, y = np.array([0.1]), np.array([0.2, 0.3])
-    with np.errstate(over="ignore"):
-        want = _outcome(lambda: _require_finite(value, x, y, "grad f_y"))
-    with np.errstate(over="raise"):
-        assert _outcome(lambda: _require_finite(value, x, y, "grad f_y")) == want
-
-
-def test_require_finite_returns_a_finite_vector_whose_norm_overflows():
-    big = np.array([1e200])
-    for state in ("ignore", "raise"):
         with np.errstate(over=state):
-            assert _require_finite(big, np.array([0.1]), None, "grad f_x") is big
+            try:
+                out = _outcome(call)
+            except FloatingPointError as err:
+                out = "raised", FloatingPointError, str(err)
+        seen.append((out, kept))
+    return seen
+
+
+def _ref_gradient_f_y(value, dim, x, y):
+    return _ref_gradient(value, dim, "grad f_y", x, y)
+
+
+@pytest.mark.parametrize("value", _FINITE_CASES + _NON_FINITE_CASES)
+def test_as_gradient_matches_the_reference_contract(value):
+    # a float64 vector of the right shape comes back as it is, anything else
+    # converted by as_vector or refused with its InputError; numpy warns of
+    # the squared norm of 1e200 entries, which the entrywise test then passes
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        got = _gradient_outcomes(_package_gradient, value, "warn")
+        assert got == _gradient_outcomes(_ref_gradient_f_y, value, "warn")
+    for (out, _), dim in zip(got, (1, 2, 9)):
+        if out[1] is NumericError:
+            assert out[2] == "non-finite grad f_y encountered"
+        assert (out[0] == "returned") == (np.size(value) == dim and np.ndim(value) <= 1
+                                          and any(value is v for v in _FINITE_CASES))
+
+
+@pytest.mark.parametrize("value", _FINITE_CASES + _NON_FINITE_CASES)
+def test_as_gradient_under_over_raise_raises_only_where_a_norm_overflows(value):
+    # a direct call under over="raise": numpy's FloatingPointError from the
+    # squared norm of a finite vector whose norm overflows, else as before
+    got = _gradient_outcomes(_package_gradient, value, "raise")
+    assert got == _gradient_outcomes(_ref_gradient_f_y, value, "raise")
+    raised = [out[1] is FloatingPointError for out, _ in got]
+    assert raised == [value is _FINITE_CASES[2] and dim == 2 for dim in (1, 2, 9)]
+
+
+def test_as_gradient_returns_a_finite_vector_whose_norm_overflows():
+    big = np.array([1e200])
+    with np.errstate(over="ignore"):
+        assert _as_gradient(big, 1, "grad f_x", (np.array([0.1]), None)) == (big, None)
 
 
 # ---------------------------------------------------------------------------
-# overflow in the estimator and the oracle: what numpy's error state does to
-# the arithmetic must not change the result the drivers' guards classify
+# overflow in the estimator and the oracle, called directly: numpy's error
+# state decides, so the default state returns inf (and warns), "ignore"
+# returns inf, and "raise" raises numpy's FloatingPointError; the drivers
+# call them in the default state
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
-def test_an_overflowing_estimate_is_returned_as_the_default_state_computes_it(
-        kernel, state):
+def test_an_overflowing_estimate_follows_numpys_error_state(kernel, state):
     # (grad_x g(x, yK) - grad_x g(x, zK)) / sigma overflows
     pen = PenaltyObjective(kernel.problem, 1e-300)
     with np.errstate(over=state):
-        est = hypergradient_estimate(pen, [0.1], [1e10, 0.0], [0.0, 0.0])
-    assert est.tolist() == [-math.inf]
+        if state == "raise":
+            with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+                hypergradient_estimate(pen, [0.1], [1e10, 0.0], [0.0, 0.0])
+        else:
+            est = hypergradient_estimate(pen, [0.1], [1e10, 0.0], [0.0, 0.0])
+            assert est.tolist() == [-math.inf]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
-def test_an_overflowing_draw_is_returned_as_the_default_state_computes_it(
-        kernel, state):
+def test_an_overflowing_draw_follows_numpys_error_state(kernel, state):
     huge_mean = dataclasses.replace(
         kernel.problem, grad_f_y=lambda x, y: np.array([1.79e308, -1.79e308]))
-    with np.errstate(over=state):
-        first = StochasticOracle(huge_mean, 1e308, 0.0, rng_seed=1).draw(
-            "f_y", [0.1], [0.0, 0.0])
-    assert first.tolist() == [math.inf, -math.inf]  # mean + noise overflows
+    first = _replay_each(StochasticOracle(huge_mean, 1e308, 0.0, rng_seed=1),
+                         [("f_y", 1, [0.1], [0.0, 0.0])], state)[0]
+    if state == "raise":
+        assert first[0] == ("raised", FloatingPointError, "overflow encountered in dot")
+    else:  # mean + noise overflows
+        assert np.frombuffer(first[0][2][2]).tolist() == [math.inf, -math.inf]
     # on the plain kernel z * scale overflows instead, in some draws only
     ops = [("f_y", batch, [0.1], [0.0, 0.0]) for batch in (1, 1, 3, 1, 2)]
     for prob, std in ((huge_mean, 1e308), (kernel.problem, 1.79e308)):
-        with np.errstate(over="ignore"):
-            want = _replay(_RefOracle(prob, std, 0.0, rng_seed=1), ops)
-        with np.errstate(over=state):
-            assert _replay(StochasticOracle(prob, std, 0.0, rng_seed=1), ops) == want
+        want = _replay_each(_RefOracle(prob, std, 0.0, rng_seed=1), ops, state)
+        assert _replay_each(StochasticOracle(prob, std, 0.0, rng_seed=1), ops, state) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
-def test_an_overflowing_phase_is_returned_as_the_default_state_computes_it(
-        kernel, state):
+def test_an_overflowing_phase_follows_numpys_error_state(kernel, state):
     # the same overflows in phases, on f's parts or g's: inner-loop order at
     # batches 1-3, then the estimator's draws, across refills of 5-normal
     # blocks
@@ -938,14 +1001,18 @@ def test_an_overflowing_phase_is_returned_as_the_default_state_computes_it(
                        (kernel.problem, (1.79e308, 0.0)),
                        (kernel.problem, (1.79e308, 0.5)),
                        (kernel.problem, (0.0, 1.79e308))):
-        with np.errstate(over="ignore"):
-            want = _replay(_RefOracle(prob, *stds, rng_seed=1), ops)
-        returned = [np.frombuffer(w[2][2]) for w in want
-                    if isinstance(w, tuple) and w[0] == "returned"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with np.errstate(over="ignore"):
+                returned = [np.frombuffer(w[2][2]) for w in
+                            _replay(_RefOracle(prob, *stds, rng_seed=1), ops)
+                            if isinstance(w, tuple) and w[0] == "returned"]
         assert any(np.isinf(v).any() for v in returned)  # some draws overflow
         assert any(np.isfinite(v).all() for v in returned)  # and some do not
-        with np.errstate(over=state), mock.patch.object(core, "_NOISE_BLOCK", 5):
-            assert _replay(StochasticOracle(prob, *stds, rng_seed=1), ops) == want
+        want = _replay_each(_RefOracle(prob, *stds, rng_seed=1), ops, state)
+        with mock.patch.object(core, "_NOISE_BLOCK", 5):
+            got = _replay_each(StochasticOracle(prob, *stds, rng_seed=1), ops, state)
+        assert got == want
 
 
 def test_oracle_counter_is_not_a_constructor_argument(kernel):

@@ -91,6 +91,26 @@ class TestBuildSchedule:
         with pytest.raises(ConfigError):
             kernel_plan(sigma=5.0)  # above sigma_bar
 
+    @pytest.mark.parametrize("field", ["epsilon", "Delta", "R", "sigma", "tau", "eta",
+                                       "delta0", "c_eta", "c_K"])
+    @pytest.mark.parametrize("value", ["a", None, [0.1], 10 ** 400])
+    def test_a_value_that_float_cannot_take_is_a_config_error(self, field, value):
+        # numpy's bare TypeError once came out of np.isfinite for the
+        # arguments, and float()'s own errors out of the overrides
+        c = get_problem("kernel_pl").problem.constants
+        args = {"epsilon": 0.1, "Delta": 0.5, "R": 0.25}
+        if field in args:
+            args[field] = value
+        else:
+            args["overrides"] = {field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be a number, got "):
+            build_schedule(c, **args)
+
+    def test_numeric_strings_are_taken_as_float_takes_them(self):
+        c = get_problem("kernel_pl").problem.constants
+        plan = build_schedule(c, "0.1", "0.5", "0.25", overrides={"sigma": "0.5"})
+        assert plan == build_schedule(c, 0.1, 0.5, 0.25, overrides={"sigma": 0.5})
+
     @pytest.mark.parametrize("problem,eps,overrides,field", [
         ("kernel_pl", 0.1, {"eta": 0.0}, "T"),          # divides by 0
         ("kernel_pl", 0.1, {"eta": math.nan}, "T"),     # ceil of nan
@@ -508,8 +528,9 @@ def test_analytic_references_are_called_once_per_distinct_x(kernel):
 @pytest.mark.parametrize("grad", [[0.1, 0.2], [0.1, 0.2, 0.3]])
 def test_an_estimate_of_the_wrong_shape_is_refused_before_an_oracle_sees_it(
         kernel, method, grad):
-    # the inner phase no longer validates the x its run owns, so the outer
-    # step tests the shape of the x it makes
+    # the inner phase does not validate the x its run owns; the estimate's
+    # x-gradients are refused at the oracle boundary, so no x of another
+    # shape is ever made
     def shaped(fn):
         def checked(x, y):
             assert x.shape == (1,)
@@ -519,7 +540,7 @@ def test_an_estimate_of_the_wrong_shape_is_refused_before_an_oracle_sees_it(
     prob = dataclasses.replace(kernel.problem, grad_f_x=lambda x, y: np.array(grad),
                                grad_f_y=shaped(kernel.problem.grad_f_y),
                                grad_g_y=shaped(kernel.problem.grad_g_y))
-    with pytest.raises(InputError, match=rf"x must be a vector of length 1, got "
+    with pytest.raises(InputError, match=rf"^grad_x f must be a vector of length 1, got "
                                          rf"shape \({len(grad)},\)"):
         if method == "f2ba":
             run_f2ba(prob, kernel_plan(T=3))

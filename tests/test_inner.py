@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import math
 import struct
@@ -17,12 +18,15 @@ from bipen import (
     DivergenceError,
     InnerConfig,
     InnerResult,
+    InputError,
     NumericError,
     StochasticOracle,
+    build_schedule,
     descend_single,
     get_problem,
     inner_descend,
     probe_penalty_divergence,
+    run_f2ba,
 )
 from bipen import core
 from bipen.core import BilevelProblem, ProblemConstants, as_vector
@@ -38,6 +42,60 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         InnerConfig(tau=0.1, K=3, batch=-2)
     InnerConfig(tau=0.1, K=0)  # zero steps allowed: a no-op descent
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", "a"), ("tau", None), ("tau", [0.1]), ("tau", 10 ** 400),
+    ("divergence_radius", "x"), ("divergence_radius", object())])
+def test_config_refuses_a_value_that_float_cannot_take(field, value):
+    # numpy's bare TypeError used to come out of np.isfinite, or out of >
+    name = {"tau": "inner step size tau", "divergence_radius": "divergence radius"}[field]
+    with pytest.raises(ConfigError, match=f"^{name} must be a number, got "):
+        InnerConfig(**{"tau": 0.1, "K": 3, field: value})
+
+
+def test_config_stores_its_numbers_as_floats():
+    cfg = InnerConfig(tau=np.float64(0.5), K=3, divergence_radius=np.float32(2.0))
+    assert type(cfg.tau) is float and type(cfg.divergence_radius) is float
+    assert (cfg.tau, cfg.divergence_radius) == (0.5, 2.0)
+
+
+_BAD_SINGLE = "descent needs a finite tau > 0, tol >= 0, max_iter >= 1 and "
+
+
+@pytest.mark.parametrize("target, kwargs, match", [
+    ("descend_single", {"tau": math.nan}, _BAD_SINGLE + r".*got nan, 1e-12, 500000, None"),
+    ("descend_single", {"tau": math.inf}, _BAD_SINGLE + r".*got inf, 1e-12, 500000, None"),
+    ("descend_single", {"tau": 0.0}, _BAD_SINGLE + r".*got 0.0, 1e-12, 500000, None"),
+    ("descend_single", {"tau": -1.0}, _BAD_SINGLE + r".*got -1.0, 1e-12, 500000, None"),
+    ("descend_single", {"tol": math.nan}, _BAD_SINGLE + r".*got 0.5, nan, 500000, None"),
+    ("descend_single", {"tol": -1e-12}, _BAD_SINGLE + r".*got 0.5, -1e-12, 500000, None"),
+    ("descend_single", {"max_iter": 0}, _BAD_SINGLE + r".*got 0.5, 1e-12, 0, None"),
+    ("descend_single", {"exact_steps": -1}, _BAD_SINGLE + r".*got 0.5, 1e-12, 500000, -1"),
+    ("probe", {"max_steps": 0}, "max_steps must be >= 1, got 0"),
+    ("probe", {"max_steps": -1}, "max_steps must be >= 1, got -1"),
+])
+def test_descend_single_and_the_probe_refuse_bad_arguments_up_front(kernel, target, kwargs,
+                                                                    match):
+    # tol = nan used to run all 500,000 steps and raise a ConvergenceError,
+    # exact_steps = -1 to return a step count of -1, and the probe's
+    # max_steps = -1 a DivergenceProbe that reported a pass it never earned;
+    # each is refused before any gradient is taken
+    calls = []
+
+    def grad(v):
+        calls.append(v)
+        return v
+
+    if target == "probe":
+        prob = dataclasses.replace(kernel.problem, grad_g_y=lambda x, y: grad(y))
+        with pytest.raises(InputError, match=match):
+            probe_penalty_divergence(prob, [0.5], 0.5, **kwargs)
+    else:
+        args = {"tau": 0.5, "tol": 1e-12, **kwargs}
+        with pytest.raises(ConfigError, match=match):
+            descend_single(grad, np.array([1.0]), args.pop("tau"), args.pop("tol"), **args)
+    assert not calls
 
 
 @pytest.mark.parametrize("radius", [math.nan, 0.0, -0.0, -1.0, -math.inf])
@@ -58,7 +116,7 @@ def test_runaway_inner_loop_needs_an_explicit_inf_to_go_unguarded(kernel):
     x, y0 = [0.1], [0.5, 0.0]
     with pytest.raises(DivergenceError):
         inner_descend(kernel.problem, x, y0, y0, 0.5, InnerConfig(tau=5.0, K=40))
-    with np.errstate(over="ignore"):
+    with _quiet():
         res = inner_descend(kernel.problem, x, y0, y0, 0.5,
                             InnerConfig(tau=5.0, K=40, divergence_radius=math.inf))
     assert res.steps == 40 and abs(res.z[0]) > 1e23
@@ -195,11 +253,20 @@ def test_lower_level_gap_never_expands(x, z0, sigma, K):
 # ---------------------------------------------------------------------------
 # reference loop: the inner loop as it stood before its norms became lazy and
 # its guard a single dot product, kept verbatim but for the early-exit and
-# path-recording options the package no longer has, and for float32
-# gradients: a norm is the square root, in float64, of the vector's own dot
-# (np.linalg.norm rounds a float32 root to float32), and tau and sigma are
-# 0-d float64 factors (Python floats would keep a float32 step in float32).
-# The package's loop must match it bit for bit, failures included.
+# path-recording options the package no longer has, and for the oracle
+# contract: each gradient is as_vector's float64 vector of shape (dim_y,), a
+# wrong shape refused with InputError, and tau and sigma are 0-d float64
+# factors.  The package's loop must match it bit for bit, failures included.
+
+
+@contextlib.contextmanager
+def _quiet():
+    """Overflow and invalid values without warnings: np.errstate for the
+    reference loops, and a warnings filter for the package's loops, which run
+    in numpy's default error state whatever state their caller set."""
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        yield
 
 
 def _ref_norm(v) -> float:
@@ -246,23 +313,24 @@ def _ref_inner_descend(
         def grad_g(v):
             return prob.grad_g_y(x, v)
 
-        def grad_h(v):
-            return sigma * prob.grad_f_y(x, v) + prob.grad_g_y(x, v)
+        def grad_f(v):
+            return prob.grad_f_y(x, v)
     else:
         def grad_g(v):
             return oracle.draw("g_y", x, v, cfg.batch)
 
-        def grad_h(v):
-            return (sigma * oracle.draw("f_y", x, v, cfg.batch)
-                    + oracle.draw("g_y", x, v, cfg.batch))
+        def grad_f(v):
+            return oracle.draw("f_y", x, v, cfg.batch)
 
     batch_eff = max(cfg.batch, 1)
     steps = 0
     calls = 0  # fused units: one h_sigma-gradient + one g-gradient per step
     ny = nz = float("nan")
     for k in range(cfg.K):
-        gz = grad_g(z)
-        gy = grad_h(y)
+        gz, fy, gg = grad_g(z), grad_f(y), grad_g(y)
+        gz, fy, gg = (as_vector(v, prob.dim_y, f"grad_y {what}")
+                      for v, what in ((gz, "g at z"), (fy, "f at y"), (gg, "g at y")))
+        gy = sigma * fy + gg
         calls += 2 * batch_eff
         ny, nz = _ref_norm(gy), _ref_norm(gz)
         z = z - tau * gz
@@ -281,7 +349,8 @@ def _bits(v):
 
 
 # a gradient oracle as declared, cut to a shape that only broadcasts against
-# y (its first entry as a length-1 array), or returning float32
+# y (its first entry as a length-1 array), which the contract refuses, or
+# returning float32, which it converts
 _SHAPES = {
     "declared": lambda grad: grad,
     "length 1": lambda grad: lambda x, y: grad(x, y)[:1],
@@ -331,9 +400,9 @@ def _outcome(fn, name, seed, args, cfg, part, shape):
     prob = dataclasses.replace(prob, **{part: _SHAPES[shape](getattr(prob, part))})
     oracle = StochasticOracle(prob, 0.1, 0.1, rng_seed=seed)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             res = fn(prob, *args, cfg, oracle)
-    except (NumericError, DivergenceError) as exc:
+    except (InputError, NumericError, DivergenceError) as exc:
         point = getattr(exc, "point", None)
         if isinstance(point, tuple):  # a draw's (x, y), as a float32 overflow gives
             point = tuple(map(_bits, point))
@@ -454,7 +523,7 @@ def _switched(prob, part, n, late):
 _LATE = {
     "moved": lambda v: v + 2.0 ** -30,
     "zeros flipped": lambda v: -v,
-    # 0.0s of the same 16 bytes, which broadcast against no (2,) iterate
+    # 0.0s of the same 16 bytes, of a shape that the contract refuses
     "float32 bytes": lambda v: np.frombuffer(v.tobytes(), dtype=np.float32),
 }
 
@@ -462,7 +531,7 @@ _LATE = {
 def _switched_outcome(fn, prob, counts, start, cfg):
     try:
         res = fn(prob, [1.0], start, start, 0.1, cfg)
-    except ValueError as exc:  # float32 bytes that cannot broadcast
+    except InputError as exc:  # float32 bytes of the wrong shape
         return "raised", str(exc), dict(counts)
     assert dict(counts) == {"grad_f_y": cfg.K, "grad_g_y": 2 * cfg.K}
     return ("returned", _bits(res.y), _bits(res.z), _bits(res.grad_norm_y),
@@ -484,18 +553,17 @@ def test_an_oracle_that_changes_at_a_kept_point_gets_no_stale_repeat(kernel, lat
                                   start=start, cfg=cfg)
                 for fn in (_ref_inner_descend, inner_descend)]
     assert outcomes[0] == outcomes[1]
-    if late == "float32 bytes":  # the numpy step takes it, and cannot broadcast it
-        assert outcomes[1][0] == "raised" and "broadcast" in outcomes[1][1]
+    if late == "float32 bytes":  # four float32 entries where y has two
+        assert outcomes[1][0] == "raised" and "got shape (4,)" in outcomes[1][1]
     elif late == "zeros flipped" and part == "grad_g_y" and free == -0.0:
         assert outcomes[1][2] == _bits(np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("part", ["grad_f_y", "grad_g_y"])
-def test_float32_bytes_of_a_kept_dim_1_gradient_take_the_numpy_step(part, n):
-    # at dim_y = 1, 8 float32 zero bytes are a (2,) gradient, which
-    # broadcasts: the numpy step makes (2,) iterates, as the reference does,
-    # and the next (2,) oracle output in float32 bytes cannot broadcast
+def test_float32_bytes_of_a_kept_dim_1_gradient_are_refused(part, n):
+    # at dim_y = 1, 8 float32 zero bytes are a (2,) gradient, which used to
+    # broadcast into (2,) iterates: the contract refuses it at once
     start = np.array([1.0])
     cfg = InnerConfig(tau=0.5, K=5)
     outcomes = [_switched_outcome(fn, *_switched(_quadratic(1), part, n,
@@ -503,7 +571,7 @@ def test_float32_bytes_of_a_kept_dim_1_gradient_take_the_numpy_step(part, n):
                                   start=start, cfg=cfg)
                 for fn in (_ref_inner_descend, inner_descend)]
     assert outcomes[0] == outcomes[1]
-    assert outcomes[1][0] == "raised" and "broadcast" in outcomes[1][1]
+    assert outcomes[1][0] == "raised" and "got shape (2,)" in outcomes[1][1]
 
 
 def _scripted(start, default, script):
@@ -564,7 +632,7 @@ def _phases(descend, prob, counts, cfgs, phases):
         before = collections.Counter(counts)
         try:
             res = descend(prob, np.array([x]), y, z, 0.1, cfgs[i])
-        except (ValueError, DivergenceError) as exc:  # float32 bytes; a radius
+        except (InputError, DivergenceError) as exc:  # float32 bytes; a radius
             out.append(("raised", type(exc).__name__, str(exc)))
             break  # as a run stops
         K = res.steps
@@ -702,7 +770,7 @@ def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail):
     estimator's three draws at ``tail``; what each leaves, bitwise."""
     oracle = oracle_cls(prob, *stds, rng_seed=seed)
     seen = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         for which, batch, x, y in lead:
             seen.append(_bits(oracle.draw(which, x, y, batch)))
         for x, y0, z0, sigma, cfg in phases:
@@ -797,7 +865,7 @@ def _ref_probe(prob, x, sigma, max_steps=1000, radius=None, y0=None):
 
 
 def _probe_bits(fn, *args, **kwargs):
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         p = fn(*args, **kwargs)
     return p.diverged, p.steps, _bits(float(p.final_norm)), _bits(float(p.radius))
 
@@ -831,7 +899,8 @@ def test_divergence_probe_counts_a_non_finite_norm_as_divergence(kernel, state,
                                grad_g_y=lambda x, y: np.zeros(2))
     want = _probe_bits(_ref_probe, prob, [0.5], 1.0, radius=math.inf)
     assert want[:3] == (True, steps, _bits(math.inf))
-    with np.errstate(over=state):
+    with warnings.catch_warnings(), np.errstate(over=state):
+        warnings.simplefilter("ignore", RuntimeWarning)
         got = probe_penalty_divergence(prob, [0.5], 1.0, radius=math.inf)
     assert (got.diverged, got.steps, _bits(got.final_norm), _bits(got.radius)) == want
 
@@ -845,13 +914,14 @@ def test_norm_is_numpys_norm_bitwise(size):
 
 
 # ---------------------------------------------------------------------------
-# Norm overflow is classified the same under np.errstate(over="raise") as
-# under numpy's default state: as an infinite norm, never as numpy's own
-# FloatingPointError.
+# The loops run in numpy's default error state whatever state the caller
+# set: norm overflow is classified as under the default state, as an
+# infinite norm, never as numpy's own FloatingPointError.
 
 
 def _failure(fn, state):
-    with np.errstate(over=state):
+    with warnings.catch_warnings(), np.errstate(over=state):
+        warnings.simplefilter("ignore", RuntimeWarning)
         try:
             fn()
         except (NumericError, DivergenceError) as exc:
@@ -868,7 +938,7 @@ def test_descend_single_classifies_a_norm_overflow(state):
 
     got = _failure(run, state)
     assert got[0] is DivergenceError and got[3] == math.inf and got[4] == "descent"
-    assert got == _failure(run, "ignore")
+    assert got == _failure(run, "warn")
 
 
 @pytest.mark.parametrize("sequence", ["z", "y"])
@@ -886,16 +956,54 @@ def test_inner_guard_classifies_a_norm_overflow(kernel, sequence, state):
 
     got = _failure(run, state)
     assert got[:1] + got[2:] == (DivergenceError, 0, math.inf, sequence)
-    assert got == _failure(run, "ignore")
+    assert got == _failure(run, "warn")
 
 
-# A step tau * grad that overflows is classified the same way: under
-# over="raise" the step is recomputed as the default state computes it (inf)
-# and the guard names the non-finite iterate, with the same message and point.
+def test_an_oracle_whose_own_arithmetic_overflows_gives_the_witness_in_every_state():
+    # the oracle's a * (y - x) overflows at inner step 2; under over="raise"
+    # numpy's bare FloatingPointError used to leave the loop
+    a = np.linspace(1.0, 2.0, 3)
+    prob = dataclasses.replace(_quadratic(3), grad_g_y=lambda x, y: a * (y - x[0]),
+                               grad_f_y=lambda x, y: y - 1.0)
+    x = np.array([-0.4097432270056438])
+    y0 = np.array([-2.721809013297185, 1.7081473797527824, 2.4630432325381877])
+    z0 = np.array([-0.4437387918741029, 2.973631384888172, -1.5193210398041141])
+    cfg = InnerConfig(tau=2.9152096345394752e153, K=12, divergence_radius=math.inf)
+
+    def run():
+        inner_descend(prob, x, y0, z0, 0.671561768276956, cfg)
+
+    got = {state: _step_failure(run, state) for state in ("warn", "ignore", "raise")}
+    assert got["warn"][:2] == (NumericError, "non-finite z-iterate at inner step 2")
+    assert got["ignore"] == got["raise"] == got["warn"]
+
+
+@pytest.mark.parametrize("state", ["ignore", "warn", "raise"])
+def test_a_loop_leaves_the_callers_error_state_as_it_was(kernel, state):
+    # each loop sets numpy's default state for its own arithmetic only, also
+    # when it ends in a witness: here inner_descend, descend_single and a run
+    # whose x-step overflows
+    prob = dataclasses.replace(kernel.problem, grad_f_x=lambda x, y: np.full(1, 1e10))
+    plan = build_schedule(prob.constants, 0.1, Delta=0.5, R=0.25,
+                          overrides={"T": 3, "eta": 1e300})
+    runs = [*_overflowing_step_runs(kernel).values(), lambda: run_f2ba(prob, plan)]
+    with warnings.catch_warnings(), np.errstate(over=state):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        before = np.geterr()
+        for run in runs:
+            with pytest.raises(NumericError):
+                run()
+        assert np.geterr() == before and before["over"] == state
+
+
+# A step tau * grad that overflows is classified the same way: the step is
+# computed as the default state computes it (inf), and the guard names the
+# non-finite iterate, with the same message and point.
 
 
 def _step_failure(fn, state):
-    with np.errstate(over=state):
+    with warnings.catch_warnings(), np.errstate(over=state):
+        warnings.simplefilter("ignore", RuntimeWarning)
         try:
             fn()
         except NumericError as exc:
@@ -925,11 +1033,9 @@ def _overflowing_step_runs(kernel):
 def test_an_overflowing_step_is_a_numeric_error_in_every_state(kernel, site, state):
     run = _overflowing_step_runs(kernel)[site]
     which = "z" if site == "inner_descend" else "descent"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = _step_failure(run, state)
+    got = _step_failure(run, state)
     assert got[:2] == (NumericError, f"non-finite {which}-iterate at inner step 0")
-    assert got == _step_failure(run, "ignore")
+    assert got == _step_failure(run, "warn")
 
 
 @pytest.mark.parametrize("batch", [0, 1])
@@ -946,7 +1052,39 @@ def test_an_overflowing_gradient_combination_is_a_numeric_error(kernel, state, b
 
     got = _step_failure(run, state)
     assert got[:2] == (NumericError, "non-finite y-iterate at inner step 0")
-    assert got == _step_failure(run, "ignore")
+    assert got == _step_failure(run, "warn")
+
+
+@pytest.mark.parametrize("dim_y", [2, _FLOAT_STEP_DIM + 1])
+@pytest.mark.parametrize("batch", [0, 1])
+def test_a_gradient_that_only_broadcasts_is_refused(dim_y, batch):
+    # a (1,) gradient where y has dim_y entries used to broadcast into the
+    # iterates; both step kinds and the draw now refuse it with InputError
+    prob = _quadratic(dim_y)
+    prob = dataclasses.replace(prob, grad_f_y=lambda x, y: (y - 1.0)[:1])
+    oracle = StochasticOracle(prob, 0.0, 0.0, rng_seed=0)
+    what = "grad_y f at y" if batch == 0 else "grad f_y"
+    with pytest.raises(InputError, match=f"^{what} must be a vector of length {dim_y}"):
+        inner_descend(prob, [0.1], np.zeros(dim_y), np.zeros(dim_y), 0.5,
+                      InnerConfig(tau=0.1, K=2, batch=batch), oracle)
+
+
+@pytest.mark.parametrize("dim_y", [2, _FLOAT_STEP_DIM + 1])
+def test_float32_gradients_are_taken_in_float64(dim_y):
+    # the iterates keep the bits of float32 gradients scaled in float64, and
+    # the reported norms are now those of the float64 conversion
+    prob = _quadratic(dim_y)
+    f32 = dataclasses.replace(prob, **{
+        n: (lambda fn: lambda x, y: fn(x, y).astype(np.float32))(getattr(prob, n))
+        for n in ("grad_f_y", "grad_g_y")})
+    y0 = np.linspace(0.3, 1.7, dim_y)
+    cfg = InnerConfig(tau=0.3, K=3)
+    got = inner_descend(f32, [0.1], y0, y0[::-1].copy(), 0.5, cfg)
+    conv = dataclasses.replace(prob, **{
+        n: (lambda fn: lambda x, y: fn(x, y).astype(np.float32).astype(float))(
+            getattr(prob, n)) for n in ("grad_f_y", "grad_g_y")})
+    want = inner_descend(conv, [0.1], y0, y0[::-1].copy(), 0.5, cfg)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 # ---------------------------------------------------------------------------
