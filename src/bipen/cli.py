@@ -109,31 +109,20 @@ def budget_inputs(suite, settings: dict):
     """
     prob = suite.problem
     x0, y0 = prob.default_start()
-    prov = {}
-    if "Delta" in settings:
-        Delta = float(settings["Delta"])
-        prov["Delta"] = "override"
-    elif prob.analytic_phi is not None and suite.phi_inf is not None:
-        Delta = max(0.0, float(prob.analytic_phi(x0)) - float(suite.phi_inf))
-        prov["Delta"] = "analytic"
-    else:
-        Delta = 1.0
-        prov["Delta"] = "default"
-    if "R" in settings:
-        R = float(settings["R"])
-        prov["R"] = "override"
-    elif suite.project_y_star is not None:
+    Delta = R = (1.0, "default")
+    if prob.analytic_phi is not None and suite.phi_inf is not None:
+        Delta = (max(0.0, float(prob.analytic_phi(x0)) - float(suite.phi_inf)), "analytic")
+    if suite.project_y_star is not None:
         try:
             proj = np.asarray(suite.project_y_star(x0, y0, 0.0), dtype=float)
-            R = float(np.sum((y0 - proj) ** 2))
-            prov["R"] = "analytic"
+            R = (float(np.sum((y0 - proj) ** 2)), "analytic")
         except CapabilityError:
-            R = 1.0
-            prov["R"] = "default"
-    else:
-        R = 1.0
-        prov["R"] = "default"
-    return Delta, R, prov
+            pass
+    if "Delta" in settings:
+        Delta = (float(settings["Delta"]), "override")
+    if "R" in settings:
+        R = (float(settings["R"]), "override")
+    return Delta[0], R[0], {"Delta": Delta[1], "R": R[1]}
 
 
 def plan_from_args(suite, epsilon: float, settings: dict):
@@ -141,6 +130,14 @@ def plan_from_args(suite, epsilon: float, settings: dict):
     overrides = {k: v for k, v in settings.items() if k not in _BUDGET_KEYS}
     return build_schedule(suite.problem.constants, epsilon, Delta, R,
                           overrides=overrides, provenance=prov)
+
+
+def _announce(plan, algorithm: str) -> None:
+    """Print the plan's T, K and B to stderr before its run, and f2ba's
+    T (2K + 3) fused calls, so that a plan that cannot finish shows at once."""
+    calls = f", {plan.T * (2 * plan.K + 3):,} fused calls" if algorithm == "f2ba" else ""
+    print(f"plan: epsilon={plan.epsilon:g} T={plan.T:,} K={plan.K:,} B={plan.B:,}{calls}",
+          file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +248,7 @@ def _cmd_run(args) -> int:
     settings = resolve_settings(args)
     plan = plan_from_args(suite, args.epsilon, settings)
     _check_out(args.out, "--out")
+    _announce(plan, args.algorithm)
     trace = _run_once(suite, args.algorithm, plan, args.seed, args.timing)
     print(trace.summary_line())
     if args.out:
@@ -285,6 +283,7 @@ def _cmd_sweep_slope(args) -> int:
     points = []
     for eps in epsilons:
         plan = plan_from_args(suite, eps, settings)
+        _announce(plan, args.algorithm)
         calls = []
         for seed in range(args.seeds):
             trace = _run_once(suite, args.algorithm, plan, seed, timing=False)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -82,21 +82,21 @@ def as_vector(v, dim: int, name: str) -> Array:
 
 
 def _as_gradient(value, dim: int, what: str, at):
-    """(v, floats): a gradient oracle's output as the package takes it, the
-    one numeric contract at the oracle boundary.
+    """(v, floats): a gradient oracle's output as the draw and the exact
+    estimate take it, the one numeric contract at the oracle boundary.
 
     A float64 ndarray of shape (dim,) is v as it is; any other value is
     converted once by ``as_vector``, which refuses a wrong shape with
     InputError.  ``floats`` is v's entries when dim <= ``_FLOAT_STEP_DIM``
-    and their hypot is below 1e150 (so v is finite), else None.  With a
-    point ``at`` = (x, y), a v that is not finite raises NumericError there.
+    and their hypot is below 1e150 (so v is finite), else None.  A v that
+    is not finite raises NumericError at the point ``at`` = (x, y).
     """
     value = as_vector(value, dim, what)
     if dim <= _FLOAT_STEP_DIM:
         m = value.tolist()
         if math.hypot(*m) < 1e150:
             return value, m
-    if at is not None and not (math.isfinite(value.dot(value)) or np.isfinite(value).all()):
+    if not (math.isfinite(value.dot(value)) or np.isfinite(value).all()):
         raise NumericError(f"non-finite {what} encountered",
                            point=tuple(np.array(v) for v in at))
     return value, None
@@ -108,13 +108,6 @@ def _as_float(v, label: str) -> float:
         return float(v)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{label} must be a number, got {v!r}") from None
-
-
-def _require_count(n: int, name: str) -> None:
-    """A probe, pair or step count must be at least one: a check that
-    samples nothing would report a pass it never earned."""
-    if n < 1:
-        raise InputError(f"{name} must be >= 1, got {n}")
 
 
 def _int_field(obj, name: str, label: str):
@@ -154,14 +147,13 @@ class ProblemConstants:
     M_g: float = 0.0
 
     def __post_init__(self):
-        for name in ("C_f", "L_f", "L_g", "rho_f", "rho_g", "M_f", "M_g"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ConfigError(f"constant {name} must be finite and >= 0, got {v}")
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError(f"constant mu must be finite and > 0, got {self.mu}")
-        if not (np.isfinite(self.sigma_bar) and self.sigma_bar > 0):
-            raise ConfigError(f"sigma_bar must be finite and > 0, got {self.sigma_bar}")
+        for f in fields(self):  # each stored as a float, in declaration order
+            v = _as_float(getattr(self, f.name), f"constant {f.name}")
+            object.__setattr__(self, f.name, v)
+            positive = f.name in ("mu", "sigma_bar")
+            if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+                raise ConfigError(f"constant {f.name} must be finite and "
+                                  f"{'> 0' if positive else '>= 0'}, got {v}")
 
     @property
     def ell(self) -> float:
@@ -453,15 +445,14 @@ class StochasticOracle:
     counter: int = field(default=0, init=False)  # raw draws taken from the stream
 
     def __post_init__(self):
+        self.noise_std_f = _as_float(self.noise_std_f, "noise_std_f")
+        self.noise_std_g = _as_float(self.noise_std_g, "noise_std_g")
         for std in (self.noise_std_f, self.noise_std_g):
             if not (math.isfinite(std) and std >= 0):
                 raise ConfigError("noise standard deviations must be finite and >= 0, "
                                   f"got {self.noise_std_f} and {self.noise_std_g}")
         _check_seed(self.rng_seed)
-        self._gen = substream(self.rng_seed, "oracle")
-        # the noise block, its read position and, once a float draw needs
-        # them, its entries as Python floats
-        self._buf, self._pos, self._bl = np.empty(0), 0, None
+        self.reset()
         base = self.base
         self._table = {
             which: (fn, std, dim, np.array(std / math.sqrt(dim)), std / math.sqrt(dim))
@@ -480,6 +471,8 @@ class StochasticOracle:
         """Rewind the noise stream to its initial state."""
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
+        # the noise block, its read position and, once a float draw needs
+        # them, its entries as Python floats
         self._buf, self._pos, self._bl = np.empty(0), 0, None
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:

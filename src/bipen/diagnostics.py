@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _GSTAR_TOL,
     BilevelProblem,
     PenaltyObjective,
     ProblemMeta,
@@ -33,7 +32,6 @@ from .core import (
     _h_lipschitz,
     _h_rows,
     _per_row,
-    _require_count,
     as_vector,
     penalized_hyperobjective_value,
 )
@@ -54,6 +52,17 @@ def _windows(prob, what: str) -> ProblemMeta:
     if prob.meta is None:
         raise ConfigError(f"{what} needs a problem with probe windows")
     return prob.meta
+
+
+def _sampling(prob, what: str, seed, count: int, count_name: str, *tags):
+    """(meta, rng) for a sampling check: refuses a seed that is not an int
+    and a count below one (a check that samples nothing would report a pass
+    it never earned), requires the problem's probe windows, and opens the
+    check's noise stream ``substream(seed, *tags)``."""
+    _check_seed(seed)
+    if count < 1:
+        raise InputError(f"{count_name} must be >= 1, got {count}")
+    return _windows(prob, what), substream(seed, *tags)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +210,10 @@ def pl_ratio_certificate(prob: BilevelProblem, sigma: float = 0.0, probes: int =
     the problem's windows; those with gap <= 1e-12 are skipped (0/0
     convention).
     """
-    _check_seed(seed)
     if not 0.0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
-    _require_count(probes, "probes")
-    meta = _windows(prob, "PL check")
-
-    rng = substream(seed, "pl-ratio", round(sigma * 1e9))
+    meta, rng = _sampling(prob, "PL check", seed, probes, "probes",
+                          "pl-ratio", round(sigma * 1e9))
     n_x = max(1, probes // 20)
     n_y = max(1, probes // n_x)
     min_ratio = math.inf
@@ -218,14 +224,9 @@ def pl_ratio_certificate(prob: BilevelProblem, sigma: float = 0.0, probes: int =
         ys = [rng.uniform(*meta.y_window, size=prob.dim_y) for _ in range(n_y)]
         _, y0 = prob.default_start()
         h, grad_h = _h(prob, x, sigma), _h_grad(prob, x, sigma)
-        if meta.y_box is not None:  # the box grid minimum
-            h_star = _h_min(prob, x, sigma, y0, "PL pre-solve")[1]
-        else:
-            h_star = math.inf
-            for start in [y0] + ys:
-                y_min, _, _ = presolve(prob, x, sigma, start, _GSTAR_TOL,
-                                       label="PL pre-solve")
-                h_star = min(h_star, h(y_min))
+        starts = [y0] if meta.y_box is not None else [y0] + ys  # a box grid ignores its start
+        h_star = min(math.inf, *(_h_min(prob, x, sigma, s, "PL pre-solve")[1]
+                                 for s in starts))
         for y in ys:
             gap = h(y) - h_star
             if gap <= 1e-12:
@@ -326,10 +327,7 @@ def check_gradients(prob: BilevelProblem, n_probes: int = 100, seed: int = 0) ->
     ``_FD_CHECK_STEP`` is scaled by the probe magnitude.  Returns the worst
     relative error over all four gradients.
     """
-    _check_seed(seed)
-    _require_count(n_probes, "n_probes")
-    meta = _windows(prob, "gradient check")
-    rng = substream(seed, "fd-check")
+    meta, rng = _sampling(prob, "gradient check", seed, n_probes, "n_probes", "fd-check")
     worst = 0.0
     for _ in range(n_probes):
         x = rng.uniform(*meta.x_window, size=prob.dim_x)
@@ -356,10 +354,7 @@ def check_smoothness_constants(prob: BilevelProblem, n_pairs: int = 200, seed: i
     probed separately against variation in x and in y.  Returns the max
     ratio per (block, argument); callers compare against declarations.
     """
-    _check_seed(seed)
-    _require_count(n_pairs, "n_pairs")
-    meta = _windows(prob, "smoothness check")
-    rng = substream(seed, "lip-check")
+    meta, rng = _sampling(prob, "smoothness check", seed, n_pairs, "n_pairs", "lip-check")
     blocks = (("grad_f_x", prob.grad_f_x), ("grad_f_y", prob.grad_f_y),
               ("grad_g_x", prob.grad_g_x), ("grad_g_y", prob.grad_g_y))
     out = {f"{name}/d{var}": 0.0 for name, _ in blocks for var in ("x", "y")}
@@ -389,24 +384,28 @@ def check_smoothness_constants(prob: BilevelProblem, n_pairs: int = 200, seed: i
 _TIE_TOL = 1e-9  # relative gap in g within which grid points tie for argmin
 
 
-def grid_hyper_objective(prob: BilevelProblem, x, n: int = 5001) -> float:
+_GRID_POINTS = 5001  # grid_hyper_objective's grid points over the box or window
+
+
+def grid_hyper_objective(prob: BilevelProblem, x) -> float:
     """Brute-force phi(x): grid-minimize g, then minimize f over the tie set
     (the points within ``_TIE_TOL`` of the grid minimum, relative to
     1 + |min|, or to the largest |g| on the grid where that is smaller: a g
     of scale |x| << 1, as the bilinear g = x*y near x = 0, cannot resolve an
     absolute slack of 1e-9).
 
-    One-dimensional lower levels only; the grid covers the declared box (when
-    present) or probe window, including the endpoints exactly.  g is taken
-    over the grid and f over the tie set through the problem's row oracles
-    when it declares them, else one call per point.
+    One-dimensional lower levels only; the grid of ``_GRID_POINTS`` points
+    covers the declared box (when present) or probe window, including the
+    endpoints exactly.  g is taken over the grid and f over the tie set
+    through the problem's row oracles when it declares them, else one call
+    per point.
     """
     x = as_vector(x, prob.dim_x, "x")
     if prob.dim_y != 1:
         raise CapabilityError("grid hyper-objective supports dim_y = 1 only")
     meta = _windows(prob, "grid hyper-objective")
     lo, hi = meta.y_box[0] if meta.y_box is not None else meta.y_window
-    ys = np.linspace(lo, hi, n)[:, None]  # one row per grid point, each a y vector
+    ys = np.linspace(lo, hi, _GRID_POINTS)[:, None]  # one row per grid point, a y each
     gv = _h_rows(prob, x, 0.0)(ys)
     g_min = gv.min()
     scale = min(1.0 + abs(float(g_min)), float(np.abs(gv).max()))
@@ -434,15 +433,12 @@ def set_lipschitz_check(suite: SuiteProblem, n_pairs: int = 100, seed: int = 0) 
     Requires the suite's analytic set sampler.  Returns counts and the worst
     ratio distance / bound.
     """
-    _check_seed(seed)
     sampler = suite.sample_y_star
     if sampler is None:
         raise CapabilityError("set stability check needs an analytic set sampler")
     prob = suite.problem
-    _require_count(n_pairs, "n_pairs")
     c = prob.constants
-    meta = _windows(prob, "set stability check")
-    rng = substream(seed, "set-lip")
+    meta, rng = _sampling(prob, "set stability check", seed, n_pairs, "n_pairs", "set-lip")
     violations = []
     worst_ratio = 0.0
     for _ in range(n_pairs):

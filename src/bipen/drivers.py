@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -69,12 +69,12 @@ class SchedulePlan:
     Delta: float
     R: float
     constants: ProblemConstants
-    c_eta: float = 1.0
-    c_sigma: float = 1.0
-    c_K: float = 1.0
-    c_B: float = 1.0
-    c_delta: float = 1.0
-    provenance: dict = field(default_factory=dict)
+    c_eta: float
+    c_sigma: float
+    c_K: float
+    c_B: float
+    c_delta: float
+    provenance: dict
 
     def __post_init__(self):
         for name in ("epsilon", "eta", "sigma", "tau"):

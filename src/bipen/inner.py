@@ -11,16 +11,16 @@ single-sequence descent, the certified pre-solve built on it (used for
 value-function evaluation and by the diagnostics), and a bounded-budget probe
 that detects penalties whose descent runs away (unbounded-below h_sigma).
 
-The loops take each gradient as ``core._as_gradient`` does (a float64
-vector of shape (dim_y,), tested inline) and run in numpy's default error
-state, so an overflow ends in the guard's witness whatever state the caller
-set.  On 1-2 entry vectors numpy's per-call cost dominates, so scale factors
-are 0-d float64 arrays made once and oracles are called without closures; on
-the chain's q-length vectors a step writes its gradient combination and both
-updates into the three arrays it allocates.  While dim_y <= _FLOAT_STEP_DIM
-a step runs on Python floats: y - tau * (sigma * f + g) and z - tau * a per
-coordinate, in numpy's order and so to the same IEEE doubles (README, Hot
-path).
+The loops take a float64 gradient of shape (dim_y,) as it is (tested
+inline), convert any other through ``core.as_vector``, and run in numpy's
+default error state, so an overflow ends in the guard's witness whatever
+state the caller set.  On 1-2 entry vectors numpy's per-call cost
+dominates, so scale factors are 0-d float64 arrays made once and oracles are
+called without closures; on the chain's q-length vectors a step writes its
+gradient combination and both updates into the three arrays it allocates.
+While dim_y <= _FLOAT_STEP_DIM a step runs on Python floats:
+y - tau * (sigma * f + g) and z - tau * a per coordinate, in numpy's order
+and so to the same IEEE doubles (README, Hot path).
 
 Guards and reported norms still go through _norm, numpy's own dot: BLAS
 ddot fuses multiply-adds, so v.dot(v) can differ in its last bit from
@@ -56,11 +56,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (_DEFAULT_ERRSTATE, _FLOAT64, _FLOAT_STEP_DIM, _GSTAR_TOL, BilevelProblem,
-                   StochasticOracle, _as_float, _as_gradient, _box_min, _h, _h_grad,
-                   _h_lipschitz, _h_rows, _int_field, _require_count, as_vector)
+                   StochasticOracle, _as_float, _box_min, _h, _h_grad, _h_lipschitz,
+                   _h_rows, _int_field, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
+_MAX_ITER = 500_000  # descend_single's step budget when it runs to a tolerance
+_PROBE_STEPS = 1000  # probe_penalty_divergence's step budget
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,10 @@ def inner_descend(
     calls.  The reported gradient norms are those of the last gradients the
     loop consumed (no extra post-loop evaluations: on budget-sized worst-case
     instances a single spare gradient call would leak information the
-    certification harness must account for).  Gradients are taken as
-    ``_as_gradient`` takes them; up to ``_FLOAT_STEP_DIM`` entries a step
-    runs on Python floats, to the same bits.
+    certification harness must account for).  A gradient that is not a
+    float64 vector of shape (dim_y,) is converted by ``as_vector``; up to
+    ``_FLOAT_STEP_DIM`` entries a step runs on Python floats, to the same
+    bits.
 
     A caller's ``InnerConfig`` is validated and prepared, and the phase runs
     in numpy's default error state.  The outer loop passes, as ``cfg``, the
@@ -236,7 +239,7 @@ def inner_descend(
         if not (type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
                 and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64 and gg.dtype is _FLOAT64
                 and gz.shape == shape and fy.shape == shape and gg.shape == shape):
-            gz, fy, gg = (_as_gradient(v, shape[0], f"grad_y {what}", None)[0] for v, what
+            gz, fy, gg = (as_vector(v, shape[0], f"grad_y {what}") for v, what
                           in ((gz, "g at z"), (fy, "f at y"), (gg, "g at y")))
         if small:
             if key is not None and key == (gz.tobytes(), fy.tobytes(), gg.tobytes()):
@@ -297,7 +300,6 @@ def descend_single(
     y0,
     tau: float,
     tol: float,
-    max_iter: int = 500_000,
     radius: Optional[float] = None,
     label: str = "descent",
     exact_steps: Optional[int] = None,
@@ -306,23 +308,24 @@ def descend_single(
 
     Stops when ||grad|| <= tol (or after exactly ``exact_steps`` steps when
     given).  Raises ConvergenceError if the tolerance is not met within
-    ``max_iter`` and DivergenceError/NumericError on runaway or non-finite
-    iterates.  Returns (y, final_grad_norm, steps).  Gradients are taken as
-    ``_as_gradient`` takes them.  Runs in numpy's default error state.
+    ``_MAX_ITER`` steps and DivergenceError/NumericError on runaway or
+    non-finite iterates.  Returns (y, final_grad_norm, steps).  A gradient
+    that is not a float64 array of y's shape is converted by ``as_vector``.
+    Runs in numpy's default error state.
     """
     radius = _check_radius(radius)
-    if not (math.isfinite(tau) and tau > 0 and tol >= 0 and max_iter >= 1
+    if not (math.isfinite(tau) and tau > 0 and tol >= 0
             and (exact_steps is None or exact_steps >= 0)):
-        raise ConfigError(f"{label} needs a finite tau > 0, tol >= 0, max_iter >= 1 and "
-                          f"exact_steps >= 0 or None, got {tau}, {tol}, {max_iter}, {exact_steps}")
+        raise ConfigError(f"{label} needs a finite tau > 0, tol >= 0 and exact_steps "
+                          f">= 0 or None, got {tau}, {tol}, {exact_steps}")
     y = np.array(y0, dtype=float)  # a copy
-    shape, last = y.shape, max_iter if exact_steps is None else exact_steps
+    shape, last = y.shape, _MAX_ITER if exact_steps is None else exact_steps
     if radius is None:
         radius = 1e6 * (1.0 + _norm(y))
     for k in range(last + 1):  # the gradient at the last iterate too
         gv = grad_fn(y)
         if not (type(gv) is _ndarray and gv.dtype is _FLOAT64 and gv.shape == shape):
-            gv = _as_gradient(gv, y.size, f"gradient in {label}", None)[0]
+            gv = as_vector(gv, y.size, f"gradient in {label}")
         if k == last:
             break
         if exact_steps is None:
@@ -337,7 +340,7 @@ def descend_single(
     if exact_steps is not None:
         return y, residual, exact_steps
     raise ConvergenceError(
-        f"{label} failed to reach tolerance {tol:g} within {max_iter} steps "
+        f"{label} failed to reach tolerance {tol:g} within {_MAX_ITER} steps "
         f"(residual {residual:.3g})",
         residual=residual,
     )
@@ -368,28 +371,21 @@ class DivergenceProbe(NamedTuple):
     radius: float
 
 
-def probe_penalty_divergence(
-    prob: BilevelProblem,
-    x,
-    sigma: float,
-    max_steps: int = 1000,
-    radius: Optional[float] = None,
-) -> DivergenceProbe:
+def probe_penalty_divergence(prob: BilevelProblem, x, sigma: float) -> DivergenceProbe:
     """Bounded-budget detector for unbounded-below penalties.
 
-    Runs ``max_steps`` steps of gradient descent on h_sigma(x, .) from the
-    problem's default start with a deliberately tight radius: a penalty that
-    is unbounded below in a linear direction drifts out of it within the step
-    budget, while benign instances stay put.  A non-finite iterate, or one
-    whose norm overflows, counts as diverged with norm inf.  Returns the
-    observation; callers decide whether to raise.
+    Runs ``_PROBE_STEPS`` steps of gradient descent on h_sigma(x, .) from the
+    problem's default start within a deliberately tight radius, the
+    problem's ``meta.divergence_radius`` or else 10 (1 + ||y0||): a penalty
+    that is unbounded below in a linear direction drifts out of it within
+    the step budget, while benign instances stay put.  A non-finite iterate,
+    or one whose norm overflows, counts as diverged with norm inf.  Returns
+    the observation; callers decide whether to raise.
     """
-    _require_count(max_steps, "max_steps")
     x = as_vector(x, prob.dim_x, "x")
     _, y0 = prob.default_start()
     c = prob.constants
-    if radius is None:
-        radius = getattr(prob.meta, "divergence_radius", None)
+    radius = getattr(prob.meta, "divergence_radius", None)
     if radius is None:
         radius = 10.0 * (1.0 + _norm(y0))
     grad_h = _h_grad(prob, x, sigma)
@@ -406,9 +402,9 @@ def probe_penalty_divergence(
     try:
         y, _, _ = descend_single(grad, y0, 1.0 / _h_lipschitz(c, sigma), 0.0,
                                  radius=radius, label="penalty probe",
-                                 exact_steps=max_steps)
+                                 exact_steps=_PROBE_STEPS)
     except DivergenceError as exc:
         return DivergenceProbe(True, exc.step + 1, exc.norm, radius)
     except NumericError:
         return DivergenceProbe(True, calls, math.inf, radius)
-    return DivergenceProbe(False, max_steps, _norm(y), radius)
+    return DivergenceProbe(False, _PROBE_STEPS, _norm(y), radius)

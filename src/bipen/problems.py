@@ -239,19 +239,18 @@ def _sin_sq_d2(u):
     return 2.0 + 6.0 * np.cos(2.0 * u)
 
 
-def certify_sin_sq_mu(lo: float = -10.0, hi: float = 10.0, n: int = 4001,
-                      safety: float = 0.95) -> float:
+def certify_sin_sq_mu() -> float:
     """Grid estimate, with a safety factor, of the PL constant of u^2+3sin^2 u.
 
-    Returns ``safety`` times the minimum of the PL ratio |G'(u)|^2 / (2 G(u))
-    over ``n`` grid points of [lo, hi].  A grid minimum can only over-state
-    the infimum over the range, so this bounds nothing: the factor is a
-    margin for what the grid misses, not a proof.
+    Returns 0.95 times the minimum of the PL ratio |G'(u)|^2 / (2 G(u)) over
+    4001 grid points of [-10, 10].  A grid minimum can only over-state the
+    infimum over the range, so this bounds nothing: the factor is a margin
+    for what the grid misses, not a proof.
     """
-    u = np.linspace(lo, hi, n)
+    u = np.linspace(-10.0, 10.0, 4001)
     u = u[np.abs(u) > 1e-9]
     ratio = _sin_sq_d1(u) ** 2 / (2.0 * _sin_sq(u))
-    return float(safety * ratio.min())
+    return float(0.95 * ratio.min())
 
 
 def make_sin_sq_pl() -> SuiteProblem:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,20 +51,19 @@ class CallRecord(NamedTuple):
 class SupportTracker:
     """Records, per oracle call, query supports and explored-set growth.
 
-    A boolean mask mirrors ``explored``, so a call costs a few vector passes,
-    and a prefix support -- what a zero-respecting run queries on the chain --
-    is stored as a ``range``: the records grow linearly in the call count.
+    A tracker starts with nothing explored.  A boolean mask mirrors
+    ``explored``, so a call costs a few vector passes, and a prefix support
+    -- what a zero-respecting run queries on the chain -- is stored as a
+    ``range``: the records grow linearly in the call count.
     """
 
     dim_y: int
-    explored: set = field(default_factory=set)
-    calls: list = field(default_factory=list)
 
     def __post_init__(self):
+        self.explored = set()  # the coordinates some y-gradient made nonzero
+        self.calls = []        # one CallRecord per oracle call
         self._mask = np.zeros(self.dim_y, dtype=bool)
-        self._mask[list(self.explored)] = True
         self._prefix = 0  # mask[:_prefix] is all True, mask[_prefix] False
-        self._grow_prefix()
 
     def _grow_prefix(self):  # O(dim_y) over the tracker's life: the mask only gains
         mask, i = self._mask, self._prefix

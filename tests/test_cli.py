@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipen import read_trace_header
+from bipen import get_problem, read_trace_header, run_f2ba
 
 BIPEN = [sys.executable, "-m", "bipen"]
 
@@ -113,7 +113,33 @@ def test_a_schedule_that_cannot_be_computed_exits_two(capsys, args, field):
     problem = "kernel_pl_fnoise" if "f2bsa" in args else "kernel_pl"
     assert main(["run", "--problem", problem, *args]) == 2
     err = capsys.readouterr().err
+    # K_t is computed during the run, so its plan is announced first
+    if field == "K_t":
+        assert err.startswith("plan: epsilon=1e-170 T=1 K=1 B=1\n"), err
+        err = err.split("\n", 1)[1]
     assert err.startswith(f"error (config): plan {field} is not computable from "), err
+    assert err.count("\n") == 1, err
+
+
+def test_run_announces_its_plan_before_the_run(capsys):
+    # a plan of 9.2e11 fused calls (sin_sq_pl at eps 0.1) once ran silently
+    from bipen.cli import main, plan_from_args
+
+    suite = get_problem("kernel_pl")
+    plan = plan_from_args(suite, 0.1, {})
+    trace = run_f2ba(suite.problem, plan)
+    assert (plan.T, plan.K, plan.B, trace.total_oracle_calls) == (150, 3, 0, 1350)
+    assert main(["run", "--problem", "kernel_pl", "--epsilon", "0.1"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "plan: epsilon=0.1 T=150 K=3 B=0, 1,350 fused calls\n"
+    assert "calls=1350" in out.out
+    # sweep-slope announces each epsilon's plan; f2bsa's calls depend on K_t
+    assert main(["sweep-slope", "--problem", "kernel_pl_fnoise", "--algorithm", "f2bsa",
+                 "--epsilons", "0.5,0.4,0.3", "--set", "T=2"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    plans = [plan_from_args(get_problem("kernel_pl_fnoise"), eps, {"T": 2})
+             for eps in (0.5, 0.4, 0.3)]
+    assert err == [f"plan: epsilon={p.epsilon:g} T=2 K={p.K} B={p.B}" for p in plans]
 
 
 def test_a_plan_that_skips_the_failing_formula_still_runs(capsys):
@@ -357,7 +383,7 @@ def test_csv_rows_with_repeated_values_match_the_per_field_formatter(cols):
 
 
 def test_csv_rows_of_real_runs_match_the_per_field_formatter():
-    from bipen import build_schedule, get_problem, run_f2ba, run_f2bsa
+    from bipen import build_schedule, run_f2bsa
     from bipen.cli import render_trace_csv
 
     for name, run, kw in (("kernel_pl", run_f2ba, {"timing": True}),

@@ -69,6 +69,25 @@ def test_constants_validation():
         ProblemConstants(C_f=1, L_f=1, L_g=1, rho_f=0, rho_g=0, mu=1, sigma_bar=0.0)
 
 
+_CONSTANTS = dict(C_f=1.0, L_f=1.0, L_g=1.0, rho_f=0.0, rho_g=0.0, mu=1.0, sigma_bar=1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("C_f", "a"), ("mu", None), ("sigma_bar", [1.0]), ("M_f", object()), ("L_g", 10 ** 400)])
+def test_constants_refuse_a_value_that_float_cannot_take(name, value):
+    # numpy's bare TypeError ("ufunc 'isfinite' not supported ...") used to
+    # come out of np.isfinite
+    with pytest.raises(ConfigError, match=f"^constant {name} must be a number, got "):
+        ProblemConstants(**{**_CONSTANTS, name: value})
+
+
+def test_constants_are_stored_as_floats():
+    c = ProblemConstants(**{**_CONSTANTS, "C_f": 2, "mu": np.float32(0.5),
+                            "sigma_bar": "1", "M_g": np.int64(3)})
+    assert all(type(getattr(c, f.name)) is float for f in dataclasses.fields(c))
+    assert (c.C_f, c.mu, c.sigma_bar, c.M_g) == (2.0, 0.5, 1.0, 3.0)
+
+
 def test_kernel_scale_constants(kernel):
     c = kernel.problem.constants
     assert c.ell == 1.0 and c.kappa == 1.0 and not c.stochastic
@@ -207,6 +226,20 @@ def test_oracle_rejects_non_finite_or_negative_noise_levels(kernel, std):
     for stds in ((std, 0.0), (0.0, std)):
         with pytest.raises(ConfigError, match="finite and >= 0"):
             StochasticOracle(kernel.problem, *stds, rng_seed=1)
+
+
+@pytest.mark.parametrize("std", ["a", None, [0.1], 10 ** 400])
+def test_oracle_refuses_a_noise_level_that_float_cannot_take(kernel, std):
+    # "must be real number, not str" used to come out of math.isfinite
+    for which, stds in (("noise_std_f", (std, 0.0)), ("noise_std_g", (0.0, std))):
+        with pytest.raises(ConfigError, match=f"^{which} must be a number, got "):
+            StochasticOracle(kernel.problem, *stds, rng_seed=1)
+
+
+def test_oracle_stores_its_noise_levels_as_floats(kernel):
+    oracle = StochasticOracle(kernel.problem, np.float32(0.5), 1, rng_seed=1)
+    assert type(oracle.noise_std_f) is float and type(oracle.noise_std_g) is float
+    assert (oracle.noise_std_f, oracle.noise_std_g) == (0.5, 1.0)
 
 
 def test_batched_estimate_draws_from_the_oracle(kernel):

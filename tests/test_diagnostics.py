@@ -24,6 +24,7 @@ from bipen import (
     set_lipschitz_check,
     smoothness_probe,
 )
+from bipen import diagnostics, inner
 from bipen.core import _GRID_ROUNDS, _grid_min, _h_rows, as_vector
 from bipen.diagnostics import _TIE_TOL, _as_point_cloud, _vnorm, _windows
 
@@ -188,6 +189,25 @@ class TestPLCertificate:
         assert cert.min_ratio == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("name, per_x", [
+        ("kernel_pl", 21), ("quadratic_sc", 21), ("sin_sq_pl", 21),
+        ("degenerate_penalty_boxed", 0)])
+    def test_presolves_once_per_start(self, monkeypatch, name, per_x):
+        # h* folds one pre-solve per start, the default y0 and every y-probe
+        # (1 + 20 at 20 y-probes per x-probe), or takes one box grid per
+        # x-probe; counted as the benchmark counts its units of inner work
+        solves, grids = [], []
+        single, box = inner.descend_single, inner._box_min
+        monkeypatch.setattr(inner, "descend_single",
+                            lambda *a, **k: solves.append(1) or single(*a, **k))
+        monkeypatch.setattr(inner, "_box_min", lambda *a: grids.append(1) or box(*a))
+        for probes, n_x in ((20, 1), (40, 2)):
+            solves.clear(), grids.clear()
+            pl_ratio_certificate(get_problem(name).problem, probes=probes, seed=5)
+            assert len(solves) == per_x * n_x
+            assert len(grids) == (0 if per_x else n_x)
+
+
 class TestGaletResiduals:
     def test_kernel_on_set_residuals(self, kernel):
         r = galet_residuals(kernel.problem, [0.7], [0.7, 1.3])
@@ -286,10 +306,11 @@ class TestGridHyperObjective:
         got = grid_hyper_objective(prob, [x])
         assert got == pytest.approx(prob.analytic_phi([x]), abs=1e-3)
 
-    def test_smoothed_variant_approaches_analytic_value(self):
+    def test_smoothed_variant_approaches_analytic_value(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_GRID_POINTS", 20001)
         s = get_problem("discontinuous_smoothed")
         for x in (-0.3, 0.2):
-            got = grid_hyper_objective(s.problem, [x], n=20001)
+            got = grid_hyper_objective(s.problem, [x])
             assert got == pytest.approx(s.problem.analytic_phi([x]), abs=2e-3)
 
     def test_requires_scalar_lower_level(self, quadratic):
@@ -566,6 +587,18 @@ def test_every_sampling_check_refuses_a_seed_that_is_not_an_int(kernel, check, s
     target = kernel if check is set_lipschitz_check else kernel.problem
     with pytest.raises(InputError, match="seed must be an int"):
         check(target, seed=seed)
+
+
+def test_which_refusal_comes_first_when_two_arguments_are_bad(kernel, sin_sq):
+    # the PL check refuses its sigma before its seed (the noise stream is
+    # named by sigma), and the set check a suite without a set sampler
+    # before a bad seed or count
+    with pytest.raises(ConfigError, match="sigma must be finite"):
+        pl_ratio_certificate(kernel.problem, sigma=math.nan, seed=1.5)
+    no_sampler = dataclasses.replace(sin_sq, sample_y_star=None)
+    for kwargs in ({"seed": 1.5}, {"n_pairs": 0}):
+        with pytest.raises(CapabilityError, match="set sampler"):
+            set_lipschitz_check(no_sampler, **kwargs)
 
 
 def test_every_window_reading_check_refuses_a_windowless_problem(kernel, sin_sq):

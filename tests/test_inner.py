@@ -28,7 +28,7 @@ from bipen import (
     probe_penalty_divergence,
     run_f2ba,
 )
-from bipen import core
+from bipen import core, inner
 from bipen.core import BilevelProblem, ProblemConstants, as_vector
 from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm, _prepare_phase
 from test_core import _RefOracle, _oracle_problem
@@ -60,42 +60,38 @@ def test_config_stores_its_numbers_as_floats():
     assert (cfg.tau, cfg.divergence_radius) == (0.5, 2.0)
 
 
-_BAD_SINGLE = "descent needs a finite tau > 0, tol >= 0, max_iter >= 1 and "
+_BAD_SINGLE = "descent needs a finite tau > 0, tol >= 0 and exact_steps >= 0 or None, got "
 
 
-@pytest.mark.parametrize("target, kwargs, match", [
-    ("descend_single", {"tau": math.nan}, _BAD_SINGLE + r".*got nan, 1e-12, 500000, None"),
-    ("descend_single", {"tau": math.inf}, _BAD_SINGLE + r".*got inf, 1e-12, 500000, None"),
-    ("descend_single", {"tau": 0.0}, _BAD_SINGLE + r".*got 0.0, 1e-12, 500000, None"),
-    ("descend_single", {"tau": -1.0}, _BAD_SINGLE + r".*got -1.0, 1e-12, 500000, None"),
-    ("descend_single", {"tol": math.nan}, _BAD_SINGLE + r".*got 0.5, nan, 500000, None"),
-    ("descend_single", {"tol": -1e-12}, _BAD_SINGLE + r".*got 0.5, -1e-12, 500000, None"),
-    ("descend_single", {"max_iter": 0}, _BAD_SINGLE + r".*got 0.5, 1e-12, 0, None"),
-    ("descend_single", {"exact_steps": -1}, _BAD_SINGLE + r".*got 0.5, 1e-12, 500000, -1"),
-    ("probe", {"max_steps": 0}, "max_steps must be >= 1, got 0"),
-    ("probe", {"max_steps": -1}, "max_steps must be >= 1, got -1"),
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tau": math.nan}, _BAD_SINGLE + "nan, 1e-12, None"),
+    ({"tau": math.inf}, _BAD_SINGLE + "inf, 1e-12, None"),
+    ({"tau": 0.0}, _BAD_SINGLE + "0.0, 1e-12, None"),
+    ({"tau": -1.0}, _BAD_SINGLE + "-1.0, 1e-12, None"),
+    ({"tol": math.nan}, _BAD_SINGLE + "0.5, nan, None"),
+    ({"tol": -1e-12}, _BAD_SINGLE + "0.5, -1e-12, None"),
+    ({"exact_steps": -1}, _BAD_SINGLE + "0.5, 1e-12, -1"),
 ])
-def test_descend_single_and_the_probe_refuse_bad_arguments_up_front(kernel, target, kwargs,
-                                                                    match):
+def test_descend_single_refuses_bad_arguments_up_front(kwargs, match):
     # tol = nan used to run all 500,000 steps and raise a ConvergenceError,
-    # exact_steps = -1 to return a step count of -1, and the probe's
-    # max_steps = -1 a DivergenceProbe that reported a pass it never earned;
-    # each is refused before any gradient is taken
+    # and exact_steps = -1 to return a step count of -1; each is refused
+    # before any gradient is taken
     calls = []
 
     def grad(v):
         calls.append(v)
         return v
 
-    if target == "probe":
-        prob = dataclasses.replace(kernel.problem, grad_g_y=lambda x, y: grad(y))
-        with pytest.raises(InputError, match=match):
-            probe_penalty_divergence(prob, [0.5], 0.5, **kwargs)
-    else:
-        args = {"tau": 0.5, "tol": 1e-12, **kwargs}
-        with pytest.raises(ConfigError, match=match):
-            descend_single(grad, np.array([1.0]), args.pop("tau"), args.pop("tol"), **args)
+    args = {"tau": 0.5, "tol": 1e-12, **kwargs}
+    with pytest.raises(ConfigError, match=f"^{match}$"):
+        descend_single(grad, np.array([1.0]), args.pop("tau"), args.pop("tol"), **args)
     assert not calls
+
+
+def _with_radius(prob, radius):
+    """``prob`` whose meta declares the divergence radius ``radius``."""
+    return dataclasses.replace(prob, meta=dataclasses.replace(prob.meta,
+                                                              divergence_radius=radius))
 
 
 @pytest.mark.parametrize("radius", [math.nan, 0.0, -0.0, -1.0, -math.inf])
@@ -106,8 +102,8 @@ def test_divergence_radius_must_be_positive(radius):
         descend_single(lambda v: v, np.array([1.0]), 0.5, tol=1e-12, radius=radius)
     # a NaN radius made the probe call a runaway penalty benign
     with pytest.raises(ConfigError, match="divergence radius"):
-        probe_penalty_divergence(get_problem("degenerate_penalty").problem, [1.0],
-                                 0.05, radius=radius)
+        probe_penalty_divergence(_with_radius(get_problem("degenerate_penalty").problem,
+                                              radius), [1.0], 0.05)
 
 
 def test_runaway_inner_loop_needs_an_explicit_inf_to_go_unguarded(kernel):
@@ -200,20 +196,21 @@ def test_descend_single_exact_quadratic():
     assert y[0] == 2.0 and gnorm == 0.0 and steps == 1
 
 
-def test_descend_single_convergence_error_carries_residual():
-    with pytest.raises(ConvergenceError) as err:
-        descend_single(lambda v: v, np.array([1.0]), 1e-3, tol=1e-12, max_iter=5)
+def test_descend_single_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(inner, "_MAX_ITER", 5)
+    with pytest.raises(ConvergenceError, match="within 5 steps") as err:
+        descend_single(lambda v: v, np.array([1.0]), 1e-3, tol=1e-12)
     assert err.value.residual is not None and err.value.residual > 0
 
 
 def test_descend_single_divergence_and_nan_guards():
     with pytest.raises(DivergenceError) as err:
         descend_single(lambda v: -v, np.array([1.0]), 1.0, tol=1e-12,
-                       max_iter=10_000, radius=100.0, label="runaway")
+                       radius=100.0, label="runaway")
     assert err.value.norm > 100.0 and err.value.step is not None
     with pytest.raises(NumericError):
         descend_single(lambda v: np.array([np.nan]), np.array([1.0]), 1.0,
-                       tol=1e-12, max_iter=10)
+                       tol=1e-12)
 
 
 def test_inner_divergence_guard_names_the_sequence():
@@ -872,16 +869,19 @@ def _probe_bits(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("name", ["degenerate_penalty", "kernel_pl", "quadratic_sc",
                                   "sin_sq_pl"])
-def test_divergence_probe_matches_the_reference_loop_bitwise(name):
-    prob = get_problem(name).problem
-    lo, hi = prob.meta.x_window
-    for x in (lo, 0.5 * (lo + hi), hi, prob.meta.x0[0]):
-        for sigma in (0.01, 0.05, 0.3, 1.0):
-            for radius in (None, 0.5, 4.0, 1e3, math.inf):
-                for max_steps in (1, 10, 1000):
-                    args = (prob, [x], sigma, max_steps, radius)
-                    want = _probe_bits(_ref_probe, *args)
-                    assert _probe_bits(probe_penalty_divergence, *args) == want, \
+def test_divergence_probe_matches_the_reference_loop_bitwise(name, monkeypatch):
+    # the probe's radius is the meta's, so each radius is declared there, and
+    # None leaves it to 10 (1 + ||y0||); the step budget is _PROBE_STEPS
+    suite_prob = get_problem(name).problem
+    lo, hi = suite_prob.meta.x_window
+    for max_steps in (1, 10, 1000):
+        monkeypatch.setattr(inner, "_PROBE_STEPS", max_steps)
+        for radius in (None, 0.5, 4.0, 1e3, math.inf):
+            prob = _with_radius(suite_prob, radius)
+            for x in (lo, 0.5 * (lo + hi), hi, prob.meta.x0[0]):
+                for sigma in (0.01, 0.05, 0.3, 1.0):
+                    want = _probe_bits(_ref_probe, prob, [x], sigma, max_steps, radius)
+                    assert _probe_bits(probe_penalty_divergence, prob, [x], sigma) == want, \
                         (x, sigma, radius, max_steps)
 
 
@@ -895,13 +895,14 @@ def test_divergence_probe_matches_the_reference_loop_bitwise(name):
 ])
 def test_divergence_probe_counts_a_non_finite_norm_as_divergence(kernel, state,
                                                                  grad_f_y, steps):
-    prob = dataclasses.replace(kernel.problem, grad_f_y=grad_f_y,
-                               grad_g_y=lambda x, y: np.zeros(2))
+    # an infinite radius, declared by the meta, leaves only the overflow test
+    prob = _with_radius(dataclasses.replace(kernel.problem, grad_f_y=grad_f_y,
+                                            grad_g_y=lambda x, y: np.zeros(2)), math.inf)
     want = _probe_bits(_ref_probe, prob, [0.5], 1.0, radius=math.inf)
     assert want[:3] == (True, steps, _bits(math.inf))
     with warnings.catch_warnings(), np.errstate(over=state):
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = probe_penalty_divergence(prob, [0.5], 1.0, radius=math.inf)
+        got = probe_penalty_divergence(prob, [0.5], 1.0)
     assert (got.diverged, got.steps, _bits(got.final_norm), _bits(got.radius)) == want
 
 

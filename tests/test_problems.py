@@ -14,6 +14,8 @@ from bipen.problems import (
     _hermite_p,
     _hermite_p_d1,
     _sc,
+    _sin_sq,
+    _sin_sq_d1,
     certify_sin_sq_mu,
     chain_min_eigenvalue,
     make_hard_instance,
@@ -157,8 +159,11 @@ def test_quadratic_facts(quadratic):
 def test_sin_sq_certificate_and_nonconvexity(sin_sq):
     mu = sin_sq.problem.constants.mu
     assert 0.10 < mu < 0.20
+    assert mu == certify_sin_sq_mu()
     # a finer grid cannot undercut the 0.95-margin certificate
-    assert certify_sin_sq_mu(n=8001, safety=1.0) >= mu
+    u = np.linspace(-10.0, 10.0, 8001)
+    u = u[np.abs(u) > 1e-9]
+    assert (_sin_sq_d1(u) ** 2 / (2.0 * _sin_sq(u))).min() >= mu
     # the lower level is genuinely nonconvex: curvature -4 at y - x = pi/2
     h = sin_sq.problem.hess_g_yy([0.0], [math.pi / 2])
     assert h[0, 0] == pytest.approx(-4.0, abs=1e-12)

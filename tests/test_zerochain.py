@@ -233,7 +233,8 @@ def _vectors(draw, dim):
 @st.composite
 def _call_sequences(draw):
     """A preset explored set, then calls whose outputs may also reveal
-    nothing: all zeros of either sign, or an output already seen."""
+    nothing: all zeros of either sign, or an output already seen.  A tracker
+    starts empty, so the preset is revealed by a first g_y call."""
     dim = draw(st.integers(1, 10))
     preset = draw(st.sets(st.integers(0, dim - 1), max_size=dim))
     calls, outs = [], []
@@ -253,9 +254,10 @@ def _call_sequences(draw):
 @given(_call_sequences())
 def test_tracker_matches_the_set_based_reference(seq):
     dim, preset, calls = seq
-    got = SupportTracker(dim_y=dim, explored=set(preset))
-    want = _RefTracker(dim_y=dim, explored=set(preset))
-    for kind, y, out in calls:
+    got, want = SupportTracker(dim_y=dim), _RefTracker(dim_y=dim)
+    reveal = np.zeros(dim)
+    reveal[sorted(preset)] = 1.0
+    for kind, y, out in [("g_y", np.zeros(dim), reveal)] + calls:
         got.note(kind, y, out_y=out)
         want.note(kind, y, out_y=out)
         rec = got.calls[-1]
