@@ -85,13 +85,14 @@ def _as_gradient(value, dim: int, what: str, at):
     """(v, floats): a gradient oracle's output as the draw and the exact
     estimate take it, the one numeric contract at the oracle boundary.
 
-    A float64 ndarray of shape (dim,) is v as it is; any other value is
-    converted once by ``as_vector``, which refuses a wrong shape with
-    InputError.  ``floats`` is v's entries when dim <= ``_FLOAT_STEP_DIM``
-    and their hypot is below 1e150 (so v is finite), else None.  A v that
-    is not finite raises NumericError at the point ``at`` = (x, y).
+    A float64 ndarray of shape (dim,) is v as it is, tested inline; any
+    other value is converted once by ``as_vector``, which refuses a wrong
+    shape with InputError.  ``floats`` is v's entries when dim <=
+    ``_FLOAT_STEP_DIM`` and their hypot is below 1e150 (so v is finite), else
+    None.  A v that is not finite raises NumericError at ``at`` = (x, y).
     """
-    value = as_vector(value, dim, what)
+    if not (type(value) is _ndarray and value.dtype is _FLOAT64 and value.shape == (dim,)):
+        value = as_vector(value, dim, what)
     if dim <= _FLOAT_STEP_DIM:
         m = value.tolist()
         if math.hypot(*m) < 1e150:
@@ -435,7 +436,8 @@ class StochasticOracle:
     and scales (0-d float64 arrays and floats) are looked up once, at
     construction, and each validated (part, int batch) pair is kept as a
     plain tuple, so a repeated request skips its checks.  Every draw tests
-    its point (``check_point``) and its base gradient (``_as_gradient``).
+    its point and base gradient, the fast cases of ``check_point`` and
+    ``_as_gradient`` inline: it returns a float64 (dim,) ndarray or raises.
     """
 
     base: BilevelProblem
@@ -472,8 +474,8 @@ class StochasticOracle:
         self.counter = 0
         self._gen = substream(self.rng_seed, "oracle")
         # the noise block, its read position and, once a float draw needs
-        # them, its entries as Python floats
-        self._buf, self._pos, self._bl = np.empty(0), 0, None
+        # them, its entries as Python floats, and its length
+        self._buf, self._pos, self._bl, self._end = np.empty(0), 0, None, 0
 
     def draw(self, which: str, x, y, batch: int = 1) -> Array:
         """One batch-``batch`` draw of gradient part ``which`` at (x, y).
@@ -497,15 +499,24 @@ class StochasticOracle:
             part = (*entry, 1.0 / math.sqrt(batch), f"grad {which}")  # shrink 1.0 at B = 1
             self._parts[which, batch] = part
         fn, std, dim, scale, s, shrink, what = part
-        x, y = self.base.check_point(x, y)
-        mean, m = _as_gradient(fn(x, y), dim, what, (x, y))
+        base = self.base
+        if not (type(x) is _ndarray and type(y) is _ndarray and x.dtype is _FLOAT64
+                and y.dtype is _FLOAT64 and x.shape == base._shape_x
+                and y.shape == base._shape_y):
+            x, y = base.check_point(x, y)
+        mean, m = fn(x, y), None
+        if (dim <= _FLOAT_STEP_DIM and type(mean) is _ndarray and mean.dtype is _FLOAT64
+                and mean.shape == (dim,)):
+            m = mean.tolist()
+        if m is None or not math.hypot(*m) < 1e150:
+            mean, m = _as_gradient(mean, dim, what, (x, y))
         if std == 0.0:
             return mean
         buf, pos = self._buf, self._pos
-        if pos + dim > buf.shape[0]:  # refill, keeping the unused tail
+        if pos + dim > self._end:  # refill, keeping the unused tail
             buf = self._buf = np.concatenate(
                 (buf[pos:], self._gen.standard_normal(max(dim, _NOISE_BLOCK))))
-            self._bl, pos = None, 0
+            self._bl, pos, self._end = None, 0, buf.shape[0]
         self._pos = pos + dim
         self.counter += batch
         if m is not None:

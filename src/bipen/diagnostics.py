@@ -55,11 +55,13 @@ def _windows(prob, what: str) -> ProblemMeta:
 
 
 def _sampling(prob, what: str, seed, count: int, count_name: str, *tags):
-    """(meta, rng) for a sampling check: refuses a seed that is not an int
-    and a count below one (a check that samples nothing would report a pass
-    it never earned), requires the problem's probe windows, and opens the
-    check's noise stream ``substream(seed, *tags)``."""
+    """(meta, rng) for a sampling check: refuses a seed that is not an int,
+    a count that is not an int or numpy integer, and one below one (a check
+    that samples nothing would report a pass it never earned), requires the
+    problem's windows, and opens its noise stream ``substream(seed, *tags)``."""
     _check_seed(seed)
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise InputError(f"{count_name} must be an integer, got {count!r}")
     if count < 1:
         raise InputError(f"{count_name} must be >= 1, got {count}")
     return _windows(prob, what), substream(seed, *tags)

@@ -323,10 +323,20 @@ def run_f2ba(prob: BilevelProblem, plan: SchedulePlan, x0=None, y0=None,
 
 def stochastic_inner_count(plan: SchedulePlan, delta: float) -> int:
     """K_t = c_K (L_g/mu) log(L_g^3 delta_t / (mu sigma^2 eps^2)), clamped >= 1."""
+    return _inner_counter(plan)(delta)
+
+
+def _inner_counter(plan: SchedulePlan):
+    """delta_t -> ``stochastic_inner_count(plan, delta_t)``: c_K (L_g/mu), L_g^3
+    and mu sigma^2 eps^2 made once, with the same bits (nan if they overflow)."""
     c = plan.constants
-    return _count("K_t", lambda: plan.c_K * (c.L_g / c.mu) * math.log(max(
-        c.L_g ** 3 * delta / (c.mu * plan.sigma ** 2 * plan.epsilon ** 2), math.e)),
-        sigma=plan.sigma, epsilon=plan.epsilon, delta_t=delta)
+    a = plan.c_K * (c.L_g / c.mu)
+    try:
+        l3, d = c.L_g ** 3, c.mu * plan.sigma ** 2 * plan.epsilon ** 2
+    except OverflowError:
+        l3 = d = math.nan
+    return lambda delta: _count("K_t", lambda: a * math.log(max(l3 * delta / d, math.e)),
+                                sigma=plan.sigma, epsilon=plan.epsilon, delta_t=delta)
 
 
 def run_f2bsa(prob: BilevelProblem, plan: SchedulePlan, x0=None, y0=None, seed: int = 0,
@@ -381,6 +391,7 @@ def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optiona
         raise ConfigError("plan requests mini-batches but the problem declares "
                           "M_f = M_g = 0; use B = 0 for full gradients")
     cfgs = {}  # one prepared inner phase per distinct K_t
+    inner_count = _inner_counter(plan)  # K_t of delta_t, on the stochastic path
     eta = np.array(plan.eta, dtype=float)  # 0-d: cheaper than a float per step
 
     rows, calls = [], 0
@@ -394,7 +405,7 @@ def _run_penalty(prob: BilevelProblem, plan: SchedulePlan, x0, y0, seed: Optiona
     t_start = time.perf_counter()
     for t in range(plan.T):
         t0 = time.perf_counter() if timing else None
-        k_t = stochastic_inner_count(plan, delta) if B > 0 else plan.K
+        k_t = inner_count(delta) if B > 0 else plan.K
         phase = cfgs.get(k_t)
         if phase is None:
             cfg = InnerConfig(tau=plan.tau, K=k_t, batch=B, divergence_radius=radius)

@@ -11,13 +11,14 @@ single-sequence descent, the certified pre-solve built on it (used for
 value-function evaluation and by the diagnostics), and a bounded-budget probe
 that detects penalties whose descent runs away (unbounded-below h_sigma).
 
-The loops take a float64 gradient of shape (dim_y,) as it is (tested
-inline), convert any other through ``core.as_vector``, and run in numpy's
-default error state, so an overflow ends in the guard's witness whatever
-state the caller set.  On 1-2 entry vectors numpy's per-call cost
-dominates, so scale factors are 0-d float64 arrays made once and oracles are
-called without closures; on the chain's q-length vectors a step writes its
-gradient combination and both updates into the three arrays it allocates.
+The loops take a float64 gradient of shape (dim_y,) as it is (tested inline,
+except StochasticOracle.draw's, which are), convert any other via
+``core.as_vector``, and run in numpy's default error state, so an overflow
+ends in the guard's witness whatever state the caller set.  On 1-2 entry
+vectors numpy's per-call cost dominates, so scale factors are 0-d float64
+arrays made once and oracles are called without closures; on the chain's
+q-length vectors a step writes its gradient combination and both updates
+into the three arrays it allocates.
 While dim_y <= _FLOAT_STEP_DIM a step runs on Python floats:
 y - tau * (sigma * f + g) and z - tau * a per coordinate, in numpy's order
 and so to the same IEEE doubles (README, Hot path).
@@ -153,6 +154,8 @@ class _Phase(NamedTuple):
     grad_f: object
     grad_g: object
     draw: object
+    trusted: bool     # draw is StochasticOracle.draw itself, whose float64 (dim_y,)
+                      # vectors skip the loop's test; an override's do not
     small: bool       # dim_y <= _FLOAT_STEP_DIM: steps on Python floats
     t: float
     s: float
@@ -166,10 +169,11 @@ class _Phase(NamedTuple):
 def _prepare_phase(prob: BilevelProblem, sigma: float, cfg: InnerConfig,
                    oracle: Optional[StochasticOracle], radius: float) -> _Phase:
     """``cfg``'s phase on ``prob`` at ``sigma`` within ``radius``, unvalidated."""
-    n = prob.dim_y
+    n, draw = prob.dim_y, getattr(oracle, "draw", None)
     return _Phase(cfg.K, cfg.batch, 2 * max(cfg.batch, 1) * cfg.K, radius,
                   np.array(cfg.tau, dtype=float), np.array(sigma, dtype=float),
-                  prob.grad_f_y, prob.grad_g_y, getattr(oracle, "draw", None),
+                  prob.grad_f_y, prob.grad_g_y, draw,
+                  cfg.batch > 0 and getattr(draw, "__func__", None) is StochasticOracle.draw,
                   n <= _FLOAT_STEP_DIM, float(cfg.tau), float(sigma),
                   min(radius, 1e150) * (1.0 - 1e-9), (n,), range(n),
                   struct.Struct(f"{n}d").pack, [None, None, None])
@@ -218,8 +222,8 @@ def inner_descend(
                 radius = 1e6 * (1.0 + max(_norm(y), _norm(z)))
             return inner_descend(prob, x, y, z, sigma,
                                  _prepare_phase(prob, sigma, cfg, oracle, radius), oracle)
-    (K, batch, calls, radius, tau, sig, grad_f, grad_g, draw, small, t, s, r_pass,
-     shape, coords, pack, last) = cfg
+    (K, batch, calls, radius, tau, sig, grad_f, grad_g, draw, trusted, small, t, s,
+     r_pass, shape, coords, pack, last) = cfg
     y, z, inf = y0, z0, math.inf
     if small:
         # zl, yl: z and y as float lists, made when a step is computed;
@@ -236,7 +240,7 @@ def inner_descend(
         else:
             gz, fy, gg = (draw("g_y", x, z, batch), draw("f_y", x, y, batch),
                           draw("g_y", x, y, batch))
-        if not (type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
+        if not (trusted or type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
                 and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64 and gg.dtype is _FLOAT64
                 and gz.shape == shape and fy.shape == shape and gg.shape == shape):
             gz, fy, gg = (as_vector(v, shape[0], f"grad_y {what}") for v, what

@@ -715,6 +715,76 @@ def test_float_draws_match_the_per_call_reference(state, dims, stds, seed, block
     assert got == want
 
 
+# the forms a base gradient may come in: the draw's inline test takes only
+# "array" (at dim <= _FLOAT_STEP_DIM, hypot below 1e150); as_vector converts
+# or refuses the rest
+_GRADIENT_FORMS = {
+    "array": np.array,
+    "list": list,
+    "tuple": tuple,
+    "float32": lambda v: np.array(v, dtype=np.float32),
+    "int64": lambda v: np.array([int(e) if abs(e) < 1e9 else 1 for e in v], dtype=np.int64),
+    "0-d": lambda v: np.array(v[0]),
+    "2-d": lambda v: np.array([v]),
+    "short": lambda v: np.array(v[:-1]),
+    "long": lambda v: np.array(v + [0.0]),
+}
+_edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+                         1e150, -1e150, 8e149])
+
+
+@pytest.mark.parametrize("state", _OVER_STATES, ids=["default", "over-raise"])
+@pytest.mark.parametrize("dim", [1, 2, 9])
+@settings(max_examples=100, deadline=None)
+@given(stds=st.sampled_from([(0.0, 0.0), (0.3, 0.7)]), seed=st.integers(0, 2**40),
+       data=st.data())
+def test_a_draw_returns_a_float64_vector_or_the_references_error(state, dim, stds, seed,
+                                                                data):
+    # the inner loop trusts what StochasticOracle.draw returns: whatever form
+    # the base gradient takes, and whatever it holds (+-0.0, subnormals, NaN,
+    # +-inf, a hypot of 1e150 or more), a draw returns a float64 (dim,)
+    # vector with the reference's bits or raises the reference's error
+    form = ["array"]  # the form of the next draw's base gradient
+
+    def grad(sign, part):
+        return lambda x, y: _GRADIENT_FORMS[form[0]]((sign * (x if part == "x" else y))
+                                                     .tolist())
+
+    prob = dataclasses.replace(
+        _copying_problem(dim, dim), grad_f_x=grad(1.0, "x"), grad_f_y=grad(1.0, "y"),
+        grad_g_x=grad(-1.0, "x"), grad_g_y=grad(-1.0, "y"))
+    entry = st.one_of(st.floats(-5.0, 5.0), _edge)
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(_ORACLE_PARTS), st.sampled_from([1, 4]),
+        st.lists(entry, min_size=dim, max_size=dim),
+        st.lists(entry, min_size=dim, max_size=dim),
+        st.sampled_from(sorted(_GRADIENT_FORMS))), min_size=1, max_size=10))
+
+    def replay(oracle):
+        seen = []
+        with np.errstate(over=state):
+            for which, batch, x, y, kind in ops:
+                form[0] = kind
+                with warnings.catch_warnings(record=True) as warned:
+                    warnings.simplefilter("always")
+                    try:
+                        out = _outcome(lambda: oracle.draw(which, np.array(x), np.array(y),
+                                                           batch))
+                    except FloatingPointError as err:
+                        out = ("raised", FloatingPointError, str(err))
+                seen.append((out, oracle.counter,
+                             [(w.category, str(w.message)) for w in warned]))
+        return seen
+
+    got = replay(StochasticOracle(prob, *stds, rng_seed=seed))
+    assert got == replay(_RefOracle(prob, *stds, rng_seed=seed))
+    for out, _, _ in got:
+        if out[0] == "raised":
+            assert out[1] in (InputError, NumericError, FloatingPointError)
+        else:
+            assert out[1] is np.ndarray and out[2][:2] == ("<f8", (dim,))
+
+
 # ---------------------------------------------------------------------------
 # the exact estimate: three float64 x-gradients of shape (dim_x,), dim_x <=
 # _FLOAT_STEP_DIM, are combined on Python floats; bits, errors and warnings

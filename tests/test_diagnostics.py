@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -576,6 +577,21 @@ def test_every_sampling_check_refuses_fewer_than_one_probe(kernel, n):
     for check in checks:
         with pytest.raises(InputError, match="must be >= 1"):
             check()
+
+
+@pytest.mark.parametrize("count", [2.5, True, None, "3", np.float64(3.0)])
+@pytest.mark.parametrize("check, name", [
+    (pl_ratio_certificate, "probes"), (check_gradients, "n_probes"),
+    (check_smoothness_constants, "n_pairs"), (set_lipschitz_check, "n_pairs")])
+def test_every_sampling_check_refuses_a_count_that_is_not_an_integer(kernel, check,
+                                                                     name, count):
+    # 2.5 used to pass the count test and fail in range with a bare TypeError,
+    # and True to sample once; an int or numpy integer count still samples
+    target = kernel if check is set_lipschitz_check else kernel.problem
+    with pytest.raises(InputError,
+                       match=re.escape(f"{name} must be an integer, got {count!r}")):
+        check(target, **{name: count})
+    check(target, **{name: np.int64(2)})
 
 
 @pytest.mark.parametrize("seed", [1.5, True, None])

@@ -32,6 +32,7 @@ from bipen import (
     run_f2bsa,
     stochastic_inner_count,
 )
+from bipen.drivers import _inner_counter
 
 
 def kernel_plan(eps=0.1, **overrides):
@@ -142,6 +143,54 @@ class TestBuildSchedule:
         assert len(run_f2ba(prob, plan).rows) == 1
         plan = kernel_plan(1e-170, T=1)  # accepted: T's formula is not used
         assert len(run_f2ba(get_problem("kernel_pl").problem, plan).rows) == 1
+
+    @pytest.mark.parametrize("delta, want", [
+        (0.0, 1), (5e-324, 1), (1e-300, 1), (1.0, 15), (1e300, 706),
+        (1e308, None), (math.inf, None), (math.nan, None)])
+    def test_the_runs_inner_count_is_stochastic_inner_count_at_its_edges(self, delta,
+                                                                         want):
+        # f2bsa_sweep's eps = 0.025 plan: the run's counter, with its plan
+        # factors made once, gives stochastic_inner_count's K_t, and where
+        # L_g^3 delta_t overflows both raise the ConfigError they raised
+        # when K_t was one left-to-right expression
+        c = get_problem("kernel_pl_fnoise").problem.constants
+        plan = build_schedule(c, 0.025, Delta=0.5, R=0.25)
+        count = _inner_counter(plan)
+        if want is not None:
+            assert count(delta) == stochastic_inner_count(plan, delta) == want
+            return
+        text = (f"plan K_t is not computable from sigma=0.025, epsilon=0.025, "
+                f"delta_t={delta!r}: its formula divides by 0 or meets nan or inf")
+        for fn in (count, lambda d: stochastic_inner_count(plan, d)):
+            with pytest.raises(ConfigError) as err:
+                fn(delta)
+            assert str(err.value) == text
+
+    @pytest.mark.parametrize("L_g, eps", [(1e103, 0.1), (1.0, 1e-170), (1.0, 0.1)])
+    def test_an_inner_count_factor_that_overflows_still_raises_per_count(self, L_g,
+                                                                         eps):
+        # L_g^3 overflows at 1e103, and sigma^2 eps^2 underflows to 0 at eps
+        # 1e-170: each count raises as the left-to-right expression does, and
+        # only when a count is taken
+        c = ProblemConstants(C_f=1.0, L_f=1.0, L_g=L_g, rho_f=0.0, rho_g=0.0, mu=1.0,
+                             sigma_bar=1.0, M_f=1.0)
+        plan = build_schedule(c, eps, Delta=0.5, R=0.25, overrides={
+            "sigma": 0.5, "eta": 0.1, "K": 1, "T": 1, "B": 1})
+        count = _inner_counter(plan)
+
+        def ref(delta):
+            return max(1, math.ceil(plan.c_K * (c.L_g / c.mu) * math.log(max(
+                c.L_g ** 3 * delta / (c.mu * plan.sigma ** 2 * plan.epsilon ** 2),
+                math.e))))
+
+        for delta in (0.0, 1e-300, 0.25, 1e300, math.inf, math.nan):
+            try:
+                want = ref(delta)
+            except (ZeroDivisionError, ValueError, OverflowError):
+                with pytest.raises(ConfigError, match="^plan K_t is not computable"):
+                    count(delta)
+            else:
+                assert count(delta) == want, delta
 
     @pytest.mark.parametrize("value", [
         2.5, 1.9, 2.0, np.float64(2.0), True, False, "3", None,

@@ -833,6 +833,47 @@ def test_a_nan_gradient_mid_phase_leaves_the_counter_and_later_draws(stds, batch
     assert got == _phase_run(_ref_inner_descend, _RefOracle, *args)
 
 
+class _FormOracle(StochasticOracle):
+    """A draw that overrides ``StochasticOracle.draw`` and returns its vector
+    in the form ``form`` names: the inner loop must not trust it."""
+
+    form = "declared"
+
+    def draw(self, which, x, y, batch=1):
+        v = super().draw(which, x, y, batch)
+        return {"declared": v, "float32": v.astype(np.float32), "list": v.tolist(),
+                "short": v[:-1], "2-d": v[None, :]}[self.form]
+
+
+@pytest.mark.parametrize("form", ["declared", "float32", "list", "short", "2-d"])
+@pytest.mark.parametrize("dim_y", [2, _FLOAT_STEP_DIM + 1])
+def test_an_overriding_draw_is_tested_as_the_reference_loop_tests_it(form, dim_y):
+    # float32 and list draws are converted, a wrong shape is refused; each
+    # phase is the reference loop's, bit for bit, and only a phase whose
+    # draw is StochasticOracle.draw itself skips the loop's test of the draws
+    prob = _quadratic(dim_y)
+    y0 = np.linspace(0.3, 1.7, dim_y)
+
+    def outcome(descend):
+        oracle = _FormOracle(prob, 0.3, 0.7, rng_seed=4)
+        oracle.form = form
+        try:
+            with _quiet():
+                res = descend(prob, [0.1], y0, y0[::-1].copy(), 0.5,
+                              InnerConfig(tau=0.3, K=4, batch=3), oracle)
+        except InputError as exc:
+            return "raised", str(exc), oracle.counter
+        return [_bits(v) for v in res] + [oracle.counter]
+
+    assert outcome(inner_descend) == outcome(_ref_inner_descend)
+    cfg = InnerConfig(tau=0.3, K=4, batch=3)
+    patched = StochasticOracle(prob, 0.3, 0.7, rng_seed=4)
+    patched.draw = lambda which, x, y, batch=1: [0.0] * dim_y  # on the instance
+    assert [_prepare_phase(prob, 0.5, cfg, o, 1.0).trusted for o in (
+        _FormOracle(prob, 0.3, 0.7, rng_seed=4), patched,
+        StochasticOracle(prob, 0.3, 0.7, rng_seed=4))] == [False, False, True]
+
+
 # reference probe: the divergence probe's own descent loop as it stood before
 # the probe became a wrapper around descend_single, kept verbatim; the wrapper
 # must give the same observation, bit for bit.
