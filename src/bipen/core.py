@@ -438,6 +438,8 @@ class StochasticOracle:
     plain tuple, so a repeated request skips its checks.  Every draw tests
     its point and base gradient, the fast cases of ``check_point`` and
     ``_as_gradient`` inline: it returns a float64 (dim,) ndarray or raises.
+    An inner phase whose draw is this module's own (``_DRAW``), at dim_y <=
+    ``_FLOAT_STEP_DIM``, calls ``_take`` on points it owns (``inner``).
     """
 
     base: BilevelProblem
@@ -465,8 +467,8 @@ class StochasticOracle:
                 ("g_y", base.grad_g_y, self.noise_std_g, base.dim_y),
             )
         }
-        # (which, int batch) -> (fn, std, dim, 0-d scale, scale, shrink, label):
-        # plain tuples, so the oracle holds no closure and no reference cycle
+        # (which, int batch) -> ``_part``'s tuple: plain tuples, so the
+        # oracle holds no closure and no reference cycle
         self._parts = {}
 
     def reset(self):
@@ -477,57 +479,69 @@ class StochasticOracle:
         # them, its entries as Python floats, and its length
         self._buf, self._pos, self._bl, self._end = np.empty(0), 0, None, 0
 
-    def draw(self, which: str, x, y, batch: int = 1) -> Array:
-        """One batch-``batch`` draw of gradient part ``which`` at (x, y).
-
-        A base gradient with ``_as_gradient``'s floats gets its noise as
-        a + b * scale * shrink per entry, in numpy's order, so the same
-        doubles; a float result that is not finite, and any other gradient,
-        take numpy's expression, whose overflow follows numpy's error state.
-        """
+    def _part(self, which, batch):
+        """``_take``'s tuple for ``which`` at ``batch``, checked once, then kept."""
         part = (self._parts.get((which, batch))
                 if type(batch) is int and type(which) is str else None)
         if part is None:  # the checks; each part is kept at its int batch
-            if (isinstance(batch, bool) or not isinstance(batch, (int, np.integer))
-                    or batch < 1):
+            if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
                 raise InputError(f"batch must be a positive integer, got {batch!r}")
             batch = int(batch)  # so counter stays an int: a numpy integer would wrap it
             entry = self._table.get(which)
             if entry is None:
                 raise InputError(f"unknown gradient selector {which!r}; "
                                  f"expected one of {_ORACLE_PARTS}")
-            part = (*entry, 1.0 / math.sqrt(batch), f"grad {which}")  # shrink 1.0 at B = 1
-            self._parts[which, batch] = part
-        fn, std, dim, scale, s, shrink, what = part
-        base = self.base
+            # (fn, std, dim, 0-d scale, scale, shrink, label, batch); shrink 1.0 at B = 1
+            part = self._parts[which, batch] = (*entry, 1.0 / math.sqrt(batch),
+                                                f"grad {which}", batch)
+        return part
+
+    def draw(self, which: str, x, y, batch: int = 1) -> Array:
+        """One batch-``batch`` draw of part ``which`` at (x, y): ``_take``'s, as an ndarray."""
+        part, base = self._part(which, batch), self.base
         if not (type(x) is _ndarray and type(y) is _ndarray and x.dtype is _FLOAT64
                 and y.dtype is _FLOAT64 and x.shape == base._shape_x
                 and y.shape == base._shape_y):
             x, y = base.check_point(x, y)
+        v = self._take(part, x, y)
+        return np.array(v) if type(v) is list else v
+
+    def _take(self, part, x, y):
+        """One draw of ``part`` at the checked point (x, y), as Python floats when
+        dim <= ``_FLOAT_STEP_DIM``, else a float64 ndarray.  A base gradient with
+        ``_as_gradient``'s floats gets its noise as a + b * scale * shrink per
+        entry, numpy's order and so the same doubles; a float result that is not
+        finite, and any other gradient, take numpy's expression (numpy's state)."""
+        fn, std, dim, scale, s, shrink, what, batch = part
         mean, m = fn(x, y), None
         if (dim <= _FLOAT_STEP_DIM and type(mean) is _ndarray and mean.dtype is _FLOAT64
                 and mean.shape == (dim,)):
             m = mean.tolist()
         if m is None or not math.hypot(*m) < 1e150:
             mean, m = _as_gradient(mean, dim, what, (x, y))
-        if std == 0.0:
-            return mean
-        buf, pos = self._buf, self._pos
-        if pos + dim > self._end:  # refill, keeping the unused tail
-            buf = self._buf = np.concatenate(
-                (buf[pos:], self._gen.standard_normal(max(dim, _NOISE_BLOCK))))
-            self._bl, pos, self._end = None, 0, buf.shape[0]
-        self._pos = pos + dim
-        self.counter += batch
-        if m is not None:
-            bl = self._bl
-            if bl is None:  # at most once per refill, and never for wide draws
-                bl = self._bl = buf.tolist()
-            for i in range(dim):  # a plain loop: a comprehension costs a call
-                m[i] += bl[pos + i] * s * shrink
-            if math.isfinite(sum(m)):  # so every entry is, and nothing overflowed
-                return np.array(m)
-        return mean + buf[pos:pos + dim] * scale * shrink
+        if std != 0.0:
+            buf, pos = self._buf, self._pos
+            if pos + dim > self._end:  # refill, keeping the unused tail
+                buf = self._buf = np.concatenate(
+                    (buf[pos:], self._gen.standard_normal(max(dim, _NOISE_BLOCK))))
+                self._bl, pos, self._end = None, 0, buf.shape[0]
+            self._pos = pos + dim
+            self.counter += batch
+            if m is not None:
+                bl = self._bl
+                if bl is None:  # at most once per refill, and never for wide draws
+                    bl = self._bl = buf.tolist()
+                for i in range(dim):  # a plain loop: a comprehension costs a call
+                    m[i] += bl[pos + i] * s * shrink
+                if math.isfinite(sum(m)):  # so every entry is, and nothing overflowed
+                    return m
+            m, mean = None, mean + buf[pos:pos + dim] * scale * shrink
+        return m if m is not None else mean.tolist() if dim <= _FLOAT_STEP_DIM else mean
+
+
+# ``draw`` as this module defines it, whatever the class attribute holds
+# later: an inner phase calls ``_take`` itself only for this function
+_DRAW = StochasticOracle.draw
 
 
 # ---------------------------------------------------------------------------

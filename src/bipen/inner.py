@@ -11,14 +11,16 @@ single-sequence descent, the certified pre-solve built on it (used for
 value-function evaluation and by the diagnostics), and a bounded-budget probe
 that detects penalties whose descent runs away (unbounded-below h_sigma).
 
-The loops take a float64 gradient of shape (dim_y,) as it is (tested inline,
-except StochasticOracle.draw's, which are), convert any other via
-``core.as_vector``, and run in numpy's default error state, so an overflow
-ends in the guard's witness whatever state the caller set.  On 1-2 entry
-vectors numpy's per-call cost dominates, so scale factors are 0-d float64
-arrays made once and oracles are called without closures; on the chain's
-q-length vectors a step writes its gradient combination and both updates
-into the three arrays it allocates.
+The loops take a float64 gradient of shape (dim_y,) as it is (tested inline),
+convert any other via ``core.as_vector``, and run in numpy's default error
+state, so an overflow ends in the guard's witness whatever state the caller
+set.  A small phase whose draw is core's own StochasticOracle.draw calls the
+draw's StochasticOracle._take itself and steps on its floats; any other draw
+is called per gradient and tested.  On 1-2 entry vectors numpy's per-call
+cost dominates, so scale factors are 0-d float64 arrays made once and
+oracles are called without closures; on the chain's q-length vectors a step
+writes its gradient combination and both updates into the three arrays it
+allocates.
 While dim_y <= _FLOAT_STEP_DIM a step runs on Python floats:
 y - tau * (sigma * f + g) and z - tau * a per coordinate, in numpy's order
 and so to the same IEEE doubles (README, Hot path).
@@ -56,9 +58,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_DEFAULT_ERRSTATE, _FLOAT64, _FLOAT_STEP_DIM, _GSTAR_TOL, BilevelProblem,
-                   StochasticOracle, _as_float, _box_min, _h, _h_grad, _h_lipschitz,
-                   _h_rows, _int_field, as_vector)
+from .core import (_DEFAULT_ERRSTATE, _DRAW, _FLOAT64, _FLOAT_STEP_DIM, _GSTAR_TOL,
+                   BilevelProblem, StochasticOracle, _as_float, _box_min, _h, _h_grad,
+                   _h_lipschitz, _h_rows, _int_field, as_vector)
 from .errors import ConfigError, ConvergenceError, DivergenceError, NumericError
 
 _ndarray = np.ndarray
@@ -154,8 +156,7 @@ class _Phase(NamedTuple):
     grad_f: object
     grad_g: object
     draw: object
-    trusted: bool     # draw is StochasticOracle.draw itself, whose float64 (dim_y,)
-                      # vectors skip the loop's test; an override's do not
+    inline: Optional[tuple]  # (take, g_y part, f_y part) for core's own draw
     small: bool       # dim_y <= _FLOAT_STEP_DIM: steps on Python floats
     t: float
     s: float
@@ -168,12 +169,16 @@ class _Phase(NamedTuple):
 
 def _prepare_phase(prob: BilevelProblem, sigma: float, cfg: InnerConfig,
                    oracle: Optional[StochasticOracle], radius: float) -> _Phase:
-    """``cfg``'s phase on ``prob`` at ``sigma`` within ``radius``, unvalidated."""
-    n, draw = prob.dim_y, getattr(oracle, "draw", None)
+    """``cfg``'s phase on ``prob`` at ``sigma`` within ``radius``, unvalidated;
+    a small phase calls ``_take`` itself only when its draw is core's own (the
+    bound method's function, not what the class attribute holds now)."""
+    n, draw, inline = prob.dim_y, getattr(oracle, "draw", None), None
+    if (cfg.batch > 0 and n <= _FLOAT_STEP_DIM and getattr(draw, "__func__", None) is _DRAW
+            and oracle.base._shape_x == prob._shape_x and oracle.base._shape_y == (n,)):
+        inline = oracle._take, oracle._part("g_y", cfg.batch), oracle._part("f_y", cfg.batch)
     return _Phase(cfg.K, cfg.batch, 2 * max(cfg.batch, 1) * cfg.K, radius,
                   np.array(cfg.tau, dtype=float), np.array(sigma, dtype=float),
-                  prob.grad_f_y, prob.grad_g_y, draw,
-                  cfg.batch > 0 and getattr(draw, "__func__", None) is StochasticOracle.draw,
+                  prob.grad_f_y, prob.grad_g_y, draw, inline,
                   n <= _FLOAT_STEP_DIM, float(cfg.tau), float(sigma),
                   min(radius, 1e150) * (1.0 - 1e-9), (n,), range(n),
                   struct.Struct(f"{n}d").pack, [None, None, None])
@@ -222,7 +227,7 @@ def inner_descend(
                 radius = 1e6 * (1.0 + max(_norm(y), _norm(z)))
             return inner_descend(prob, x, y, z, sigma,
                                  _prepare_phase(prob, sigma, cfg, oracle, radius), oracle)
-    (K, batch, calls, radius, tau, sig, grad_f, grad_g, draw, trusted, small, t, s,
+    (K, batch, calls, radius, tau, sig, grad_f, grad_g, draw, inline, small, t, s,
      r_pass, shape, coords, pack, last) = cfg
     y, z, inf = y0, z0, math.inf
     if small:
@@ -233,24 +238,31 @@ def inner_descend(
         zl, zy = None, last[1]
         passed = zy is not None and zy == (z.tobytes(), y.tobytes())
         key = last[0] if passed else None
+    take, pg, pf = inline or (None, None, None)
     gy = None  # the last h_sigma-gradient, when a numpy step made it
     for k in range(K):
-        if batch == 0:
-            gz, fy, gg = grad_g(x, z), grad_f(x, y), grad_g(x, y)
-        else:
-            gz, fy, gg = (draw("g_y", x, z, batch), draw("f_y", x, y, batch),
-                          draw("g_y", x, y, batch))
-        if not (trusted or type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
-                and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64 and gg.dtype is _FLOAT64
-                and gz.shape == shape and fy.shape == shape and gg.shape == shape):
-            gz, fy, gg = (as_vector(v, shape[0], f"grad_y {what}") for v, what
-                          in ((gz, "g at z"), (fy, "f at y"), (gg, "g at y")))
-        if small:
-            if key is not None and key == (gz.tobytes(), fy.tobytes(), gg.tobytes()):
+        if take is not None:  # lists, which the numpy step takes as arrays
+            gz, fy, gg = a, b, c = take(pg, x, z), take(pf, x, y), take(pg, x, y)
+            if key is not None and key == (pack(*a), pack(*b), pack(*c)):
                 continue  # the kept step again: the same doubles, kept again
+        else:
+            if batch == 0:
+                gz, fy, gg = grad_g(x, z), grad_f(x, y), grad_g(x, y)
+            else:  # any other draw is called and tested as an oracle is
+                gz, fy, gg = (draw("g_y", x, z, batch), draw("f_y", x, y, batch),
+                              draw("g_y", x, y, batch))
+            if not (type(gz) is _ndarray and type(fy) is _ndarray and type(gg) is _ndarray
+                    and gz.dtype is _FLOAT64 and fy.dtype is _FLOAT64 and gg.dtype is _FLOAT64
+                    and gz.shape == shape and fy.shape == shape and gg.shape == shape):
+                gz, fy, gg = (as_vector(v, shape[0], f"grad_y {what}") for v, what
+                              in ((gz, "g at z"), (fy, "f at y"), (gg, "g at y")))
+            if small:
+                if key is not None and key == (gz.tobytes(), fy.tobytes(), gg.tobytes()):
+                    continue  # as above
+                a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
+        if small:
             if zl is None:
                 zl, yl = z.tolist(), y.tolist()
-            a, b, c = gz.tolist(), fy.tolist(), gg.tolist()
             same = True
             for i in coords:
                 zi, yi = zl[i] - t * a[i], yl[i] - t * (s * b[i] + c[i])
@@ -262,7 +274,7 @@ def inner_descend(
             if (keep and passed) or (math.hypot(*zl) < r_pass
                                      and math.hypot(*yl) < r_pass):
                 if keep:
-                    key = (gz.tobytes(), fy.tobytes(), gg.tobytes())
+                    key = (pack(*a), pack(*b), pack(*c))
                 else:
                     z, y, key = np.array(zl), np.array(yl), None
                 gy, passed = None, True
@@ -282,13 +294,15 @@ def inner_descend(
             _guard(z, "z", k, radius)
             _guard(y, "y", k, radius)
 
+    if K and type(gz) is list:  # an inline draw's floats
+        gz = np.array(gz)
     if not K:
         ny = nz = math.nan
     elif gy is not None:
         ny, nz = _norm(gy), _norm(gz)
     else:  # a float step's gradients
         if key is None:  # the last step moved: nothing to carry
-            key, zy = (gz.tobytes(), fy.tobytes(), gg.tobytes()), None
+            key, zy = (pack(*a), pack(*b), pack(*c)), None
         elif key is not last[0]:  # else the carried step, kept throughout
             zy = (z.tobytes(), y.tobytes())
         if key != last[0]:  # the h_sigma-gradient in numpy, the same bits

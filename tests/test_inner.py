@@ -27,8 +27,9 @@ from bipen import (
     inner_descend,
     probe_penalty_divergence,
     run_f2ba,
+    run_f2bsa,
 )
-from bipen import core, inner
+from bipen import core, drivers, inner
 from bipen.core import BilevelProblem, ProblemConstants, as_vector
 from bipen.inner import _FLOAT_STEP_DIM, DivergenceProbe, _norm, _prepare_phase
 from test_core import _RefOracle, _oracle_problem
@@ -762,18 +763,30 @@ def test_a_public_call_with_a_plain_config_never_carries(kernel):
 _NOISE_LEVELS = [(0.3, 0.7), (0.3, 0.0), (0.0, 0.7)]
 
 
-def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail):
+@contextlib.contextmanager
+def _recorded():
+    """Every warning, in numpy's default error state, as a list of
+    (category, message) pairs filled in when the block ends."""
+    seen = []
+    with warnings.catch_warnings(record=True) as log, np.errstate(**core._DEFAULT_ERRSTATE):
+        warnings.simplefilter("always")
+        yield seen
+    seen.extend((w.category, str(w.message)) for w in log)
+
+
+def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail, context=_quiet):
     """``lead`` draws, then each phase (x, y0, z0, sigma, cfg), then the
-    estimator's three draws at ``tail``; what each leaves, bitwise."""
+    estimator's three draws at ``tail``; what each leaves, bitwise, and
+    what ``context`` yields (the warnings, under ``_recorded``)."""
     oracle = oracle_cls(prob, *stds, rng_seed=seed)
     seen = []
-    with _quiet():
+    with context() as warned:
         for which, batch, x, y in lead:
             seen.append(_bits(oracle.draw(which, x, y, batch)))
         for x, y0, z0, sigma, cfg in phases:
             try:
                 res = descend(prob, x, y0, z0, sigma, cfg, oracle)
-            except (NumericError, DivergenceError) as exc:
+            except (InputError, NumericError, DivergenceError) as exc:
                 seen.append(("raised", type(exc), str(exc), oracle.counter))
             else:
                 seen.append(("returned", _bits(res.y), _bits(res.z),
@@ -783,7 +796,7 @@ def _phase_run(descend, oracle_cls, prob, stds, seed, lead, phases, tail):
         for which in ("f_x", "g_x", "g_x"):
             seen.append(_bits(oracle.draw(which, x, y, batch)))
     seen.append(oracle.counter)
-    return seen
+    return seen, warned
 
 
 @settings(max_examples=150, deadline=None)
@@ -827,10 +840,81 @@ def test_a_nan_gradient_mid_phase_leaves_the_counter_and_later_draws(stds, batch
                InnerConfig(tau=0.5, K=3, batch=batch))]
     args = (prob, stds, 2, [], phases, (np.zeros(3), np.array([0.5, 0.5]), batch))
     got = _phase_run(inner_descend, StochasticOracle, *args)
-    assert got[0][:3] == ("raised", NumericError, "non-finite grad f_y encountered")
+    assert got[0][0][:3] == ("raised", NumericError, "non-finite grad f_y encountered")
     noisy_per_step = (stds[0] > 0) + 2 * (stds[1] > 0)
-    assert 0 < got[0][3] < 6 * noisy_per_step * batch
+    assert 0 < got[0][0][3] < 6 * noisy_per_step * batch
     assert got == _phase_run(_ref_inner_descend, _RefOracle, *args)
+
+
+# Each way a problem's own y-gradient can miss the inline draw's float route
+# from its fourth call on (mid-phase: g_y at step 1, f_y at step 3): the
+# route hands each to the draw's numpy route, which converts, refuses or
+# raises as a call of StochasticOracle.draw would
+_MISSES = {
+    "none": lambda v: v,
+    "list": lambda v: v.tolist(),
+    "float32": lambda v: v.astype(np.float32),
+    "wrong length": lambda v: v[:-1],
+    "NaN": lambda v: v + np.nan,
+    "hypot >= 1e150": lambda v: v + 1e150,
+}
+
+
+def _per_call_draw(monkeypatch):
+    """StochasticOracle.draw patched on the class, as the benchmark's tracer
+    patches it: a wrapper that counts its calls, so the phase calls it."""
+    calls, draw = [], StochasticOracle.draw
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return draw(self, *args, **kwargs)
+
+    monkeypatch.setattr(StochasticOracle, "draw", counted)
+    return calls
+
+
+@pytest.mark.parametrize("miss", sorted(_MISSES))
+@pytest.mark.parametrize("part", ["grad_f_y", "grad_g_y"])
+@pytest.mark.parametrize("stds", _NOISE_LEVELS)
+@pytest.mark.parametrize("overflow", [False, True])
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_the_inline_draws_fallbacks_match_the_reference_and_the_per_call_route(
+        kernel, miss, part, stds, overflow, block, monkeypatch):
+    # noise levels of 1.7e308 make b * scale overflow for |b| > 1.5, so the
+    # float sum is not finite and the draw takes numpy's expression; each
+    # run is two phases (the first unguarded, so huge and non-finite
+    # gradients reach the step), then the estimator's draws.  Results,
+    # errors, counter and later draws are the reference loop's, whose own
+    # arithmetic warns in another order; results and every warning are
+    # those of the same phases calling StochasticOracle.draw per gradient
+    if overflow:
+        stds = tuple(1.7e308 if std else 0.0 for std in stds)
+    x = np.array([0.4])
+    phases = [(x, np.array([1.5, -0.5]), np.array([0.2, 0.9]), 0.3,
+               InnerConfig(tau=0.5, K=6, batch=3, divergence_radius=math.inf)),
+              (x, np.array([0.5, 0.5]), np.array([0.1, 0.1]), 0.3,
+               InnerConfig(tau=0.5, K=3, batch=3))]
+    args = (stds, 5, [("f_x", 2, x, np.array([0.5, 0.5]))], phases,
+            (x, np.array([0.5, 0.5]), 3))
+
+    def run(descend, oracle_cls, context=_recorded):
+        prob, _ = _switched(kernel.problem, part, 3, _MISSES[miss])
+        return _phase_run(descend, oracle_cls, prob, *args, context=context)
+
+    with mock.patch.object(core, "_NOISE_BLOCK", block):
+        got, warned = run(inner_descend, StochasticOracle)
+        assert got == run(_ref_inner_descend, _RefOracle, _quiet)[0]
+        calls = _per_call_draw(monkeypatch)
+        assert (got, warned) == run(inner_descend, StochasticOracle)
+    assert calls  # the per-call route ran through the patched draw
+    if overflow:  # numpy's expression took the noise, and phase 1 raised
+        assert (RuntimeWarning, "overflow encountered in multiply") in warned
+        assert got[1][0] == "raised"
+    elif miss == "wrong length":
+        assert got[1][:3] == ("raised", InputError,
+                              f"grad {part[5:]} must be a vector of length 2, got shape (1,)")
+    elif miss == "NaN":
+        assert got[1][:3] == ("raised", NumericError, f"non-finite grad {part[5:]} encountered")
 
 
 class _FormOracle(StochasticOracle):
@@ -849,8 +933,7 @@ class _FormOracle(StochasticOracle):
 @pytest.mark.parametrize("dim_y", [2, _FLOAT_STEP_DIM + 1])
 def test_an_overriding_draw_is_tested_as_the_reference_loop_tests_it(form, dim_y):
     # float32 and list draws are converted, a wrong shape is refused; each
-    # phase is the reference loop's, bit for bit, and only a phase whose
-    # draw is StochasticOracle.draw itself skips the loop's test of the draws
+    # phase is the reference loop's, bit for bit
     prob = _quadratic(dim_y)
     y0 = np.linspace(0.3, 1.7, dim_y)
 
@@ -866,12 +949,66 @@ def test_an_overriding_draw_is_tested_as_the_reference_loop_tests_it(form, dim_y
         return [_bits(v) for v in res] + [oracle.counter]
 
     assert outcome(inner_descend) == outcome(_ref_inner_descend)
-    cfg = InnerConfig(tau=0.3, K=4, batch=3)
-    patched = StochasticOracle(prob, 0.3, 0.7, rng_seed=4)
-    patched.draw = lambda which, x, y, batch=1: [0.0] * dim_y  # on the instance
-    assert [_prepare_phase(prob, 0.5, cfg, o, 1.0).trusted for o in (
-        _FormOracle(prob, 0.3, 0.7, rng_seed=4), patched,
-        StochasticOracle(prob, 0.3, 0.7, rng_seed=4))] == [False, False, True]
+
+
+class _CountedOracle(StochasticOracle):
+    """A draw that overrides ``StochasticOracle.draw`` and counts its calls."""
+
+    def draw(self, which, x, y, batch=1):
+        _DRAWS.append(which)
+        return super().draw(which, x, y, batch)
+
+
+def _counted_instance(*args, **kwargs):
+    oracle, draw = StochasticOracle(*args, **kwargs), None
+
+    def counted(which, x, y, batch=1):
+        _DRAWS.append(which)
+        return draw(which, x, y, batch)
+
+    draw, oracle.draw = oracle.draw, counted  # a function set on the instance
+    return oracle
+
+
+_DRAWS = []  # the draws that _CountedOracle and _counted_instance's oracles see
+
+
+def _run_record(suite, seed):
+    from bipen.cli import plan_from_args, render_trace_csv
+    trace = run_f2bsa(suite.problem, plan_from_args(suite, 0.05, {}), seed=seed)
+    st = trace.final_state
+    return (render_trace_csv(trace), st.t, _bits(st.x), _bits(st.y), _bits(st.z),
+            _bits(st.delta), st.oracle_calls, st.rng_counter), trace
+
+
+@pytest.mark.parametrize("name", ["kernel_pl_fnoise", "kernel_pl_noisy", "kernel_pl_gnoise"])
+@pytest.mark.parametrize("way", ["class patch", "subclass", "instance"])
+def test_every_draw_but_cores_own_is_called_per_gradient_with_the_same_run(
+        name, way, monkeypatch):
+    # core's own StochasticOracle.draw is run inline by the phase; a draw
+    # patched on the class (the benchmark tracer's way), a subclass's
+    # override and a function set on the instance are each called for every
+    # phase gradient, 3 K_t per outer step, and for the estimator's 3, and
+    # each run keeps the unpatched run's trace bytes, final state and
+    # rng_counter
+    suite = get_problem(name)
+    plain = [_run_record(suite, seed)[0] for seed in range(3)]
+    if way == "class patch":
+        draws = _per_call_draw(monkeypatch)
+    else:
+        draws = _DRAWS
+        draws.clear()
+        monkeypatch.setattr(drivers, "StochasticOracle", {
+            "subclass": _CountedOracle, "instance": _counted_instance}[way])
+    for seed in range(3):
+        draws.clear()
+        record, trace = _run_record(suite, seed)
+        assert record == plain[seed]
+        B, T = trace.plan.B, len(trace.rows)
+        inner_steps = (trace.total_oracle_calls - 3 * B * T) // (2 * B)  # the sum of K_t
+        assert len(draws) == 3 * inner_steps + 3 * T
+        assert collections.Counter(draws) == {"g_y": 2 * inner_steps, "f_y": inner_steps,
+                                              "f_x": T, "g_x": 2 * T}
 
 
 # reference probe: the divergence probe's own descent loop as it stood before
