@@ -484,7 +484,8 @@ class StochasticOracle:
         part = (self._parts.get((which, batch))
                 if type(batch) is int and type(which) is str else None)
         if part is None:  # the checks; each part is kept at its int batch
-            if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+            if (isinstance(batch, bool) or not isinstance(batch, (int, np.integer))
+                    or batch < 1):
                 raise InputError(f"batch must be a positive integer, got {batch!r}")
             batch = int(batch)  # so counter stays an int: a numpy integer would wrap it
             entry = self._table.get(which)

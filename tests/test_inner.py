@@ -951,28 +951,6 @@ def test_an_overriding_draw_is_tested_as_the_reference_loop_tests_it(form, dim_y
     assert outcome(inner_descend) == outcome(_ref_inner_descend)
 
 
-class _CountedOracle(StochasticOracle):
-    """A draw that overrides ``StochasticOracle.draw`` and counts its calls."""
-
-    def draw(self, which, x, y, batch=1):
-        _DRAWS.append(which)
-        return super().draw(which, x, y, batch)
-
-
-def _counted_instance(*args, **kwargs):
-    oracle, draw = StochasticOracle(*args, **kwargs), None
-
-    def counted(which, x, y, batch=1):
-        _DRAWS.append(which)
-        return draw(which, x, y, batch)
-
-    draw, oracle.draw = oracle.draw, counted  # a function set on the instance
-    return oracle
-
-
-_DRAWS = []  # the draws that _CountedOracle and _counted_instance's oracles see
-
-
 def _run_record(suite, seed):
     from bipen.cli import plan_from_args, render_trace_csv
     trace = run_f2bsa(suite.problem, plan_from_args(suite, 0.05, {}), seed=seed)
@@ -985,21 +963,37 @@ def _run_record(suite, seed):
 @pytest.mark.parametrize("way", ["class patch", "subclass", "instance"])
 def test_every_draw_but_cores_own_is_called_per_gradient_with_the_same_run(
         name, way, monkeypatch):
-    # core's own StochasticOracle.draw is run inline by the phase; a draw
-    # patched on the class (the benchmark tracer's way), a subclass's
-    # override and a function set on the instance are each called for every
-    # phase gradient, 3 K_t per outer step, and for the estimator's 3, and
-    # each run keeps the unpatched run's trace bytes, final state and
-    # rng_counter
+    # the phase calls core's own draw's _take itself; a draw patched on the
+    # class (the benchmark tracer's way), a subclass's override and a
+    # function set on the instance are each called for every phase
+    # gradient, 3 K_t per outer step, and for the estimator's 3, and each
+    # run keeps the unpatched run's trace bytes, final state and rng_counter
     suite = get_problem(name)
     plain = [_run_record(suite, seed)[0] for seed in range(3)]
     if way == "class patch":
         draws = _per_call_draw(monkeypatch)
     else:
-        draws = _DRAWS
-        draws.clear()
-        monkeypatch.setattr(drivers, "StochasticOracle", {
-            "subclass": _CountedOracle, "instance": _counted_instance}[way])
+        draws = []
+
+        class Counted(StochasticOracle):
+            def draw(self, which, x, y, batch=1):
+                draws.append(which)
+                return super().draw(which, x, y, batch)
+
+        def on_the_instance(*args, **kwargs):
+            oracle = StochasticOracle(*args, **kwargs)
+            draw = oracle.draw
+
+            def counted(which, x, y, batch=1):
+                draws.append(which)
+                return draw(which, x, y, batch)
+
+            oracle.draw = counted
+            return oracle
+
+        # the run builds its oracle through this name
+        monkeypatch.setattr(drivers, "StochasticOracle",
+                            Counted if way == "subclass" else on_the_instance)
     for seed in range(3):
         draws.clear()
         record, trace = _run_record(suite, seed)
